@@ -88,14 +88,20 @@ class ChainEvolver:
         amps = np.einsum("nkj,nj->nk", self.C, phases)
         return np.abs(amps) ** 2
 
+    def site_probabilities_with_derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The table P of site_probabilities(t) together with dP/dt.
+
+        With amplitudes a = sum_j C e^{-i pi w t}, da/dt = sum_j C (-i pi w)
+        e^{-i pi w t} and dP/dt = 2 Re(conj(a) da/dt).
+        """
+        phases = np.exp(-1j * np.pi * self.w * t)
+        amps = np.einsum("nkj,nj->nk", self.C, phases)
+        d_amps = np.einsum("nkj,nj->nk", self.C, -1j * np.pi * self.w * phases)
+        return np.abs(amps) ** 2, 2.0 * np.real(np.conj(amps) * d_amps)
+
     def apply_pulse(self, t: float, probs: np.ndarray) -> np.ndarray:
         """Propagate a population vector through one pulse of duration t."""
-        site_p = self.site_probabilities(t)
-        out = np.zeros_like(probs)
-        n_top = self.n_max + 1
-        for k in range(self.n_sites):
-            out[: n_top - k] += site_p[k:, k] * probs[k:]
-        return out
+        return apply_table(self.site_probabilities(t), probs)
 
     def transfer_matrix(self, t: float) -> TransferMatrix:
         site_p = self.site_probabilities(t)
@@ -105,6 +111,15 @@ class ChainEvolver:
             rows = np.arange(k, n_top)
             entries[rows, rows - k] = site_p[k:, k]
         return TransferMatrix(entries=entries, bandwidth=self.chain.bandwidth, pulse_time=float(t))
+
+
+def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k)."""
+    out = np.zeros_like(probs)
+    n_top = len(probs)
+    for k in range(site_p.shape[1]):
+        out[: n_top - k] += site_p[k:, k] * probs[k:]
+    return out
 
 
 def evolve_chain(

@@ -108,6 +108,7 @@ def _build_sequence(cfg: RunConfig, chain, trap, init) -> tuple[PulseSequence, d
         trace: list = []
         seq = optimize_global(chain, trap, init, cfg.strategy.n_pulses, scheme, trace=trace)
         details["trace"] = trace
+        details["n_evals"] = list(seq.n_evals)
         details["converged"] = seq.converged
     else:
         seq = heuristic_sequence(
@@ -304,7 +305,9 @@ def cmd_optimize(cfg: RunConfig) -> dict[str, str]:
     }
     if "trace" in details:
         files["optimize_trace.csv"] = _csv(
-            meta, ["iteration", "objective"], [[k, v] for k, v in details["trace"]]
+            meta,
+            ["iteration", "objective", "n_evals"],
+            [[k, v, n] for (k, v), n in zip(details["trace"], details["n_evals"])],
         )
     return files
 

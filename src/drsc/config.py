@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -41,12 +42,26 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}")
 
 
+def _is_finite_number(value) -> bool:
+    """True for an int or float that is finite as a float.
+
+    Python's json reads NaN and Infinity, and integers too large for a
+    float; none of them is a usable physical parameter.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(section: dict, key: str, default, where: str, minimum=None, positive=False):
     value = section.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"{where}.{key} must be > 0, got {value}")
     if minimum is not None and value < minimum:
@@ -245,8 +260,8 @@ class TransferMatrixConfig:
             raise ConfigError("transfer_matrix.times must be a non-empty list")
         parsed = []
         for i, t in enumerate(times):
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or t < 0:
-                raise ConfigError(f"transfer_matrix.times[{i}] must be a number >= 0")
+            if not _is_finite_number(t) or t < 0:
+                raise ConfigError(f"transfer_matrix.times[{i}] must be a finite number >= 0")
             parsed.append(float(t))
         return cls(
             times=tuple(parsed),
@@ -267,8 +282,8 @@ class Table1Config:
         if not isinstance(nbars, list) or not nbars:
             raise ConfigError("table1.nbars must be a non-empty list")
         for n in nbars:
-            if isinstance(n, bool) or not isinstance(n, (int, float)) or n <= 0:
-                raise ConfigError("table1.nbars entries must be positive numbers")
+            if not _is_finite_number(n) or n <= 0:
+                raise ConfigError("table1.nbars entries must be finite positive numbers")
         if not isinstance(schemes, list) or not schemes:
             raise ConfigError("table1.schemes must be a non-empty list")
         for s in schemes:
@@ -290,8 +305,8 @@ class ProbeConfig:
         if not isinstance(times, list) or not times:
             raise ConfigError("probe.times must be a non-empty list")
         for t in times:
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or t <= 0:
-                raise ConfigError("probe.times entries must be positive numbers")
+            if not _is_finite_number(t) or t <= 0:
+                raise ConfigError("probe.times entries must be finite positive numbers")
         return cls(times=tuple(float(t) for t in times))
 
 

@@ -136,7 +136,9 @@ class ProtocolReport:
     """Per-pulse histories plus the final state of one protocol run.
 
     history[k] is the distribution after k cycles (history[0] the initial
-    state); when dark preparation runs, the conditioned state is appended.
+    state), so nbar_history[k] is its mean; when dark preparation runs, the
+    conditioned state is appended.  final is the state after any pre-probe
+    delay and dark preparation.
     """
 
     nbar_history: tuple[float, ...]
@@ -196,7 +198,6 @@ def end_to_end_protocol(
 
     if heating_on and timing.pre_probe_delay_seconds > 0:
         state = propagate_heating(state, idle_model, timing.pre_probe_delay_seconds)
-        snapshots[-1] = state
 
     success = 1.0
     used_t_clear = None

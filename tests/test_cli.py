@@ -186,6 +186,10 @@ class TestOptimize:
             if line and not line.startswith("#")
         ]
         assert len(trace_lines) == 1 + 2
+        assert trace_lines[0] == "iteration,objective,n_evals"
+        n_evals = seq["details"]["n_evals"]
+        assert [int(line.split(",")[2]) for line in trace_lines[1:]] == n_evals
+        assert len(n_evals) == 2 and all(n > 0 for n in n_evals)
 
     def test_fixed_has_no_trace(self, tmp_path, fast_cool_config):
         out = tmp_path / "out"
@@ -202,6 +206,19 @@ class TestErrorPaths:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["probe", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("cool", {"initial_nbar": float("inf")}),
+            ("transfer-matrix", {"transfer_matrix": {"times": [float("nan")], "n_max": 50}}),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_invalid_scheme_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"scheme": "F9"})
@@ -222,6 +239,14 @@ class TestEnvironment:
         assert main(["probe", "--config", fast_cool_config, "--out", str(flag_dir)]) == 0
         assert (flag_dir / "probe.csv").exists()
         assert not env_dir.exists()
+
+    def test_default_config_hash(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DRSC_SEED", raising=False)
+        out = tmp_path / "out"
+        assert main(["probe", "--out", str(out)]) == 0
+        assert read_meta_lines(out / "probe.csv")["config_sha256"] == (
+            "7e14c7084dd2a0423851d3872c0f27a01176cc646951a40eda5ef034c6abbc52"
+        )
 
     def test_seed_changes_config_hash(self, tmp_path, fast_cool_config):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -88,6 +88,23 @@ class TestTypeValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"table1": {"schemes": ["F9"]}})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"initial_nbar": float("inf")},
+            {"initial_nbar": 10**400},
+            {"trap": {"eta": float("nan")}},
+            {"timing": {"pre_probe_delay_seconds": float("nan")}},
+            {"heating": {"rates": {"trap": float("inf")}}},
+            {"transfer_matrix": {"times": [0.2, float("nan")]}},
+            {"probe": {"times": [float("inf")]}},
+            {"table1": {"nbars": [float("nan")]}},
+        ],
+    )
+    def test_non_finite_numbers(self, raw):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.from_dict(raw)
+
 
 class TestSchemes:
     @pytest.mark.parametrize("name,bandwidth", [("F7", 8), ("F8", 16), ("two_level", 2)])

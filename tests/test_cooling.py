@@ -10,6 +10,7 @@ from drsc.chain_dynamics import ChainEvolver
 from drsc.cooling import (
     PulseSequence,
     SuppressionFit,
+    _mean_and_gradient,
     asymptotic_window,
     dual_thermal_decompose,
     heuristic_sequence,
@@ -21,6 +22,7 @@ from drsc.manifold import build_coupling_chain, f7_scheme, f8_scheme, two_level_
 from drsc.motional import (
     PhononDistribution,
     TrapParams,
+    default_n_max,
     mean_n,
     thermal_distribution,
     thermal_state,
@@ -34,6 +36,29 @@ WINDOW = asymptotic_window(0.07)
 
 def deep_thermal(nbar, chain):
     return thermal_distribution(nbar, WINDOW[1] + len(chain.steps))
+
+
+def cli_thermal(nbar, chain):
+    """The initial state `drsc cool` builds: thermal, truncated to cover the window."""
+    return thermal_distribution(nbar, max(default_n_max(nbar), WINDOW[1] + len(chain.steps)))
+
+
+# Nelder-Mead optimum per pulse count, frozen from the simplex search that
+# the gradient optimizer replaced (F7, nbar 6.08, 10 pulses)
+NELDER_MEAD_F7_TRACE = (
+    3.40859144491883,
+    1.8565410526782005,
+    1.014777056057326,
+    0.5627452688043734,
+    0.3144472224672739,
+    0.1742852554650064,
+    0.09526356194399567,
+    0.0518994010850697,
+    0.02852421802080631,
+    0.015854372087131172,
+)
+# its final objective on F8, nbar 15.87, 15 pulses
+NELDER_MEAD_F8_FINAL = 0.0005485482927587203
 
 
 class TestAsymptoticWindow:
@@ -106,6 +131,52 @@ class TestOptimizeGlobal:
         seq = optimize_global(F7, TRAP, thermal_state(0.5), 2)
         assert seq.strategy == "global_opt"
         assert all(t > 0 for t in seq.times)
+
+    @pytest.mark.parametrize(
+        "chain, nbar, times",
+        [
+            (F7, 6.08, (0.15, 0.3, 0.5, 0.7, 0.2)),
+            (F8, 15.87, (0.6, 0.4, 0.65, 0.3, 0.5)),
+        ],
+    )
+    def test_gradient_matches_central_differences(self, chain, nbar, times):
+        init = cli_thermal(nbar, chain)
+        ev = ChainEvolver(chain, TRAP, init.n_max)
+        x = np.array(times)
+        f, grad = _mean_and_gradient(x, ev, init.probs)
+        p = init.probs
+        for t in x:
+            p = ev.apply_pulse(t, p)
+        assert f == float(np.arange(init.n_max + 1) @ p) / float(p.sum())
+        h = 1e-6
+        fd = np.array(
+            [
+                (
+                    _mean_and_gradient(x + h * e, ev, init.probs)[0]
+                    - _mean_and_gradient(x - h * e, ev, init.probs)[0]
+                )
+                / (2 * h)
+                for e in np.eye(len(x))
+            ]
+        )
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+    def test_f7_no_worse_than_nelder_mead_at_every_count(self):
+        trace = []
+        seq = optimize_global(F7, TRAP, cli_thermal(6.08, F7), 10, trace=trace)
+        assert [k for k, _ in trace] == list(range(1, 11))
+        objs = [obj for _k, obj in trace]
+        for obj, ref in zip(objs, NELDER_MEAD_F7_TRACE):
+            assert obj <= ref * (1 + 1e-9)
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+        assert seq.converged
+        assert len(seq.n_evals) == 10
+        assert all(n > 0 for n in seq.n_evals)
+
+    def test_f8_no_worse_than_nelder_mead(self):
+        trace = []
+        optimize_global(F8, TRAP, cli_thermal(15.87, F8), 15, trace=trace)
+        assert trace[-1][1] <= NELDER_MEAD_F8_FINAL * (1 + 1e-9)
 
 
 class TestHeuristicSequence:

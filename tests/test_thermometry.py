@@ -125,7 +125,7 @@ class TestPulseTiming:
 
 
 class TestEndToEndProtocol:
-    def run(self, n_pulses=3, heating=False, rdp=False):
+    def run(self, n_pulses=3, heating=False, rdp=False, timing=None):
         init = thermal_distribution(1.0, 80)
         seq = PulseSequence(times=(0.17,) * n_pulses, strategy="fixed")
         return end_to_end_protocol(
@@ -134,6 +134,7 @@ class TestEndToEndProtocol:
             seq,
             init,
             heating_rates={} if heating else None,
+            timing=timing,
             rdp=rdp,
         )
 
@@ -170,3 +171,16 @@ class TestEndToEndProtocol:
     def test_final_matches_last_snapshot(self):
         report = self.run(n_pulses=2, rdp=True)
         np.testing.assert_array_equal(report.final.probs, report.history[-1].probs)
+
+    @pytest.mark.parametrize("rdp", [False, True])
+    def test_pre_probe_delay_keeps_history_and_snapshots_aligned(self, rdp):
+        delayed = self.run(
+            n_pulses=3, heating=True, rdp=rdp, timing=PulseTiming(pre_probe_delay_seconds=0.02)
+        )
+        for k, dist in enumerate(delayed.history):
+            assert mean_n(dist) == delayed.nbar_history[k]
+        undelayed = self.run(n_pulses=3, heating=True, rdp=rdp)
+        np.testing.assert_array_equal(delayed.history[3].probs, undelayed.history[3].probs)
+        if not rdp:
+            # the delay heats only `final`, the state the probe reads
+            assert mean_n(delayed.final) > delayed.nbar_history[-1]
