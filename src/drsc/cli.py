@@ -67,11 +67,13 @@ def _cell(value) -> str:
 
 
 def _csv(meta: dict, columns: list[str], rows: list[list]) -> str:
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    return _csv_lines(meta, columns, [",".join(_cell(cell) for cell in row) for row in rows])
+
+
+def _csv_lines(meta: dict, columns: list[str], lines: list[str]) -> str:
+    """CSV text from data lines that are already formatted."""
+    header = [f"# {k}: {v}" for k, v in meta.items()]
+    return "\n".join(header + [",".join(columns)] + lines) + "\n"
 
 
 def _json(meta: dict, payload: dict) -> str:
@@ -171,10 +173,11 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     for k, (nb, nsb) in enumerate(zip(report.nbar_history, report.nbar_sb_history)):
         success = report.success_probability if (report.rdp_applied and k == len(report.nbar_history) - 1) else 1.0
         history_rows.append([k, nb, nsb, success])
-    snapshot_rows = [
-        [k, n, p]
+    # formatted as _csv would, without a per-cell call over every row
+    snapshot_lines = [
+        f"{k},{n},{p!r}"
         for k, dist in enumerate(report.history)
-        for n, p in enumerate(dist.probs)
+        for n, p in enumerate(dist.probs.tolist())
     ]
 
     fit_payload: dict
@@ -193,7 +196,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
         "cool_history.csv": _csv(
             meta, ["pulse", "nbar", "nbar_sb", "success_probability"], history_rows
         ),
-        "cool_snapshots.csv": _csv(meta, ["pulse", "n", "prob"], snapshot_rows),
+        "cool_snapshots.csv": _csv_lines(meta, ["pulse", "n", "prob"], snapshot_lines),
         "cool_sequence.json": _json(
             meta,
             {

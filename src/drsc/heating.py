@@ -8,11 +8,13 @@ the dark state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .manifold import cg_signed_square, decay_branching
 from .motional import PhononDistribution
@@ -23,7 +25,8 @@ DEFAULT_CHANNEL_RATES = {
     "trap": 0.553,
 }
 
-_SUBSTEP_FRACTION = 0.1
+# entries of exp(G t) p below 0 by at most this much are rounding; lower is a fault
+_NEGATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,67 +62,54 @@ class HeatingModel:
         return max(self.a_plus, self.a_minus)
 
 
-def validity_bound(model: HeatingModel, n_max: int) -> float:
-    """Largest step the first-order transfer matrix tolerates, 1/(n_max A)."""
-    if model.max_rate == 0 or n_max == 0:
-        return math.inf
-    return 1.0 / (n_max * model.max_rate)
+@functools.lru_cache(maxsize=8)
+def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of the unit-rate diffusive
+    generator on n = 0..n_max: diagonal -(2n+1), off-diagonal n between
+    n-1 and n.  The top row keeps its upward leak out of the ladder."""
+    n = np.arange(n_max + 1, dtype=float)
+    lam, vecs = eigh_tridiagonal(-(2.0 * n + 1.0), n[1:])
+    lam.setflags(write=False)
+    vecs.setflags(write=False)
+    return lam, vecs
 
 
-def heating_step_matrix(model: HeatingModel, tau: float, n_max: int) -> np.ndarray:
-    """First-order transfer matrix b[i, j] = P(n=i -> n=j) over one step tau.
-
-    b_ii = 1 - (A+(i+1) + A- i) tau, b_{i,i+1} = A+ (i+1) tau,
-    b_{i,i-1} = A- i tau.  The top row leaks upward probability out of the
-    truncated ladder; that loss is the caller's to track.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    bound = validity_bound(model, n_max)
-    if tau > bound:
-        raise ValueError(
-            f"tau = {tau} exceeds the validity bound 1/(n_max A) = {bound:.3e}; "
-            "the first-order step matrix is valid only for small tau"
-        )
-    i = np.arange(n_max + 1, dtype=float)
-    up = model.a_plus * (i + 1) * tau
-    down = model.a_minus * i * tau
-    b = np.diag(1.0 - up - down)
-    if n_max >= 1:
-        b[np.arange(n_max), np.arange(1, n_max + 1)] = up[:-1]
-        b[np.arange(1, n_max + 1), np.arange(n_max)] = down[1:]
-    return b
+def _generator(model: HeatingModel, n_max: int) -> np.ndarray:
+    """Dense rate generator G with dp/dt = G p."""
+    n = np.arange(n_max + 1, dtype=float)
+    g = np.diag(-(model.a_plus * (n + 1) + model.a_minus * n))
+    g[np.arange(1, n_max + 1), np.arange(n_max)] = model.a_plus * n[1:]
+    g[np.arange(n_max), np.arange(1, n_max + 1)] = model.a_minus * n[1:]
+    return g
 
 
 def propagate_heating(
-    dist: PhononDistribution,
-    model: HeatingModel,
-    duration: float,
-    substep_fraction: float = _SUBSTEP_FRACTION,
+    dist: PhononDistribution, model: HeatingModel, duration: float
 ) -> PhononDistribution:
     """Evolve a distribution under the heating walk for `duration` seconds.
 
-    Repeatedly applies the first-order step matrix with the step auto-set
-    to a fraction of the validity bound.  Probability leaking past n_max
-    shows up as tail loss.
+    Applies the exact propagator exp(G t).  A diffusive walk (a_plus =
+    a_minus = a) has G = a G1 with G1 symmetric tridiagonal, so one cached
+    eigendecomposition per n_max serves every rate and duration; unequal
+    rates use the dense matrix exponential.  Probability leaking past
+    n_max shows up as tail loss.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     if duration == 0 or model.max_rate == 0:
         return dist
-    bound = validity_bound(model, dist.n_max)
-    n_steps = max(1, math.ceil(duration / (substep_fraction * bound)))
-    tau = duration / n_steps
-    i = np.arange(dist.n_max + 1, dtype=float)
-    up = model.a_plus * (i + 1) * tau
-    down = model.a_minus * i * tau
-    stay = 1.0 - up - down
-    p = dist.probs.copy()
-    for _ in range(n_steps):
-        q = stay * p
-        q[1:] += up[:-1] * p[:-1]
-        q[:-1] += down[1:] * p[1:]
-        p = q
+    if model.a_plus == model.a_minus:
+        lam, vecs = _unit_diffusion_eigensystem(dist.n_max)
+        p = vecs @ (np.exp(model.a_plus * duration * lam) * (vecs.T @ dist.probs))
+    else:
+        p = expm(_generator(model, dist.n_max) * duration) @ dist.probs
+    # exp(G t) is entrywise >= 0; only rounding may dip below zero
+    lowest = float(p.min())
+    if lowest < -_NEGATIVE_TOLERANCE:
+        raise FloatingPointError(
+            f"heating propagator gave a probability of {lowest:.3e} < -{_NEGATIVE_TOLERANCE:g}"
+        )
+    np.maximum(p, 0.0, out=p)
     return PhononDistribution(probs=p, n_max=dist.n_max)
 
 

@@ -8,6 +8,7 @@ stays visible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,14 @@ from .motional import (
 )
 
 DEFAULT_PROBE_TIME = 1.0
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_ratios(n_max: int, eta: float) -> np.ndarray:
+    """Read-only R[n] for n = 0..n_max + 1, shared by every probe of that size."""
+    ratios = sideband_coupling_ratios(n_max + 1, eta)
+    ratios.setflags(write=False)
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ def sideband_probe(
     """
     if probe_time <= 0:
         raise ValueError(f"probe_time must be > 0, got {probe_time}")
-    ratios = sideband_coupling_ratios(dist.n_max + 1, trap.eta)
+    ratios = _probe_ratios(dist.n_max, trap.eta)
     red_amp = np.sin(0.5 * np.pi * probe_time * ratios[: dist.n_max + 1]) ** 2
     blue_amp = np.sin(0.5 * np.pi * probe_time * ratios[1:]) ** 2
     p_red = float(dist.probs @ red_amp)

@@ -257,7 +257,7 @@ def test_07_heating_propagator():
     slope_ok = abs(slope - rate) / rate <= 0.01
 
     # per-bin comparison against a stiff integration of the rate equations
-    fine = propagate_heating(dist, model, 1.0, substep_fraction=0.001)
+    fine = propagate_heating(dist, model, 1.0)
     i = np.arange(dist.n_max + 1, dtype=float)
 
     def rhs(_t, p):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -101,6 +102,22 @@ class TestCool:
         main(["cool", "--config", fast_cool_config, "--out", str(out), "--no-heating"])
         meta = read_meta_lines(out / "cool_history.csv")
         assert meta["heating_on"] == "False"
+
+    def test_default_no_heating_digests(self, tmp_path, monkeypatch):
+        # heating-off artifacts of the built-in config, pinned byte for byte
+        monkeypatch.delenv("DRSC_SEED", raising=False)
+        out = tmp_path / "out"
+        assert main(["cool", "--no-heating", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
+        assert digests == {
+            "cool_history.csv": "d0748da2305963b34b5f84e8a5bfd5b3693bbb97906a5ea10217f631a3c13ded",
+            "cool_sequence.json": "4ec29f403e31153b37114c0d4815a5431b99491ded81ab64031bfc9de022014b",
+            "cool_snapshots.csv": "8d6a16f25da9d6106c4010fb9086038a4748bb8c0034bd7cbcb4dc78228619da",
+            "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
+        }
 
     def test_rdp_flag_appends_row(self, tmp_path, fast_cool_config):
         out = tmp_path / "out"

@@ -1,26 +1,26 @@
 """Heating walk against a direct rate-equation integration, and the
 optical-pumping absorbing chain against its fundamental matrix."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from drsc import heating, thermometry
+from drsc.cooling import PulseSequence
 from drsc.heating import (
     DEFAULT_CHANNEL_RATES,
     Beam,
     HeatingModel,
     build_pumping_graph,
     default_beams,
-    heating_step_matrix,
     mean_steps_to_dark,
     monte_carlo_steps,
     propagate_heating,
     recoil_heating_estimate,
-    validity_bound,
 )
-from drsc.motional import PhononDistribution, mean_n, thermal_distribution
+from drsc.manifold import build_coupling_chain, f7_scheme, f8_scheme
+from drsc.motional import PhononDistribution, TrapParams, mean_n, thermal_distribution
+from drsc.thermometry import PulseTiming, end_to_end_protocol
 
 
 def rate_equation_reference(dist, model, duration):
@@ -41,40 +41,6 @@ def rate_equation_reference(dist, model, duration):
     return sol.y[:, -1]
 
 
-class TestStepMatrix:
-    def test_entries_exact(self):
-        model = HeatingModel(a_plus=2.0, a_minus=5.0)
-        tau = 0.01
-        b = heating_step_matrix(model, tau, 4)
-        for i in range(5):
-            assert b[i, i] == pytest.approx(1 - (2 * (i + 1) + 5 * i) * tau)
-            if i < 4:
-                assert b[i, i + 1] == pytest.approx(2 * (i + 1) * tau)
-            if i > 0:
-                assert b[i, i - 1] == pytest.approx(5 * i * tau)
-
-    def test_zero_rate_gives_identity(self):
-        b = heating_step_matrix(HeatingModel.diffusive(0.0), 1.0, 5)
-        np.testing.assert_array_equal(b, np.eye(6))
-
-    def test_interior_rows_stochastic(self):
-        b = heating_step_matrix(HeatingModel.diffusive(1.0), 0.001, 20)
-        np.testing.assert_allclose(b[:-1].sum(axis=1), 1.0, atol=1e-14)
-        # the top row leaks upward out of the truncation
-        assert b[-1].sum() < 1.0
-
-    def test_validity_bound_enforced(self):
-        model = HeatingModel.diffusive(5.6)
-        bound = validity_bound(model, 300)
-        assert bound == pytest.approx(1.0 / (300 * 5.6))
-        with pytest.raises(ValueError, match="valid only for small tau"):
-            heating_step_matrix(model, 2 * bound, 300)
-
-    def test_bound_infinite_cases(self):
-        assert validity_bound(HeatingModel.diffusive(0.0), 100) == math.inf
-        assert validity_bound(HeatingModel.diffusive(1.0), 0) == math.inf
-
-
 class TestPropagateHeating:
     def test_mean_grows_at_diffusion_rate(self):
         # d<n>/dt = A+ for a diffusive walk, within 1% over one second
@@ -87,16 +53,74 @@ class TestPropagateHeating:
     def test_matches_rate_equation(self):
         model = HeatingModel(a_plus=3.0, a_minus=1.0)
         dist = thermal_distribution(2.0, 150)
-        out = propagate_heating(dist, model, 0.3, substep_fraction=0.001)
+        out = propagate_heating(dist, model, 0.3)
         ref = rate_equation_reference(dist, model, 0.3)
         np.testing.assert_allclose(out.probs, ref, atol=1e-6)
 
-    def test_default_substep_good_to_1e4(self):
-        model = HeatingModel.diffusive(5.58)
-        dist = thermal_distribution(2.0, 150)
-        out = propagate_heating(dist, model, 0.3)
-        ref = rate_equation_reference(dist, model, 0.3)
-        np.testing.assert_allclose(out.probs, ref, atol=2e-4)
+    @pytest.mark.parametrize(
+        "a_plus, a_minus, n_max, duration",
+        [
+            (5.58, 5.58, 150, 0.3),
+            (5.58, 5.58, 400, 1.0),
+            (3.0, 1.0, 150, 0.3),
+            (1.0, 3.0, 150, 0.3),
+        ],
+        ids=["diffusive-n150", "diffusive-n400", "up3-down1", "up1-down3"],
+    )
+    def test_matches_radau_per_bin(self, a_plus, a_minus, n_max, duration):
+        model = HeatingModel(a_plus=a_plus, a_minus=a_minus)
+        dist = thermal_distribution(2.0, n_max)
+        out = propagate_heating(dist, model, duration)
+        ref = rate_equation_reference(dist, model, duration)
+        assert np.max(np.abs(out.probs - ref)) <= 1e-9
+
+    def test_hot_protocol_stays_nonnegative_and_never_gains_mass(self, monkeypatch):
+        # 150 cycles of F8 from nbar 40 at n_max 400, delay included
+        steps = []
+
+        def recorded(dist, model, duration):
+            out = propagate_heating(dist, model, duration)
+            steps.append((float(dist.probs.sum()), out.probs))
+            return out
+
+        monkeypatch.setattr(thermometry, "propagate_heating", recorded)
+        end_to_end_protocol(
+            build_coupling_chain(f8_scheme()),
+            TrapParams(eta=0.07),
+            PulseSequence(times=(0.645,) * 150, strategy="fixed"),
+            thermal_distribution(40.0, 400),
+            heating_rates=dict(DEFAULT_CHANNEL_RATES),
+            timing=PulseTiming(pre_probe_delay_seconds=0.02),
+        )
+        assert len(steps) == 2 * 150 + 1
+        for mass_in, probs in steps:
+            assert probs.min() >= 0.0
+            assert probs.sum() <= mass_in + 1e-13
+
+    def test_one_eigendecomposition_per_n_max(self):
+        heating._unit_diffusion_eigensystem.cache_clear()
+        chain = build_coupling_chain(f7_scheme())
+        timing = PulseTiming(pre_probe_delay_seconds=0.01)
+        for n_max in (60, 80):
+            end_to_end_protocol(
+                chain,
+                TrapParams(eta=0.07),
+                PulseSequence(times=(0.2,) * 3, strategy="fixed"),
+                thermal_distribution(1.0, n_max),
+                heating_rates=dict(DEFAULT_CHANNEL_RATES),
+                timing=timing,
+            )
+        info = heating._unit_diffusion_eigensystem.cache_info()
+        # pulse, repump and idle rates differ; each n_max decomposes once
+        assert info.misses == 2
+        assert info.hits == 2 * (2 * 3 + 1) - 2
+
+    def test_large_negative_entry_raises(self, monkeypatch):
+        lam, vecs = heating._unit_diffusion_eigensystem(50)
+        # a generator run backward sharpens the state into large negatives
+        monkeypatch.setattr(heating, "_unit_diffusion_eigensystem", lambda n_max: (-lam, vecs))
+        with pytest.raises(FloatingPointError, match="heating propagator"):
+            propagate_heating(thermal_distribution(2.0, 50), HeatingModel.diffusive(1.0), 0.1)
 
     def test_relaxation_fixed_point(self):
         # detailed balance at nbar = A+ / (A- - A+)
@@ -108,6 +132,7 @@ class TestPropagateHeating:
     def test_zero_duration_is_identity(self):
         dist = thermal_distribution(1.0, 50)
         assert propagate_heating(dist, HeatingModel.diffusive(5.0), 0.0) is dist
+        assert propagate_heating(dist, HeatingModel.diffusive(0.0), 1.0) is dist
 
     def test_leak_appears_as_tail_loss(self):
         dist = PhononDistribution(probs=np.r_[np.zeros(30), 1.0], n_max=30)

@@ -12,12 +12,14 @@ from drsc.motional import (
     PhononDistribution,
     TrapParams,
     mean_n,
+    sideband_coupling_ratios,
     thermal_distribution,
 )
 from drsc.thermometry import (
     ProtocolReport,
     PulseTiming,
     SidebandProbeResult,
+    _probe_ratios,
     default_t_clear,
     end_to_end_protocol,
     rdp_filter,
@@ -30,6 +32,21 @@ TRAP = TrapParams(eta=0.07)
 
 
 class TestSidebandProbe:
+    def test_cached_ratio_table_gives_identical_bits(self):
+        dist = thermal_distribution(6.08, 120)
+        ratios = sideband_coupling_ratios(dist.n_max + 1, TRAP.eta)
+        red = float(dist.probs @ np.sin(0.5 * np.pi * 0.7 * ratios[:-1]) ** 2)
+        blue = float(dist.probs @ np.sin(0.5 * np.pi * 0.7 * ratios[1:]) ** 2)
+        for _ in range(2):
+            r = sideband_probe(dist, TRAP, 0.7)
+            assert (r.p_red, r.p_blue) == (red, blue)
+
+    def test_cached_ratio_table_is_read_only(self):
+        table = _probe_ratios(30, TRAP.eta)
+        assert table is _probe_ratios(30, TRAP.eta)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
     @pytest.mark.parametrize("nbar", [0.1, 1.0, 6.08])
     def test_thermal_ratio_identity(self, nbar):
         # for a thermal state P_red/P_blue = nbar/(nbar+1) at any probe time
