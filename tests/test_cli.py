@@ -103,22 +103,6 @@ class TestCool:
         meta = read_meta_lines(out / "cool_history.csv")
         assert meta["heating_on"] == "False"
 
-    def test_default_no_heating_digests(self, tmp_path, monkeypatch):
-        # heating-off artifacts of the built-in config, pinned byte for byte
-        monkeypatch.delenv("DRSC_SEED", raising=False)
-        out = tmp_path / "out"
-        assert main(["cool", "--no-heating", "--out", str(out)]) == 0
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in sorted(os.listdir(out))
-        }
-        assert digests == {
-            "cool_history.csv": "d0748da2305963b34b5f84e8a5bfd5b3693bbb97906a5ea10217f631a3c13ded",
-            "cool_sequence.json": "4ec29f403e31153b37114c0d4815a5431b99491ded81ab64031bfc9de022014b",
-            "cool_snapshots.csv": "8d6a16f25da9d6106c4010fb9086038a4748bb8c0034bd7cbcb4dc78228619da",
-            "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
-        }
-
     def test_rdp_flag_appends_row(self, tmp_path, fast_cool_config):
         out = tmp_path / "out"
         main(["cool", "--config", fast_cool_config, "--out", str(out), "--rdp"])
@@ -130,6 +114,128 @@ class TestCool:
         assert len(lines) == 1 + 5  # header + initial + 3 pulses + conditioned
         last = lines[-1].split(",")
         assert float(last[-1]) < 1.0  # dark preparation postselects
+
+
+# Artifacts pinned byte for byte: (id, argv, config payload or None, sha256 per file)
+DIGEST_CASES = [
+    (
+        "cool-no-heating",
+        ["cool", "--no-heating"],
+        None,
+        {
+            "cool_history.csv": "d0748da2305963b34b5f84e8a5bfd5b3693bbb97906a5ea10217f631a3c13ded",
+            "cool_sequence.json": "4ec29f403e31153b37114c0d4815a5431b99491ded81ab64031bfc9de022014b",
+            "cool_snapshots.csv": "8d6a16f25da9d6106c4010fb9086038a4748bb8c0034bd7cbcb4dc78228619da",
+            "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
+        },
+    ),
+    (
+        "cool",
+        ["cool"],
+        None,
+        {
+            "cool_history.csv": "bf4e98131650c5b739d81bceb811687db31b9695c72741db11ffa84045cc76d3",
+            "cool_sequence.json": "36e12c51a35e2b4bd9c5ab1706074cbde2fd6dbff05d63fc0d4aa713601fc97f",
+            "cool_snapshots.csv": "831242ba5d0b3369a919d4fe74c566f96ba275321889657d81eac43fc3378abf",
+            "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
+        },
+    ),
+    (
+        # custom scheme, fixed strategy, dark preparation, pre-probe delay, weighted beams
+        "cool-custom-rdp",
+        ["cool", "--rdp"],
+        {
+            "scheme": {"f": 7, "f_excited": 7, "polarization_pair": "pi_sigma_minus", "start_m": -2},
+            "initial_nbar": 1.0,
+            "strategy": {"kind": "fixed", "n_pulses": 3, "fixed_time": 0.2},
+            "pumping": {
+                "beams": [
+                    {"label": "D_pi", "f_ground": 7, "polarization": "pi"},
+                    {"label": "D6", "f_ground": 6, "polarization": "sigma_pm", "weight": 2.0},
+                    {"label": "D8", "f_ground": 8, "polarization": "sigma_pm"},
+                ]
+            },
+            "timing": {"pre_probe_delay_seconds": 0.001},
+        },
+        {
+            "cool_history.csv": "f56983c8106ddfc8e7e54963d3aa1f6d624ca2f13ff91f9daf3e5817d2362a57",
+            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
+            "cool_snapshots.csv": "71a00dd3bd9884a98f7921de5074995818f429e9b390bdf59d1d5670f62665b3",
+            "cool_suppression_fit.json": "73607695f31c793145433b42230a9db1d875234e7571fbcd1b1e322be66b9ce2",
+        },
+    ),
+    (
+        # F7's bandwidth 8 exceeds n_max + 1 = 5, so the top bands are empty
+        "transfer-matrix-f7",
+        ["transfer-matrix"],
+        {"transfer_matrix": {"times": [0.0, 0.3], "n_max": 4}},
+        {
+            "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
+            "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
+            "transfer_matrix_01.csv": "8c91c5d6eb1ba177636ea4cafd0cc198339d6b6e594c09b8e7eeca79dd10f22d",
+            "transfer_matrix_01.json": "417bbb0596a1d90bd65b534360d43a0aa5599cec51bda08ae58e9d62ac2c0767",
+            "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
+        },
+    ),
+    (
+        "transfer-matrix-f8",
+        ["transfer-matrix"],
+        {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
+        {
+            "transfer_matrix_00.csv": "8717006864723fb1bde2095a908edbeb6acadf2b2e051a790dba060044797fce",
+            "transfer_matrix_00.json": "5b9a3126827e3696c152b2dd358fb93a6094f77dab3f7c305bb99c4588ab2c64",
+            "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
+        },
+    ),
+    (
+        "probe",
+        ["probe"],
+        None,
+        {"probe.csv": "880b0b7898c4d4ba6bf181e42b51d08d9fc16adead4a6c686fe06afff74f241f"},
+    ),
+    (
+        "table1-f7",
+        ["table1"],
+        {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
+        {"table1.csv": "ca3b70c8a8f2ccce651b1bfe2ba8d069362c481702cfd53d877c443b10bd5199"},
+    ),
+    (
+        "pumping",
+        ["pumping", "--seed", "3"],
+        {"pumping": {"monte_carlo_trajectories": 2000}},
+        {
+            "pumping_steps.csv": "b891c227ce858ef00ae7e3db2ccaf2a474b5abd0a859b47a5ccf09f885b15438",
+            "pumping_summary.json": "dd3f959c6dbb9257a10a67d638f99c9c5a7063e1ee2a61765da963def466a5b7",
+        },
+    ),
+    (
+        "optimize",
+        ["optimize"],
+        {"strategy": {"n_pulses": 2}},
+        {
+            "optimize_sequence.json": "8ac315b65cc603caa76e6499004e4e5ea6cc60a2314763f092fd2f7888e6573f",
+            "optimize_trace.csv": "2ea3f5b092ce4091efe5ba69fcaf6754ab282cd79e67645cc106d3e650dd42ee",
+        },
+    ),
+]
+
+
+class TestDigests:
+    @pytest.mark.parametrize(
+        "argv, payload, expected",
+        [case[1:] for case in DIGEST_CASES],
+        ids=[case[0] for case in DIGEST_CASES],
+    )
+    def test_artifact_digests(self, tmp_path, monkeypatch, argv, payload, expected):
+        monkeypatch.delenv("DRSC_SEED", raising=False)
+        out = tmp_path / "out"
+        config = [] if payload is None else ["--config", write_config(tmp_path, payload)]
+        assert main(argv[:1] + config + argv[1:] + ["--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
+        assert digests == expected
 
 
 class TestTable1:
