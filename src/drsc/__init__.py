@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .chain_dynamics import ChainEvolver, TransferMatrix, apply_sequence, build_transfer_matrix
+from .chain_dynamics import ChainEvolver
 from .config import ConfigError, RunConfig
 from .cooling import (
     PulseSequence,
@@ -19,9 +19,6 @@ from .thermometry import ProtocolReport, end_to_end_protocol, rdp_filter, sideba
 __all__ = [
     "__version__",
     "ChainEvolver",
-    "TransferMatrix",
-    "apply_sequence",
-    "build_transfer_matrix",
     "ConfigError",
     "RunConfig",
     "PulseSequence",

@@ -1,45 +1,22 @@
-"""Coherent pulse evolution on the coupled (m, n) ladder and the
-population transfer matrix it induces.
+"""Coherent pulse evolution on the coupled (m, n) ladder and the banded
+table of transfer probabilities it induces.
 
 One Raman pulse couples |m_k, n-k> sites along the chain; repumping after
 the pulse destroys coherence, so only populations propagate between
-pulses.  Each pulse is therefore summarized by a banded matrix of
-transfer probabilities a_ij(t) = P(n=i -> n=j).
+pulses.  Each pulse is therefore summarized by a banded table
+P[n, k] = P(n -> n - k): a pulse removes between zero and the chain
+length quanta, never adds any.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .manifold import CouplingChain
-from .motional import PhononDistribution, TrapParams, sideband_coupling_ratios
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Single-pulse transfer probabilities, entries[i, j] = P(n=i -> n=j).
-
-    Nonzero only for 0 <= i - j <= bandwidth - 1: a pulse removes between
-    zero and bandwidth-1 quanta, never adds any.
-    """
-
-    entries: np.ndarray
-    bandwidth: int
-    pulse_time: float
-
-    @property
-    def n_max(self) -> int:
-        return self.entries.shape[0] - 1
-
-    def to_banded(self) -> dict:
-        """Banded export: bands[k][i - k] = P(i -> i - k) for i = k..n_max."""
-        n = self.n_max
-        bands = [np.diagonal(self.entries, offset=-k)[: n + 1 - k].tolist() for k in range(self.bandwidth)]
-        # diagonal(offset=-k)[i] = entries[i + k, i], which is P(i+k -> i+k-k)
-        return {"n_max": n, "bandwidth": self.bandwidth, "bands": bands}
+from .motional import TrapParams, sideband_coupling_ratios
 
 
 class ChainEvolver:
@@ -103,15 +80,6 @@ class ChainEvolver:
         """Propagate a population vector through one pulse of duration t."""
         return apply_table(self.site_probabilities(t), probs)
 
-    def transfer_matrix(self, t: float) -> TransferMatrix:
-        site_p = self.site_probabilities(t)
-        n_top = self.n_max + 1
-        entries = np.zeros((n_top, n_top))
-        for k in range(self.n_sites):
-            rows = np.arange(k, n_top)
-            entries[rows, rows - k] = site_p[k:, k]
-        return TransferMatrix(entries=entries, bandwidth=self.chain.bandwidth, pulse_time=float(t))
-
 
 def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k)."""
@@ -122,41 +90,11 @@ def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_chain(
-    start_n: int, chain: CouplingChain, trap: TrapParams, t: float
-) -> np.ndarray:
-    """Transfer probabilities a_{start_n, j}(t) for j = 0..start_n.
-
-    Element j is the probability of ending with j phonons; the pulse can
-    lower n by at most the chain length, so most entries vanish.
-    """
-    if start_n < 0:
-        raise ValueError(f"start_n must be >= 0, got {start_n}")
-    evolver = ChainEvolver(chain, trap, start_n)
-    site_p = evolver.site_probabilities(t)[start_n]
-    row = np.zeros(start_n + 1)
-    for k in range(min(evolver.n_sites, start_n + 1)):
-        row[start_n - k] = site_p[k]
-    return row
-
-
-def build_transfer_matrix(
-    chain: CouplingChain, trap: TrapParams, t: float, n_max: int
-) -> TransferMatrix:
-    """Assemble the full pulse matrix for start phonon numbers 0..n_max."""
-    return ChainEvolver(chain, trap, n_max).transfer_matrix(t)
-
-
-def apply_sequence(
-    dist: PhononDistribution, matrices: list[TransferMatrix]
-) -> PhononDistribution:
-    """Propagate populations through pulses in order (first pulse first)."""
-    p = dist.probs
-    for w in matrices:
-        if w.entries.shape[0] != len(p):
-            raise ValueError(
-                f"transfer matrix size {w.entries.shape[0]} does not match "
-                f"distribution length {len(p)}"
-            )
-        p = p @ w.entries
-    return PhononDistribution(probs=p, n_max=dist.n_max)
+@functools.lru_cache(maxsize=8)
+def cached_evolver(chain: CouplingChain, trap: TrapParams, n_max: int) -> ChainEvolver:
+    """The ChainEvolver for (chain, trap, n_max), built once per process and
+    shared by every caller; its w and C arrays are read-only."""
+    evolver = ChainEvolver(chain, trap, n_max)
+    evolver.w.setflags(write=False)
+    evolver.C.setflags(write=False)
+    return evolver

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain_dynamics import ChainEvolver
+from .chain_dynamics import cached_evolver
 from .config import ConfigError, RunConfig
 from .cooling import (
     PulseSequence,
@@ -128,23 +128,33 @@ def _build_sequence(cfg: RunConfig, chain, trap, init) -> tuple[PulseSequence, d
 
 
 def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
+    """Each pulse as a dense matrix W[i, j] = P(i -> j) and as its bands,
+    bands[k][i - k] = P(i -> i - k), both read off the banded table."""
     chain, _ = cfg.scheme.build()
-    evolver = ChainEvolver(chain, _trap(cfg), cfg.transfer_matrix.n_max)
+    n_max = cfg.transfer_matrix.n_max
+    evolver = cached_evolver(chain, _trap(cfg), n_max)
+    n_top = n_max + 1
     files: dict[str, str] = {}
     manifest_entries = []
     for idx, t in enumerate(cfg.transfer_matrix.times):
-        w = evolver.transfer_matrix(t)
+        site_p = evolver.site_probabilities(t)
+        dense = np.zeros((n_top, n_top))
+        for k in range(evolver.n_sites):
+            dense[np.arange(k, n_top), np.arange(n_top - k)] = site_p[k:, k]
+        # bands past n_max are empty when the chain is longer than the ladder
+        bands = [site_p[k:, k].tolist() for k in range(evolver.n_sites)]
+        bands += [[]] * (chain.bandwidth - evolver.n_sites)
         name = f"transfer_matrix_{idx:02d}"
-        meta = _meta(cfg, pulse_time=_fmt(t), bandwidth=w.bandwidth)
-        body = "\n".join(",".join(_fmt(v) for v in row) for row in w.entries)
+        meta = _meta(cfg, pulse_time=_fmt(t), bandwidth=chain.bandwidth)
+        body = "\n".join(",".join(map(repr, row.tolist())) for row in dense)
         header = "\n".join(f"# {k}: {v}" for k, v in meta.items())
         files[f"{name}.csv"] = f"{header}\n{body}\n"
-        files[f"{name}.json"] = _json(meta, w.to_banded())
+        files[f"{name}.json"] = _json(meta, {"n_max": n_max, "bandwidth": chain.bandwidth, "bands": bands})
         manifest_entries.append({"pulse_time": t, "csv": f"{name}.csv", "banded": f"{name}.json"})
     files["transfer_matrix_manifest.json"] = _json(
         _meta(cfg),
         {
-            "n_max": cfg.transfer_matrix.n_max,
+            "n_max": n_max,
             "bandwidth": chain.bandwidth,
             "matrices": manifest_entries,
         },

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .heating import DEFAULT_CHANNEL_RATES, Beam, default_beams
 from .manifold import (
@@ -123,15 +123,7 @@ class SchemeConfig:
             raise ConfigError(f"invalid scheme: {exc}") from exc
 
     def describe(self) -> dict:
-        if self.kind != "custom":
-            return {"kind": self.kind}
-        return {
-            "kind": "custom",
-            "f": self.f,
-            "f_excited": self.f_excited,
-            "polarization_pair": self.polarization_pair,
-            "start_m": self.start_m,
-        }
+        return asdict(self) if self.kind == "custom" else {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -423,90 +415,32 @@ class RunConfig:
         rdp_enabled: bool | None = None,
     ) -> "RunConfig":
         """Apply environment and command-line overrides, flags winning."""
-        env_out = os.environ.get(ENV_OUT_DIR)
+        changes: dict = {}
         env_seed = os.environ.get(ENV_SEED)
-        new_seed = self.seed
         if env_seed is not None:
             try:
-                new_seed = int(env_seed)
+                changes["seed"] = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from exc
+        if ENV_OUT_DIR in os.environ:
+            changes["out_dir"] = os.environ[ENV_OUT_DIR]
         if seed is not None:
-            new_seed = seed
-        new_out = self.out_dir
-        if env_out is not None:
-            new_out = env_out
+            changes["seed"] = seed
         if out_dir is not None:
-            new_out = out_dir
-        heating = self.heating
+            changes["out_dir"] = out_dir
         if heating_enabled is not None:
-            heating = HeatingConfig(enabled=heating_enabled, rates=dict(self.heating.rates))
-        rdp = self.rdp
+            changes["heating"] = replace(self.heating, enabled=heating_enabled)
         if rdp_enabled is not None:
-            rdp = RdpConfig(enabled=rdp_enabled, t_clear=self.rdp.t_clear)
-        return RunConfig(
-            scheme=self.scheme,
-            eta=self.eta,
-            initial_nbar=self.initial_nbar,
-            coverage=self.coverage,
-            strategy=self.strategy,
-            heating=heating,
-            timing=self.timing,
-            rdp=rdp,
-            probe_time=self.probe_time,
-            transfer_matrix=self.transfer_matrix,
-            table1=self.table1,
-            probe=self.probe,
-            pumping=self.pumping,
-            seed=new_seed,
-            out_dir=new_out,
-        )
+            changes["rdp"] = replace(self.rdp, enabled=rdp_enabled)
+        return replace(self, **changes)
 
     def resolved(self) -> dict:
         """Canonical fully-resolved form, the basis of the config hash."""
-        return {
-            "scheme": self.scheme.describe(),
-            "trap": {"eta": self.eta},
-            "initial_nbar": self.initial_nbar,
-            "coverage": self.coverage,
-            "strategy": {
-                "kind": self.strategy.kind,
-                "n_pulses": self.strategy.n_pulses,
-                "fixed_time": self.strategy.fixed_time,
-                "tail_target": self.strategy.tail_target,
-                "n_final": self.strategy.n_final,
-                "final_nbar": self.strategy.final_nbar,
-            },
-            "heating": {"enabled": self.heating.enabled, "rates": self.heating.rates},
-            "timing": {
-                "t_f_seconds": self.timing.t_f_seconds,
-                "repump_seconds": self.timing.repump_seconds,
-                "pre_probe_delay_seconds": self.timing.pre_probe_delay_seconds,
-            },
-            "rdp": {"enabled": self.rdp.enabled, "t_clear": self.rdp.t_clear},
-            "probe_time": self.probe_time,
-            "transfer_matrix": {
-                "times": list(self.transfer_matrix.times),
-                "n_max": self.transfer_matrix.n_max,
-            },
-            "table1": {"nbars": list(self.table1.nbars), "schemes": list(self.table1.schemes)},
-            "probe": {"times": list(self.probe.times)},
-            "pumping": {
-                "beams": [
-                    {
-                        "label": b.label,
-                        "f_ground": b.f_ground,
-                        "polarization": b.polarization,
-                        "weight": b.weight,
-                    }
-                    for b in self.pumping.beams
-                ],
-                "scatter_rates": self.pumping.scatter_rates,
-                "geometry": self.pumping.geometry,
-                "monte_carlo_trajectories": self.pumping.monte_carlo_trajectories,
-            },
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        del out["out_dir"]
+        out["scheme"] = self.scheme.describe()
+        out["trap"] = {"eta": out.pop("eta")}
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))

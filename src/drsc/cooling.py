@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize, minimize_scalar
 
-from .chain_dynamics import ChainEvolver, apply_table
+from .chain_dynamics import ChainEvolver, apply_table, cached_evolver
 from .manifold import CouplingChain, ManifoldScheme
 from .motional import PhononDistribution, TrapParams, thermal_state
 
@@ -44,10 +44,6 @@ class PulseSequence:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if any(t <= 0 for t in self.times):
             raise ValueError("pulse durations must be > 0")
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.times))
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def suppression_factor(
     if window is None:
         window = asymptotic_window(trap.eta)
     window = _check_window(window, init, len(chain.steps))
-    evolver = ChainEvolver(chain, trap, init.n_max)
+    evolver = cached_evolver(chain, trap, init.n_max)
     return _suppression(evolver, t, init, window)
 
 
@@ -143,7 +139,7 @@ def optimize_fixed_pulse(
     if window is None:
         window = asymptotic_window(trap.eta)
     window = _check_window(window, init, len(chain.steps))
-    evolver = ChainEvolver(chain, trap, init.n_max)
+    evolver = cached_evolver(chain, trap, init.n_max)
     return _grid_then_brent(
         lambda t: _suppression(evolver, t, init, window),
         _T_GRID_LO,
@@ -226,7 +222,7 @@ def optimize_global(
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    evolver = ChainEvolver(chain, trap, init.n_max)
+    evolver = cached_evolver(chain, trap, init.n_max)
     p0 = init.probs
 
     try:

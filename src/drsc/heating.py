@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -47,15 +46,6 @@ class HeatingModel:
     @classmethod
     def diffusive(cls, rate: float) -> "HeatingModel":
         return cls(a_plus=rate, a_minus=rate)
-
-    @classmethod
-    def from_channels(cls, names, rates: dict | None = None) -> "HeatingModel":
-        """Diffusive model with the summed rates of the named channels."""
-        table = DEFAULT_CHANNEL_RATES if rates is None else rates
-        unknown = [n for n in names if n not in table]
-        if unknown:
-            raise ValueError(f"unknown heating channels {unknown}")
-        return cls.diffusive(sum(table[n] for n in names))
 
     @property
     def max_rate(self) -> float:

@@ -14,12 +14,6 @@ from math import factorial, sqrt
 
 import numpy as np
 
-PI = "pi"
-SIGMA_PLUS = "sigma_plus"
-SIGMA_MINUS = "sigma_minus"
-
-_POLARIZATION_Q = {PI: 0, SIGMA_PLUS: +1, SIGMA_MINUS: -1}
-
 # ground_F -> excited_F pairs are all integer here (nuclear spin 7 with J=0/1),
 # so plain integer factorials suffice in the Racah sum.
 
@@ -63,13 +57,6 @@ def cg_signed_square(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> Frac
         total += Fraction((-1) ** k, denom)
     square = prefactor * total * total
     return square if total >= 0 else -square
-
-
-def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
-    """<j1 m1; j2 m2 | j m> as a float (integer angular momenta)."""
-    sq = cg_signed_square(j1, m1, j2, m2, j, m)
-    mag = sqrt(abs(sq))
-    return -mag if sq < 0 else mag
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,6 @@ class CouplingChain:
     """Ordered relative couplings along one traversal of the manifold."""
 
     steps: tuple[ChainStep, ...]
-    normalization: int = 0
 
     @property
     def couplings(self) -> np.ndarray:
@@ -128,9 +114,6 @@ class CouplingChain:
         # a pulse can move population at most len(steps) quanta down,
         # so the transfer matrix couples n to n - len(steps) .. n
         return len(self.steps) + 1
-
-    def to_records(self) -> list[dict]:
-        return [{"m_from": s.m_from, "m_to": s.m_to, "g": s.g} for s in self.steps]
 
 
 def _step_paths(
@@ -166,14 +149,6 @@ def _step_amplitude(scheme: ManifoldScheme, m_from: int, m_to: int) -> float:
     return amp
 
 
-def step_is_forbidden(scheme: ManifoldScheme, m_from: int) -> bool:
-    """True when the step out of m_from has an exact selection-rule zero."""
-    m_to = m_from + scheme.step_direction
-    if abs(m_to) > scheme.f:
-        return True
-    return not _step_paths(scheme, m_from, m_to)
-
-
 def build_coupling_chain(scheme: ManifoldScheme) -> CouplingChain:
     """Walk the manifold from start_m, collecting relative couplings.
 
@@ -196,7 +171,7 @@ def build_coupling_chain(scheme: ManifoldScheme) -> CouplingChain:
         )
     scale = raw[0].g
     steps = tuple(ChainStep(s.m_from, s.m_to, s.g / scale) for s in raw)
-    return CouplingChain(steps=steps, normalization=0)
+    return CouplingChain(steps=steps)
 
 
 def f7_scheme(start_m: int = 0) -> ManifoldScheme:
@@ -209,7 +184,7 @@ def f8_scheme(start_m: int = -8) -> ManifoldScheme:
 
 def two_level_chain() -> CouplingChain:
     """Single-step chain, the conventional sideband-cooling baseline."""
-    return CouplingChain(steps=(ChainStep(0, -1, 1.0),), normalization=0)
+    return CouplingChain(steps=(ChainStep(0, -1, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +210,3 @@ def decay_branching(m_excited: int, f_excited: int = 7) -> dict[tuple[int, int],
             if w != 0:
                 out[(f_final, m_final)] = out.get((f_final, m_final), Fraction(0)) + abs(w) / 3
     return out
-
-
-def depump_return_probability(level: tuple[int, int], polarization: str) -> float:
-    """One excitation-decay cycle: probability of landing back on `level`.
-
-    level is (F, m) in the ground manifold; polarization selects the
-    excitation leg to F'=7.
-    """
-    if polarization not in _POLARIZATION_Q:
-        raise ValueError(f"unknown polarization {polarization!r}")
-    f, m = level
-    q = _POLARIZATION_Q[polarization]
-    m_exc = m + q
-    fe = 7
-    if abs(m_exc) > fe or cg_signed_square(f, m, 1, q, fe, m_exc) == 0:
-        raise ValueError(
-            f"excitation |F={f}, m={m}> --{polarization}--> F'={fe} is forbidden"
-        )
-    branches = decay_branching(m_exc, fe)
-    total = sum(branches.values(), Fraction(0))
-    return float(branches.get((f, m), Fraction(0)) / total)
-
-
-def weak_coupling_scatter_rate(rabi: float, linewidth: float, p_return: float) -> float:
-    """Resonant scattering rate (Omega^2 / Gamma) * (1 - p) for weak drive."""
-    if p_return >= 1:
-        raise ValueError(f"return probability {p_return} leaves no scattering channel")
-    return (rabi**2 / linewidth) * (1.0 - p_return)

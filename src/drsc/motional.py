@@ -6,29 +6,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, jv
+from scipy.special import gammaln
 
 _RESCALE = 1e250
 
 
 @dataclass(frozen=True)
 class TrapParams:
-    """Trap and beam-geometry parameters.
+    """Trap parameters.
 
     eta: Lamb-Dicke parameter along the cooled mode.
-    omega: angular trap frequency (rad/s), only needed for Doppler estimates.
-    linewidth: angular linewidth (rad/s) of the Doppler transition.
     """
 
     eta: float
-    omega: float | None = None
-    linewidth: float | None = None
 
     def __post_init__(self) -> None:
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.omega is not None and not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -150,23 +144,3 @@ def sideband_coupling_ratios(n_max: int, eta: float) -> np.ndarray:
     if n_max >= 1:
         out[1:] = lag[: n_max] / np.sqrt(np.arange(1, n_max + 1))
     return out
-
-
-def fock_coupling_bessel(n: int, delta_n: int, eta: float) -> float:
-    """Bessel-function approximation J_dn(2 eta sqrt(n + (dn+1)/2)).
-
-    Only the carrier and first sidebands are within its stated validity.
-    """
-    if abs(delta_n) > 1:
-        raise ValueError(f"|delta_n| = {abs(delta_n)} outside validity (carrier and first sideband only)")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    arg = 2.0 * eta * math.sqrt(n + (delta_n + 1) / 2.0)
-    return float(jv(delta_n, arg))
-
-
-def doppler_limit(linewidth: float, omega: float) -> float:
-    """Doppler-cooling mean occupation Gamma / (2 omega)."""
-    if linewidth < 0 or omega <= 0:
-        raise ValueError("linewidth must be >= 0 and omega > 0")
-    return linewidth / (2.0 * omega)

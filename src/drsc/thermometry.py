@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import ChainEvolver
+from .chain_dynamics import cached_evolver
 from .cooling import PulseSequence, optimize_global
 from .heating import DEFAULT_CHANNEL_RATES, HeatingModel, propagate_heating
 from .manifold import CouplingChain
@@ -23,7 +23,6 @@ from .motional import (
     TrapParams,
     mean_n,
     sideband_coupling_ratios,
-    thermal_distribution,
     thermal_state,
 )
 
@@ -93,7 +92,7 @@ def rdp_filter(
     """
     if t_clear <= 0:
         raise ValueError(f"t_clear must be > 0, got {t_clear}")
-    evolver = ChainEvolver(chain, trap, dist.n_max)
+    evolver = cached_evolver(chain, trap, dist.n_max)
     retention = evolver.site_probabilities(t_clear)[:, 0]
     kept = dist.probs * retention
     success = float(kept.sum())
@@ -107,17 +106,6 @@ def default_t_clear(chain: CouplingChain, trap: TrapParams) -> float:
     """Clearing-pulse duration: the single-pulse optimum for a warm remnant."""
     seq = optimize_global(chain, trap, thermal_state(1.0), 1)
     return seq.times[0]
-
-
-def thermal_ks_distance(dist: PhononDistribution) -> float:
-    """Kolmogorov-Smirnov distance to the thermal state with the same mean."""
-    total = float(dist.probs.sum())
-    if total <= 0:
-        raise ValueError("distribution has zero total mass")
-    nbar = mean_n(dist)
-    ref = thermal_distribution(nbar, dist.n_max).probs
-    ref = ref / ref.sum()
-    return float(np.max(np.abs(np.cumsum(dist.probs / total) - np.cumsum(ref))))
 
 
 @dataclass(frozen=True)
@@ -189,7 +177,7 @@ def end_to_end_protocol(
         repump_model = HeatingModel.diffusive(rates["optical_pumping"] + rates["trap"])
         idle_model = HeatingModel.diffusive(rates["trap"])
 
-    evolver = ChainEvolver(chain, trap, init.n_max)
+    evolver = cached_evolver(chain, trap, init.n_max)
     state = init
     snapshots = [state]
     nbars = [mean_n(state)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import ChainEvolver, build_transfer_matrix, evolve_chain
+from drsc.chain_dynamics import ChainEvolver
 from drsc.cli import REFERENCE_OPTIMA, cmd_table1
 from drsc.config import RunConfig
 from drsc.cooling import (
@@ -131,15 +131,15 @@ def test_04_transfer_matrix_properties():
         chain = chains[rng.integers(0, 3)]
         t = float(rng.uniform(0.0, 3.0))
         eta = float(rng.uniform(0.01, 0.15))
-        w = build_transfer_matrix(chain, TrapParams(eta=eta), t, 40)
-        worst_sum = max(worst_sum, float(np.max(np.abs(w.entries.sum(axis=1) - 1.0))))
-        i, j = np.indices(w.entries.shape)
-        outside = ~((i - j >= 0) & (i - j <= chain.bandwidth - 1))
-        band_ok = band_ok and not np.any(w.entries[outside])
-    identity_ok = all(
-        np.array_equal(build_transfer_matrix(c, TRAP, 0.0, 30).entries, np.eye(31))
-        for c in chains
-    )
+        # site_p[n, k] = P(n -> n - k) for k < bandwidth: the banded form itself
+        site_p = ChainEvolver(chain, TrapParams(eta=eta), 40).site_probabilities(t)
+        worst_sum = max(worst_sum, float(np.max(np.abs(site_p.sum(axis=1) - 1.0))))
+        n, k = np.indices(site_p.shape)
+        band_ok = band_ok and site_p.shape[1] == chain.bandwidth and not np.any(site_p[k > n])
+    identity_ok = True
+    for c in chains:
+        site_p = ChainEvolver(c, TRAP, 30).site_probabilities(0.0)
+        identity_ok = identity_ok and np.array_equal(site_p[:, 0], np.ones(31)) and not np.any(site_p[:, 1:])
     ok = worst_sum <= 1e-10 and band_ok and identity_ok
     verdict(
         4,
@@ -226,10 +226,10 @@ def test_06_oracle_equivalence():
         start_n = int(rng.integers(1, 61))
         t = float(rng.uniform(0.05, 3.0))
         eta = float(rng.uniform(0.02, 0.15))
-        row = evolve_chain(start_n, chain, TrapParams(eta=eta), t)
+        row = ChainEvolver(chain, TrapParams(eta=eta), start_n).site_probabilities(t)[start_n]
         ref = ode_site_populations(start_n, chain, eta, t)
         for k in range(len(ref)):
-            worst_ode = max(worst_ode, abs(row[start_n - k] - ref[k]))
+            worst_ode = max(worst_ode, abs(row[k] - ref[k]))
 
     worst_rel = 0.0
     pairs = [(n, n - 1) for n in range(1, 301, 13)]

@@ -1,16 +1,15 @@
 """Pulse evolution against an independent ODE integration, plus the
-structural invariants of the transfer matrix."""
+structural invariants of the banded pulse table."""
+
+import json
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import (
-    ChainEvolver,
-    apply_sequence,
-    build_transfer_matrix,
-    evolve_chain,
-)
+from drsc.chain_dynamics import ChainEvolver, cached_evolver
+from drsc.cli import cmd_transfer_matrix
+from drsc.config import RunConfig
 from drsc.manifold import (
     ChainStep,
     CouplingChain,
@@ -24,6 +23,22 @@ from drsc.motional import TrapParams, fock_coupling, thermal_distribution
 F7 = build_coupling_chain(f7_scheme())
 F8 = build_coupling_chain(f8_scheme())
 TRAP = TrapParams(eta=0.07)
+
+
+def dense(site_p):
+    """W[i, j] = P(i -> j) from the banded table site_p[n, k] = P(n -> n - k)."""
+    n_top = site_p.shape[0]
+    w = np.zeros((n_top, n_top))
+    for k in range(site_p.shape[1]):
+        w[np.arange(k, n_top), np.arange(n_top - k)] = site_p[k:, k]
+    return w
+
+
+def apply_pulses(dist, evolver, times):
+    p = dist.probs
+    for t in times:
+        p = evolver.apply_pulse(t, p)
+    return p
 
 
 def ode_site_populations(start_n, chain, eta, t):
@@ -63,19 +78,19 @@ class TestAgainstOde:
             start_n = int(rng.integers(1, 61))
             t = float(rng.uniform(0.05, 3.0))
             eta = float(rng.uniform(0.02, 0.15))
-            row = evolve_chain(start_n, chain, TrapParams(eta=eta), t)
+            row = ChainEvolver(chain, TrapParams(eta=eta), start_n).site_probabilities(t)[start_n]
             ref = ode_site_populations(start_n, chain, eta, t)
             for k in range(len(ref)):
-                assert row[start_n - k] == pytest.approx(ref[k], abs=1e-8)
+                assert row[k] == pytest.approx(ref[k], abs=1e-8)
 
     def test_two_level_closed_form(self):
         # start at n=1: Rabi flop at the bare rate, full transfer at t=1
-        row = evolve_chain(1, two_level_chain(), TRAP, 1.0)
-        assert row[0] == pytest.approx(1.0, abs=1e-12)
-        assert row[1] == pytest.approx(0.0, abs=1e-12)
+        row = ChainEvolver(two_level_chain(), TRAP, 1).site_probabilities(1.0)[1]
+        assert row[1] == pytest.approx(1.0, abs=1e-12)
+        assert row[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_start_zero_is_stationary(self):
-        row = evolve_chain(0, F7, TRAP, 1.7)
+        row = ChainEvolver(F7, TRAP, 0).site_probabilities(1.7)[0]
         assert row.tolist() == [1.0]
 
 
@@ -87,19 +102,20 @@ class TestTransferMatrixInvariants:
             chain = chains[rng.integers(0, 3)]
             t = float(rng.uniform(0.0, 3.0))
             eta = float(rng.uniform(0.01, 0.15))
-            w = build_transfer_matrix(chain, TrapParams(eta=eta), t, 40)
-            np.testing.assert_allclose(w.entries.sum(axis=1), 1.0, atol=1e-10)
+            site_p = ChainEvolver(chain, TrapParams(eta=eta), 40).site_probabilities(t)
+            np.testing.assert_allclose(site_p.sum(axis=1), 1.0, atol=1e-10)
 
     def test_band_structure_exact(self):
-        w = build_transfer_matrix(F7, TRAP, 0.8, 30)
-        for i in range(31):
-            for j in range(31):
-                if not 0 <= i - j <= w.bandwidth - 1:
-                    assert w.entries[i, j] == 0.0
+        # a start at n cannot lose more than n quanta: P(n -> n - k) = 0 for k > n
+        site_p = ChainEvolver(F7, TRAP, 30).site_probabilities(0.8)
+        assert site_p.shape == (31, F7.bandwidth)
+        for n in range(31):
+            for k in range(n + 1, F7.bandwidth):
+                assert site_p[n, k] == 0.0
 
     def test_identity_at_zero_time(self):
-        w = build_transfer_matrix(F8, TRAP, 0.0, 25)
-        assert np.array_equal(w.entries, np.eye(26))
+        site_p = ChainEvolver(F8, TRAP, 25).site_probabilities(0.0)
+        assert np.array_equal(dense(site_p), np.eye(26))
 
     def test_gauge_invariance_under_sign_flips(self):
         # populations cannot depend on coupling signs
@@ -108,66 +124,75 @@ class TestTransferMatrixInvariants:
                 ChainStep(s.m_from, s.m_to, s.g * (-1.0) ** k)
                 for k, s in enumerate(F7.steps)
             ),
-            normalization=0,
         )
-        a = build_transfer_matrix(F7, TRAP, 0.9, 30).entries
-        b = build_transfer_matrix(flipped, TRAP, 0.9, 30).entries
+        a = ChainEvolver(F7, TRAP, 30).site_probabilities(0.9)
+        b = ChainEvolver(flipped, TRAP, 30).site_probabilities(0.9)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            build_transfer_matrix(F7, TRAP, -0.1, 10)
+            ChainEvolver(F7, TRAP, 10).site_probabilities(-0.1)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            evolve_chain(-1, F7, TRAP, 0.5)
+            ChainEvolver(F7, TRAP, -1)
 
     def test_to_banded_roundtrip(self):
-        w = build_transfer_matrix(F7, TRAP, 0.6, 20)
-        banded = w.to_banded()
-        dense = np.zeros_like(w.entries)
+        # the dense CSV and the banded JSON of one pulse hold the same entries
+        cfg = RunConfig.from_dict({"transfer_matrix": {"times": [0.6], "n_max": 20}})
+        files = cmd_transfer_matrix(cfg)
+        w = np.array(
+            [
+                [float(v) for v in line.split(",")]
+                for line in files["transfer_matrix_00.csv"].splitlines()
+                if not line.startswith("#")
+            ]
+        )
+        banded = json.loads(files["transfer_matrix_00.json"])
+        rebuilt = np.zeros_like(w)
         for k, band in enumerate(banded["bands"]):
             for i, v in enumerate(band):
-                dense[i + k, i] = v
-        np.testing.assert_array_equal(dense, w.entries)
+                rebuilt[i + k, i] = v
+        np.testing.assert_array_equal(rebuilt, w)
+        np.testing.assert_array_equal(w, dense(ChainEvolver(F7, TRAP, 20).site_probabilities(0.6)))
 
-    def test_evolver_matches_one_shot(self):
-        ev = ChainEvolver(F7, TRAP, 40)
+    def test_cached_evolver_is_shared_and_read_only(self):
+        ev = cached_evolver(F7, TRAP, 40)
+        assert cached_evolver(F7, TrapParams(eta=0.07), 40) is ev
+        assert cached_evolver(F7, TRAP, 41) is not ev
+        for arr in (ev.w, ev.C):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
         np.testing.assert_array_equal(
-            ev.transfer_matrix(0.7).entries,
-            build_transfer_matrix(F7, TRAP, 0.7, 40).entries,
+            ev.site_probabilities(0.7), ChainEvolver(F7, TRAP, 40).site_probabilities(0.7)
         )
 
 
 class TestApplySequence:
     def test_pulses_cool_a_thermal_state(self):
         dist = thermal_distribution(5.0, 60)
-        w = build_transfer_matrix(F7, TRAP, 0.17, 60)
-        out = apply_sequence(dist, [w, w, w])
+        out = apply_pulses(dist, ChainEvolver(F7, TRAP, 60), [0.17] * 3)
         n = np.arange(61)
-        assert n @ out.probs < n @ dist.probs
+        assert n @ out < n @ dist.probs
 
     def test_f8_removes_more_than_f7_per_pulse(self):
         # the longer chain strips up to 15 quanta per pulse
         n0 = 20
-        row7 = evolve_chain(n0, F7, TRAP, 0.169)
-        row8 = evolve_chain(n0, F8, TRAP, 0.644)
+        start = np.zeros(n0 + 1)
+        start[n0] = 1.0
+        row7 = ChainEvolver(F7, TRAP, n0).apply_pulse(0.169, start)
+        row8 = ChainEvolver(F8, TRAP, n0).apply_pulse(0.644, start)
         n = np.arange(n0 + 1)
         assert n @ row8 < n @ row7
 
     def test_empty_sequence_is_identity(self):
+        # no pulses, or a pulse of zero length, leaves the populations alone
         dist = thermal_distribution(2.0, 30)
-        out = apply_sequence(dist, [])
-        np.testing.assert_array_equal(out.probs, dist.probs)
-
-    def test_size_mismatch_rejected(self):
-        dist = thermal_distribution(2.0, 30)
-        w = build_transfer_matrix(F7, TRAP, 0.5, 20)
-        with pytest.raises(ValueError):
-            apply_sequence(dist, [w])
+        ev = ChainEvolver(F7, TRAP, 30)
+        np.testing.assert_array_equal(apply_pulses(dist, ev, []), dist.probs)
+        np.testing.assert_array_equal(ev.apply_pulse(0.0, dist.probs), dist.probs)
 
     def test_mass_is_conserved(self):
         dist = thermal_distribution(8.0, 100)
-        w = build_transfer_matrix(F8, TRAP, 0.64, 100)
-        out = apply_sequence(dist, [w] * 5)
-        assert out.probs.sum() == pytest.approx(dist.probs.sum(), abs=1e-12)
+        out = apply_pulses(dist, ChainEvolver(F8, TRAP, 100), [0.64] * 5)
+        assert out.sum() == pytest.approx(dist.probs.sum(), abs=1e-12)

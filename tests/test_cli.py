@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from drsc.cli import main
+from drsc.chain_dynamics import cached_evolver
+from drsc.cli import cmd_cool, cmd_table1, main
+from drsc.config import RunConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -236,6 +238,29 @@ class TestDigests:
             for name in sorted(os.listdir(out))
         }
         assert digests == expected
+
+
+class TestEvolverCache:
+    def test_table1_builds_one_evolver_per_scheme(self):
+        # n_max does not depend on nbar, so each scheme's cells share one build
+        cached_evolver.cache_clear()
+        cmd_table1(RunConfig.from_dict({"table1": {"nbars": [10.0, 20.0]}}))
+        info = cached_evolver.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_fixed_rdp_cool_builds_one_evolver(self):
+        # optimize_fixed_pulse, end_to_end_protocol and rdp_filter share it
+        cached_evolver.cache_clear()
+        cmd_cool(
+            RunConfig.from_dict(
+                {
+                    "strategy": {"kind": "fixed", "n_pulses": 3},
+                    "rdp": {"enabled": True, "t_clear": 0.5},
+                }
+            )
+        )
+        info = cached_evolver.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestTable1:

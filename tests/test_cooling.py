@@ -259,10 +259,6 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             PulseSequence(times=(0.1,), strategy="annealed")
 
-    def test_total_time(self):
-        seq = PulseSequence(times=(0.1, 0.2, 0.3), strategy="fixed")
-        assert seq.total_time == pytest.approx(0.6)
-
     def test_suppression_fit_bounds(self):
         res = PhononDistribution(probs=np.array([1.0]), n_max=0)
         with pytest.raises(ValueError):

@@ -139,12 +139,6 @@ class TestPropagateHeating:
         out = propagate_heating(dist, HeatingModel.diffusive(2.0), 0.5)
         assert out.tail_loss > 0.0
 
-    def test_from_channels(self):
-        model = HeatingModel.from_channels(["optical_pumping", "trap"])
-        assert model.a_plus == pytest.approx(5.58 + 0.553)
-        with pytest.raises(ValueError, match="unknown heating channels"):
-            HeatingModel.from_channels(["cosmic_rays"])
-
 
 class TestPumpingGraph:
     def test_state_count_and_absorbing(self):

@@ -24,7 +24,6 @@ from drsc.thermometry import (
     end_to_end_protocol,
     rdp_filter,
     sideband_probe,
-    thermal_ks_distance,
 )
 
 F7 = build_coupling_chain(f7_scheme())
@@ -116,16 +115,6 @@ class TestRdpFilter:
     def test_invalid_t_clear(self):
         with pytest.raises(ValueError):
             rdp_filter(thermal_distribution(1.0, 30), F7, TRAP, 0.0)
-
-
-class TestKsDistance:
-    def test_thermal_state_is_close(self):
-        assert thermal_ks_distance(thermal_distribution(2.0, 300)) < 1e-9
-
-    def test_fock_state_is_far(self):
-        probs = np.zeros(31)
-        probs[3] = 1.0
-        assert thermal_ks_distance(PhononDistribution(probs=probs, n_max=30)) > 0.2
 
 
 class TestPulseTiming:
