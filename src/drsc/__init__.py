@@ -11,7 +11,7 @@ from .cooling import (
     optimize_global,
     suppression_factor,
 )
-from .heating import HeatingModel, build_pumping_graph, mean_steps_to_dark, propagate_heating
+from .heating import build_pumping_graph, mean_steps_to_dark, propagate_heating
 from .manifold import CouplingChain, ManifoldScheme, build_coupling_chain, f7_scheme, f8_scheme
 from .motional import PhononDistribution, TrapParams, fock_coupling, mean_n, thermal_state
 from .thermometry import ProtocolReport, end_to_end_protocol, rdp_filter, sideband_probe
@@ -26,7 +26,6 @@ __all__ = [
     "optimize_fixed_pulse",
     "optimize_global",
     "suppression_factor",
-    "HeatingModel",
     "build_pumping_graph",
     "mean_steps_to_dark",
     "propagate_heating",

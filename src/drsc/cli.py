@@ -32,7 +32,7 @@ from .heating import (
     monte_carlo_steps,
     recoil_heating_estimate,
 )
-from .motional import TrapParams, default_n_max, thermal_distribution
+from .motional import default_n_max, thermal_distribution
 from .thermometry import end_to_end_protocol, sideband_probe
 
 # single-pulse optima (t, a) quoted for comparison in the table output
@@ -80,20 +80,16 @@ def _json(meta: dict, payload: dict) -> str:
     return json.dumps({"metadata": meta, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _trap(cfg: RunConfig) -> TrapParams:
-    return TrapParams(eta=cfg.eta)
-
-
 def _initial_state(cfg: RunConfig, chain):
     """Thermal start truncated to cover the suppression window plus band."""
     n_max = max(
         default_n_max(cfg.initial_nbar, cfg.coverage),
-        asymptotic_window(cfg.eta)[1] + len(chain.steps),
+        asymptotic_window(cfg.trap.eta)[1] + len(chain.steps),
     )
     return thermal_distribution(cfg.initial_nbar, n_max)
 
 
-def _build_sequence(cfg: RunConfig, chain, trap, init) -> tuple[PulseSequence, dict]:
+def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
     """Sequence per the configured strategy, plus details for the manifest."""
     kind = cfg.strategy.kind
     _, scheme = cfg.scheme.build()
@@ -102,20 +98,20 @@ def _build_sequence(cfg: RunConfig, chain, trap, init) -> tuple[PulseSequence, d
         if cfg.strategy.fixed_time is not None:
             t = cfg.strategy.fixed_time
         else:
-            t, a = optimize_fixed_pulse(chain, trap, init)
+            t, a = optimize_fixed_pulse(chain, cfg.trap, init)
             details["a_opt"] = a
         details["pulse_time"] = t
         seq = PulseSequence(times=(t,) * cfg.strategy.n_pulses, strategy="fixed", scheme=scheme)
     elif kind == "global_opt":
         trace: list = []
-        seq = optimize_global(chain, trap, init, cfg.strategy.n_pulses, scheme, trace=trace)
+        seq = optimize_global(chain, cfg.trap, init, cfg.strategy.n_pulses, scheme, trace=trace)
         details["trace"] = trace
         details["n_evals"] = list(seq.n_evals)
         details["converged"] = seq.converged
     else:
         seq = heuristic_sequence(
             chain,
-            trap,
+            cfg.trap,
             init,
             tail_target=cfg.strategy.tail_target,
             n_final=cfg.strategy.n_final,
@@ -132,7 +128,7 @@ def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
     bands[k][i - k] = P(i -> i - k), both read off the banded table."""
     chain, _ = cfg.scheme.build()
     n_max = cfg.transfer_matrix.n_max
-    evolver = cached_evolver(chain, _trap(cfg), n_max)
+    evolver = cached_evolver(chain, cfg.trap, n_max)
     n_top = n_max + 1
     files: dict[str, str] = {}
     manifest_entries = []
@@ -164,12 +160,11 @@ def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     chain, _ = cfg.scheme.build()
-    trap = _trap(cfg)
     init = _initial_state(cfg, chain)
-    seq, details = _build_sequence(cfg, chain, trap, init)
+    seq, details = _build_sequence(cfg, chain, init)
     report = end_to_end_protocol(
         chain,
-        trap,
+        cfg.trap,
         seq,
         init,
         heating_rates=cfg.heating.rates if cfg.heating.enabled else None,
@@ -192,7 +187,9 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
 
     fit_payload: dict
     try:
-        fit = dual_thermal_decompose(list(report.history[: len(seq.times) + 1]), eta=cfg.eta)
+        fit = dual_thermal_decompose(
+            list(report.history[: len(seq.times) + 1]), eta=cfg.trap.eta
+        )
         fit_payload = {
             "a": fit.a,
             "fit_window": list(fit.fit_window),
@@ -222,14 +219,13 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_table1(cfg: RunConfig) -> dict[str, str]:
-    trap = _trap(cfg)
     rows = []
     for scheme_name in cfg.table1.schemes:
         chain, _ = type(cfg.scheme).parse(scheme_name).build()
-        n_max = asymptotic_window(cfg.eta)[1] + len(chain.steps)
+        n_max = asymptotic_window(cfg.trap.eta)[1] + len(chain.steps)
         for nbar in cfg.table1.nbars:
             init = thermal_distribution(nbar, n_max)
-            t_opt, a_opt = optimize_fixed_pulse(chain, trap, init)
+            t_opt, a_opt = optimize_fixed_pulse(chain, cfg.trap, init)
             ref = REFERENCE_OPTIMA.get((scheme_name, nbar))
             if ref is not None:
                 t_ref, a_ref = ref
@@ -240,7 +236,7 @@ def cmd_table1(cfg: RunConfig) -> dict[str, str]:
                 rows.append([scheme_name, nbar, t_opt, a_opt, "", "", "", ""])
     return {
         "table1.csv": _csv(
-            _meta(cfg, eta=_fmt(cfg.eta)),
+            _meta(cfg, eta=_fmt(cfg.trap.eta)),
             ["scheme", "nbar_initial", "t_opt", "a_opt", "t_ref", "a_ref", "delta_t", "delta_a"],
             rows,
         )
@@ -256,7 +252,7 @@ def cmd_pumping(cfg: RunConfig) -> dict[str, str]:
     from_7p1 = mean_steps_to_dark(graph, (7, 1))
     from_7m1 = mean_steps_to_dark(graph, (7, -1))
     recoil = {
-        channel: recoil_heating_estimate(rate, uniform, cfg.eta, cfg.pumping.geometry)
+        channel: recoil_heating_estimate(rate, uniform, cfg.trap.eta, cfg.pumping.geometry)
         for channel, rate in cfg.pumping.scatter_rates.items()
     }
     summary: dict = {
@@ -283,13 +279,12 @@ def cmd_pumping(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_probe(cfg: RunConfig) -> dict[str, str]:
-    trap = _trap(cfg)
     # raised floor keeps the sideband ratio truncation bias well below 1e-6
     n_max = max(default_n_max(cfg.initial_nbar, cfg.coverage), 400)
     dist = thermal_distribution(cfg.initial_nbar, n_max)
     rows = []
     for tau in cfg.probe.times:
-        r = sideband_probe(dist, trap, tau)
+        r = sideband_probe(dist, cfg.trap, tau)
         rows.append([tau, r.p_red, r.p_blue, r.p_red / r.p_blue, r.nbar_sb])
     expected = cfg.initial_nbar / (cfg.initial_nbar + 1.0)
     meta = _meta(cfg, nbar=_fmt(cfg.initial_nbar), thermal_ratio=_fmt(expected))
@@ -300,9 +295,8 @@ def cmd_probe(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_optimize(cfg: RunConfig) -> dict[str, str]:
     chain, _ = cfg.scheme.build()
-    trap = _trap(cfg)
     init = _initial_state(cfg, chain)
-    seq, details = _build_sequence(cfg, chain, trap, init)
+    seq, details = _build_sequence(cfg, chain, init)
     meta = _meta(cfg)
     files = {
         "optimize_sequence.json": _json(
@@ -370,15 +364,14 @@ def main(argv=None) -> int:
             heating_enabled=False if args.no_heating else None,
             rdp_enabled=True if args.rdp else None,
         )
+        if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+            raise ConfigError(f"output directory {cfg.out_dir!r} is an existing file")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         files = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

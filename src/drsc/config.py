@@ -1,8 +1,14 @@
-"""Run configuration: schema validation, defaults, and hashing.
+"""Run configuration: one schema for parsing, defaults and hashing.
 
-A run is described by one declarative JSON file.  Unknown keys are
-rejected everywhere so typos fail loudly instead of silently running
-with defaults.
+A run is described by one declarative JSON object, and the dataclasses
+below are its schema.  A section's fields are its allowed keys, so
+unknown keys are rejected everywhere and typos fail loudly.  An absent
+key keeps the field's default.  A present value goes through the field's
+check, kept in its metadata or, without one, chosen by the type of the
+default; a dataclass default is a nested section.  `null` is accepted
+only where the default is None.  Dataclasses from other modules
+(`TrapParams`, `PulseTiming`, `Beam`) keep their own `__post_init__`
+checks, and the `ValueError` they raise becomes a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .heating import DEFAULT_CHANNEL_RATES, Beam, default_beams
 from .manifold import (
@@ -22,6 +28,7 @@ from .manifold import (
     f8_scheme,
     two_level_chain,
 )
+from .motional import TrapParams
 from .thermometry import DEFAULT_PROBE_TIME, PulseTiming
 
 ENV_OUT_DIR = "DRSC_OUT"
@@ -56,38 +63,134 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _number(section: dict, key: str, default, where: str, minimum=None, positive=False):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if not _is_finite_number(value):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{where}.{key} must be > 0, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return float(value)
+# A check takes a JSON value and its dotted path, and returns the parsed
+# value or raises ConfigError.
+
+def _number(positive=False, minimum=None, below=None):
+    def check(value, where):
+        if not _is_finite_number(value):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        if positive and not value > 0:
+            raise ConfigError(f"{where} must be > 0, got {value}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        if below is not None and not value < below:
+            raise ConfigError(f"{where} must be < {below}, got {value}")
+        return float(value)
+
+    return check
 
 
-def _integer(section: dict, key: str, default, where: str, minimum=None):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return int(value)
+def _integer(minimum=None):
+    def check(value, where):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        return value
+
+    return check
+
+
+def _instance(kind: type, name: str):
+    def check(value, where):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be {name}, got {value!r}")
+        return value
+
+    return check
+
+
+def _choice(*options):
+    def check(value, where):
+        if value not in options:
+            raise ConfigError(f"{where} must be one of {list(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _list_of(item):
+    def check(value, where):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+    return check
+
+
+def _rates(defaults: dict):
+    """Check for a channel-rate map: known channels, each rate >= 0."""
+    rate = _number(minimum=0.0)
+
+    def check(value, where):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        _require_keys(value, set(defaults), where)
+        return {**defaults, **{k: rate(v, f"{where}.{k}") for k, v in value.items()}}
+
+    return check
+
+
+def _beams(value, where: str) -> tuple[Beam, ...]:
+    beams = []
+    for i, entry in enumerate(_list_of(_instance(dict, "an object"))(value, where)):
+        at = f"{where}[{i}]"
+        if "f_ground" not in entry:
+            raise ConfigError(f"{at}.f_ground must be given")
+        beams.append(_parse(Beam(label=f"beam{i}", f_ground=0, polarization="pi"), entry, at))
+    return tuple(beams)
+
+
+# checks for fields without metadata, by the type of their default
+_BY_TYPE = {
+    bool: _instance(bool, "a boolean"),
+    int: _integer(),
+    float: _number(),
+    str: _instance(str, "a string"),
+}
+
+
+def _checked(check, **kwargs):
+    """A dataclass field whose present JSON values go through `check`."""
+    return field(metadata={"check": check}, **kwargs)
+
+
+def _parse(default, raw, where: str):
+    """The dataclass `default` with the JSON object `raw` checked and applied."""
+    label = where or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be an object")
+    known = {f.name: f for f in fields(default)}
+    _require_keys(raw, set(known), label)
+    changes = {}
+    for name, value in raw.items():
+        current, at = getattr(default, name), f"{where}.{name}".lstrip(".")
+        if value is None and current is None:
+            changes[name] = None
+        elif "check" in known[name].metadata:
+            changes[name] = known[name].metadata["check"](value, at)
+        elif is_dataclass(current):
+            changes[name] = _parse(current, value, at)
+        else:
+            changes[name] = _BY_TYPE[type(current)](value, at)
+    try:
+        return replace(default, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {label}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     kind: str
-    f: int = 7
+    f: int = _checked(_integer(minimum=1), default=7)
     f_excited: int = 7
     polarization_pair: str = "pi_sigma_minus"
     start_m: int = 0
 
     @classmethod
-    def parse(cls, raw) -> "SchemeConfig":
+    def parse(cls, raw, where: str = "scheme") -> "SchemeConfig":
+        """A shorthand name, or an object holding a custom chain's fields."""
         if isinstance(raw, str):
             if raw not in _SCHEME_SHORTHAND:
                 raise ConfigError(
@@ -96,12 +199,8 @@ class SchemeConfig:
             return cls(kind=raw)
         if not isinstance(raw, dict):
             raise ConfigError(f"scheme must be a string or an object, got {raw!r}")
-        _require_keys(raw, {"f", "f_excited", "polarization_pair", "start_m"}, "scheme")
-        f = _integer(raw, "f", 7, "scheme", minimum=1)
-        fe = _integer(raw, "f_excited", 7, "scheme")
-        pol = raw.get("polarization_pair", "pi_sigma_minus")
-        start_m = _integer(raw, "start_m", 0, "scheme")
-        return cls(kind="custom", f=f, f_excited=fe, polarization_pair=pol, start_m=start_m)
+        _require_keys(raw, {f.name for f in fields(cls)} - {"kind"}, where)
+        return _parse(cls(kind="custom"), raw, where)
 
     def build(self) -> tuple[CouplingChain, ManifoldScheme | None]:
         try:
@@ -128,273 +227,85 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    kind: str = "global_opt"
-    n_pulses: int = 10
-    fixed_time: float | None = None
-    tail_target: float = 0.01
-    n_final: int = 5
-    final_nbar: float = 5.0
-
-    @classmethod
-    def parse(cls, raw: dict) -> "StrategyConfig":
-        _require_keys(
-            raw,
-            {"kind", "n_pulses", "fixed_time", "tail_target", "n_final", "final_nbar"},
-            "strategy",
-        )
-        kind = raw.get("kind", "global_opt")
-        if kind not in ("fixed", "global_opt", "heuristic"):
-            raise ConfigError(f"strategy.kind must be fixed/global_opt/heuristic, got {kind!r}")
-        return cls(
-            kind=kind,
-            n_pulses=_integer(raw, "n_pulses", 10, "strategy", minimum=1),
-            fixed_time=_number(raw, "fixed_time", None, "strategy", positive=True),
-            tail_target=_number(raw, "tail_target", 0.01, "strategy", positive=True),
-            n_final=_integer(raw, "n_final", 5, "strategy", minimum=0),
-            final_nbar=_number(raw, "final_nbar", 5.0, "strategy", positive=True),
-        )
+    kind: str = _checked(_choice("fixed", "global_opt", "heuristic"), default="global_opt")
+    n_pulses: int = _checked(_integer(minimum=1), default=10)
+    fixed_time: float | None = _checked(_number(positive=True), default=None)
+    tail_target: float = _checked(_number(positive=True), default=0.01)
+    n_final: int = _checked(_integer(minimum=0), default=5)
+    final_nbar: float = _checked(_number(positive=True), default=5.0)
 
 
 @dataclass(frozen=True)
 class HeatingConfig:
     enabled: bool = True
-    rates: dict = field(default_factory=lambda: dict(DEFAULT_CHANNEL_RATES))
-
-    @classmethod
-    def parse(cls, raw: dict) -> "HeatingConfig":
-        _require_keys(raw, {"enabled", "rates"}, "heating")
-        enabled = raw.get("enabled", True)
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"heating.enabled must be a boolean, got {enabled!r}")
-        rates = dict(DEFAULT_CHANNEL_RATES)
-        override = raw.get("rates", {})
-        if not isinstance(override, dict):
-            raise ConfigError("heating.rates must be an object")
-        _require_keys(override, set(DEFAULT_CHANNEL_RATES), "heating.rates")
-        for name in override:
-            rates[name] = _number(override, name, None, "heating.rates", minimum=0.0)
-        return cls(enabled=enabled, rates=rates)
+    rates: dict = _checked(
+        _rates(DEFAULT_CHANNEL_RATES), default_factory=lambda: dict(DEFAULT_CHANNEL_RATES)
+    )
 
 
 @dataclass(frozen=True)
 class RdpConfig:
     enabled: bool = False
-    t_clear: float | None = None
-
-    @classmethod
-    def parse(cls, raw: dict) -> "RdpConfig":
-        _require_keys(raw, {"enabled", "t_clear"}, "rdp")
-        enabled = raw.get("enabled", False)
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"rdp.enabled must be a boolean, got {enabled!r}")
-        return cls(enabled=enabled, t_clear=_number(raw, "t_clear", None, "rdp", positive=True))
+    t_clear: float | None = _checked(_number(positive=True), default=None)
 
 
 @dataclass(frozen=True)
 class PumpingConfig:
-    beams: tuple[Beam, ...] = field(default_factory=default_beams)
-    scatter_rates: dict = field(default_factory=lambda: dict(DEFAULT_SCATTER_RATES))
-    geometry: float = 1.0 / 3.0
-    monte_carlo_trajectories: int = 0
-
-    @classmethod
-    def parse(cls, raw: dict) -> "PumpingConfig":
-        _require_keys(
-            raw, {"beams", "scatter_rates", "geometry", "monte_carlo_trajectories"}, "pumping"
-        )
-        beams = default_beams()
-        if "beams" in raw:
-            if not isinstance(raw["beams"], list) or not raw["beams"]:
-                raise ConfigError("pumping.beams must be a non-empty list")
-            parsed = []
-            for i, b in enumerate(raw["beams"]):
-                where = f"pumping.beams[{i}]"
-                if not isinstance(b, dict):
-                    raise ConfigError(f"{where} must be an object")
-                _require_keys(b, {"label", "f_ground", "polarization", "weight"}, where)
-                try:
-                    beam = Beam(
-                        label=str(b.get("label", f"beam{i}")),
-                        f_ground=_integer(b, "f_ground", None, where),
-                        polarization=b.get("polarization", "pi"),
-                        weight=_number(b, "weight", 1.0, where, positive=True),
-                    )
-                    beam.components()
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"invalid {where}: {exc}") from exc
-                parsed.append(beam)
-            beams = tuple(parsed)
-        rates = dict(DEFAULT_SCATTER_RATES)
-        override = raw.get("scatter_rates", {})
-        if not isinstance(override, dict):
-            raise ConfigError("pumping.scatter_rates must be an object")
-        _require_keys(override, set(DEFAULT_SCATTER_RATES), "pumping.scatter_rates")
-        for name in override:
-            rates[name] = _number(override, name, None, "pumping.scatter_rates", minimum=0.0)
-        return cls(
-            beams=beams,
-            scatter_rates=rates,
-            geometry=_number(raw, "geometry", 1.0 / 3.0, "pumping", minimum=0.0),
-            monte_carlo_trajectories=_integer(raw, "monte_carlo_trajectories", 0, "pumping", minimum=0),
-        )
+    beams: tuple[Beam, ...] = _checked(_beams, default_factory=default_beams)
+    scatter_rates: dict = _checked(
+        _rates(DEFAULT_SCATTER_RATES), default_factory=lambda: dict(DEFAULT_SCATTER_RATES)
+    )
+    geometry: float = _checked(_number(minimum=0.0), default=1.0 / 3.0)
+    monte_carlo_trajectories: int = _checked(_integer(minimum=0), default=0)
 
 
 @dataclass(frozen=True)
 class TransferMatrixConfig:
-    times: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
-    n_max: int = 49
-
-    @classmethod
-    def parse(cls, raw: dict) -> "TransferMatrixConfig":
-        _require_keys(raw, {"times", "n_max"}, "transfer_matrix")
-        times = raw.get("times", [0.2, 0.4, 0.6, 0.8])
-        if not isinstance(times, list) or not times:
-            raise ConfigError("transfer_matrix.times must be a non-empty list")
-        parsed = []
-        for i, t in enumerate(times):
-            if not _is_finite_number(t) or t < 0:
-                raise ConfigError(f"transfer_matrix.times[{i}] must be a finite number >= 0")
-            parsed.append(float(t))
-        return cls(
-            times=tuple(parsed),
-            n_max=_integer(raw, "n_max", 49, "transfer_matrix", minimum=0),
-        )
+    times: tuple[float, ...] = _checked(
+        _list_of(_number(minimum=0.0)), default=(0.2, 0.4, 0.6, 0.8)
+    )
+    n_max: int = _checked(_integer(minimum=0), default=49)
 
 
 @dataclass(frozen=True)
 class Table1Config:
-    nbars: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
-    schemes: tuple[str, ...] = ("F7", "F8")
-
-    @classmethod
-    def parse(cls, raw: dict) -> "Table1Config":
-        _require_keys(raw, {"nbars", "schemes"}, "table1")
-        nbars = raw.get("nbars", [10.0, 20.0, 30.0, 40.0])
-        schemes = raw.get("schemes", ["F7", "F8"])
-        if not isinstance(nbars, list) or not nbars:
-            raise ConfigError("table1.nbars must be a non-empty list")
-        for n in nbars:
-            if not _is_finite_number(n) or n <= 0:
-                raise ConfigError("table1.nbars entries must be finite positive numbers")
-        if not isinstance(schemes, list) or not schemes:
-            raise ConfigError("table1.schemes must be a non-empty list")
-        for s in schemes:
-            if s not in ("F7", "F8"):
-                raise ConfigError(f"table1.schemes entries must be F7 or F8, got {s!r}")
-        return cls(nbars=tuple(float(n) for n in nbars), schemes=tuple(schemes))
+    nbars: tuple[float, ...] = _checked(
+        _list_of(_number(positive=True)), default=(10.0, 20.0, 30.0, 40.0)
+    )
+    schemes: tuple[str, ...] = _checked(_list_of(_choice("F7", "F8")), default=("F7", "F8"))
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    times: tuple[float, ...] = tuple(round(0.1 * k, 10) for k in range(1, 31))
-
-    @classmethod
-    def parse(cls, raw: dict) -> "ProbeConfig":
-        _require_keys(raw, {"times"}, "probe")
-        times = raw.get("times")
-        if times is None:
-            return cls()
-        if not isinstance(times, list) or not times:
-            raise ConfigError("probe.times must be a non-empty list")
-        for t in times:
-            if not _is_finite_number(t) or t <= 0:
-                raise ConfigError("probe.times entries must be finite positive numbers")
-        return cls(times=tuple(float(t) for t in times))
-
-
-_TOP_LEVEL_KEYS = {
-    "scheme",
-    "trap",
-    "initial_nbar",
-    "coverage",
-    "strategy",
-    "heating",
-    "timing",
-    "rdp",
-    "probe_time",
-    "transfer_matrix",
-    "table1",
-    "probe",
-    "pumping",
-    "seed",
-    "out_dir",
-}
+    times: tuple[float, ...] = _checked(
+        _list_of(_number(positive=True)),
+        default=tuple(round(0.1 * k, 10) for k in range(1, 31)),
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scheme: SchemeConfig = field(default_factory=lambda: SchemeConfig(kind="F7"))
-    eta: float = 0.07
-    initial_nbar: float = 6.08
-    coverage: float = 0.9999
+    scheme: SchemeConfig = _checked(
+        SchemeConfig.parse, default_factory=lambda: SchemeConfig(kind="F7")
+    )
+    trap: TrapParams = field(default_factory=lambda: TrapParams(eta=0.07))
+    initial_nbar: float = _checked(_number(minimum=0.0), default=6.08)
+    coverage: float = _checked(_number(positive=True, below=1.0), default=0.9999)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     heating: HeatingConfig = field(default_factory=HeatingConfig)
     timing: PulseTiming = field(default_factory=PulseTiming)
     rdp: RdpConfig = field(default_factory=RdpConfig)
-    probe_time: float = DEFAULT_PROBE_TIME
+    probe_time: float = _checked(_number(positive=True), default=DEFAULT_PROBE_TIME)
     transfer_matrix: TransferMatrixConfig = field(default_factory=TransferMatrixConfig)
     table1: Table1Config = field(default_factory=Table1Config)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     pumping: PumpingConfig = field(default_factory=PumpingConfig)
-    seed: int = 0
+    seed: int = _checked(_integer(minimum=0), default=0)
     out_dir: str = "out"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        _require_keys(raw, _TOP_LEVEL_KEYS, "config")
-
-        trap_raw = raw.get("trap", {})
-        if not isinstance(trap_raw, dict):
-            raise ConfigError("trap must be an object")
-        _require_keys(trap_raw, {"eta"}, "trap")
-        eta = _number(trap_raw, "eta", 0.07, "trap", positive=True)
-
-        timing_raw = raw.get("timing", {})
-        if not isinstance(timing_raw, dict):
-            raise ConfigError("timing must be an object")
-        _require_keys(
-            timing_raw,
-            {"t_f_seconds", "repump_seconds", "pre_probe_delay_seconds"},
-            "timing",
-        )
-        try:
-            timing = PulseTiming(
-                t_f_seconds=_number(timing_raw, "t_f_seconds", 100e-6, "timing", positive=True),
-                repump_seconds=_number(timing_raw, "repump_seconds", 15e-3, "timing", minimum=0.0),
-                pre_probe_delay_seconds=_number(
-                    timing_raw, "pre_probe_delay_seconds", 0.0, "timing", minimum=0.0
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid timing: {exc}") from exc
-
-        for name in ("strategy", "heating", "rdp", "transfer_matrix", "table1", "probe", "pumping"):
-            if name in raw and not isinstance(raw[name], dict):
-                raise ConfigError(f"{name} must be an object")
-
-        coverage = _number(raw, "coverage", 0.9999, "config", positive=True)
-        if not coverage < 1:
-            raise ConfigError(f"coverage must be < 1, got {coverage}")
-
-        return cls(
-            scheme=SchemeConfig.parse(raw.get("scheme", "F7")),
-            eta=eta,
-            initial_nbar=_number(raw, "initial_nbar", 6.08, "config", minimum=0.0),
-            coverage=coverage,
-            strategy=StrategyConfig.parse(raw.get("strategy", {})),
-            heating=HeatingConfig.parse(raw.get("heating", {})),
-            timing=timing,
-            rdp=RdpConfig.parse(raw.get("rdp", {})),
-            probe_time=_number(raw, "probe_time", DEFAULT_PROBE_TIME, "config", positive=True),
-            transfer_matrix=TransferMatrixConfig.parse(raw.get("transfer_matrix", {})),
-            table1=Table1Config.parse(raw.get("table1", {})),
-            probe=ProbeConfig.parse(raw.get("probe", {})),
-            pumping=PumpingConfig.parse(raw.get("pumping", {})),
-            seed=_integer(raw, "seed", 0, "config", minimum=0),
-            out_dir=str(raw.get("out_dir", "out")),
-        )
+        return _parse(cls(), raw, "")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -439,7 +350,6 @@ class RunConfig:
         out = asdict(self)
         del out["out_dir"]
         out["scheme"] = self.scheme.describe()
-        out["trap"] = {"eta": out.pop("eta")}
         return out
 
     def config_hash(self) -> str:

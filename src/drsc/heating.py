@@ -1,9 +1,9 @@
 """Motional heating propagation and the optical-pumping scattering walk.
 
-Heating is modeled as a nearest-neighbor random walk on the phonon ladder
-with up/down rates A+(n+1) and A-*n; optical pumping is an absorbing
-Markov chain over the 45 ground-manifold Zeeman sublevels with |7,0> as
-the dark state.
+Heating is modeled as a diffusive nearest-neighbor random walk on the
+phonon ladder with up/down rates A(n+1) and A*n; optical pumping is an
+absorbing Markov chain over the 45 ground-manifold Zeeman sublevels with
+|7,0> as the dark state.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal
 
 from .manifold import cg_signed_square, decay_branching
 from .motional import PhononDistribution
@@ -28,30 +28,6 @@ DEFAULT_CHANNEL_RATES = {
 _NEGATIVE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class HeatingModel:
-    """Phonon-ladder walk rates in quanta/s.
-
-    Recoil-dominated diffusion has a_plus = a_minus; unequal rates give
-    relaxation toward a_plus / (a_minus - a_plus).
-    """
-
-    a_plus: float
-    a_minus: float
-
-    def __post_init__(self) -> None:
-        if self.a_plus < 0 or self.a_minus < 0:
-            raise ValueError("heating rates must be >= 0")
-
-    @classmethod
-    def diffusive(cls, rate: float) -> "HeatingModel":
-        return cls(a_plus=rate, a_minus=rate)
-
-    @property
-    def max_rate(self) -> float:
-        return max(self.a_plus, self.a_minus)
-
-
 @functools.lru_cache(maxsize=8)
 def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of the unit-rate diffusive
@@ -64,35 +40,25 @@ def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def _generator(model: HeatingModel, n_max: int) -> np.ndarray:
-    """Dense rate generator G with dp/dt = G p."""
-    n = np.arange(n_max + 1, dtype=float)
-    g = np.diag(-(model.a_plus * (n + 1) + model.a_minus * n))
-    g[np.arange(1, n_max + 1), np.arange(n_max)] = model.a_plus * n[1:]
-    g[np.arange(n_max), np.arange(1, n_max + 1)] = model.a_minus * n[1:]
-    return g
-
-
 def propagate_heating(
-    dist: PhononDistribution, model: HeatingModel, duration: float
+    dist: PhononDistribution, rate: float, duration: float
 ) -> PhononDistribution:
-    """Evolve a distribution under the heating walk for `duration` seconds.
+    """Evolve a distribution under diffusive heating at `rate` quanta/s
+    for `duration` seconds.
 
-    Applies the exact propagator exp(G t).  A diffusive walk (a_plus =
-    a_minus = a) has G = a G1 with G1 symmetric tridiagonal, so one cached
-    eigendecomposition per n_max serves every rate and duration; unequal
-    rates use the dense matrix exponential.  Probability leaking past
-    n_max shows up as tail loss.
+    Applies the exact propagator exp(G t) with G = rate * G1 and G1 the
+    symmetric tridiagonal unit-rate generator, so one cached
+    eigendecomposition per n_max serves every rate and duration.
+    Probability leaking past n_max shows up as tail loss.
     """
+    if rate < 0:
+        raise ValueError(f"heating rate must be >= 0, got {rate}")
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0 or model.max_rate == 0:
+    if duration == 0 or rate == 0:
         return dist
-    if model.a_plus == model.a_minus:
-        lam, vecs = _unit_diffusion_eigensystem(dist.n_max)
-        p = vecs @ (np.exp(model.a_plus * duration * lam) * (vecs.T @ dist.probs))
-    else:
-        p = expm(_generator(model, dist.n_max) * duration) @ dist.probs
+    lam, vecs = _unit_diffusion_eigensystem(dist.n_max)
+    p = vecs @ (np.exp(rate * duration * lam) * (vecs.T @ dist.probs))
     # exp(G t) is entrywise >= 0; only rounding may dip below zero
     lowest = float(p.min())
     if lowest < -_NEGATIVE_TOLERANCE:
@@ -119,6 +85,11 @@ class Beam:
     f_ground: int
     polarization: str
     weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.weight > 0:
+            raise ValueError(f"weight must be > 0, got {self.weight}")
+        self.components()
 
     def components(self) -> list[tuple[int, float]]:
         if self.polarization == "pi":

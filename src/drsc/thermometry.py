@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain_dynamics import cached_evolver
 from .cooling import PulseSequence, optimize_global
-from .heating import DEFAULT_CHANNEL_RATES, HeatingModel, propagate_heating
+from .heating import DEFAULT_CHANNEL_RATES, propagate_heating
 from .manifold import CouplingChain
 from .motional import (
     PhononDistribution,
@@ -173,9 +173,8 @@ def end_to_end_protocol(
     heating_on = heating_rates is not None
     if heating_on:
         rates = dict(DEFAULT_CHANNEL_RATES, **heating_rates)
-        pulse_model = HeatingModel.diffusive(rates["raman"] + rates["trap"])
-        repump_model = HeatingModel.diffusive(rates["optical_pumping"] + rates["trap"])
-        idle_model = HeatingModel.diffusive(rates["trap"])
+        pulse_rate = rates["raman"] + rates["trap"]
+        repump_rate = rates["optical_pumping"] + rates["trap"]
 
     evolver = cached_evolver(chain, trap, init.n_max)
     state = init
@@ -187,14 +186,14 @@ def end_to_end_protocol(
             probs=evolver.apply_pulse(t, state.probs), n_max=state.n_max
         )
         if heating_on:
-            state = propagate_heating(state, pulse_model, t * timing.t_f_seconds)
-            state = propagate_heating(state, repump_model, timing.repump_seconds)
+            state = propagate_heating(state, pulse_rate, t * timing.t_f_seconds)
+            state = propagate_heating(state, repump_rate, timing.repump_seconds)
         snapshots.append(state)
         nbars.append(mean_n(state))
         nbars_sb.append(sideband_probe(state, trap, probe_time).nbar_sb)
 
     if heating_on and timing.pre_probe_delay_seconds > 0:
-        state = propagate_heating(state, idle_model, timing.pre_probe_delay_seconds)
+        state = propagate_heating(state, rates["trap"], timing.pre_probe_delay_seconds)
 
     success = 1.0
     used_t_clear = None

@@ -372,6 +372,24 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, {"scheme": "F9"})
         assert main(["cool", "--config", cfg]) == 2
 
+    def test_null_eta_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"trap": {"eta": None}})
+        out = tmp_path / "out"
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, monkeypatch, via_env):
+        target = tmp_path / "taken"
+        target.write_bytes(b"keep me\n")
+        if via_env:
+            monkeypatch.setenv("DRSC_OUT", str(target))
+            argv = ["probe"]
+        else:
+            argv = ["probe", "--out", str(target)]
+        assert main(argv) == 2
+        assert target.read_bytes() == b"keep me\n"
+
 
 class TestEnvironment:
     def test_env_out_dir(self, tmp_path, fast_cool_config, monkeypatch):

@@ -1,6 +1,7 @@
 """Config parsing: strict key checking, type validation, overrides, hashing."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from drsc.config import (
 class TestDefaults:
     def test_empty_config(self):
         cfg = RunConfig.from_dict({})
-        assert cfg.eta == 0.07
+        assert cfg.trap.eta == 0.07
         assert cfg.initial_nbar == 6.08
         assert cfg.scheme.kind == "F7"
         assert cfg.strategy.kind == "global_opt"
@@ -105,6 +106,39 @@ class TestTypeValidation:
         with pytest.raises(ConfigError, match="finite"):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"trap": {"eta": None}},
+            {"coverage": None},
+            {"initial_nbar": None},
+            {"probe_time": None},
+            {"timing": {"t_f_seconds": None}},
+            {"strategy": {"tail_target": None}},
+            {"pumping": {"geometry": None}},
+            {"heating": {"rates": {"trap": None}}},
+            {"pumping": {"scatter_rates": {"raman": None}}},
+            {"pumping": {"beams": [{"f_ground": 7, "weight": None}]}},
+        ],
+    )
+    def test_null_where_default_is_a_value(self, raw):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "beam",
+        [{"f_ground": 7, "weight": 0}, {"f_ground": 7, "polarization": "left"}, {"label": "x"}],
+        ids=["zero-weight", "unknown-polarization", "no-f_ground"],
+    )
+    def test_invalid_beam(self, beam):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"pumping": {"beams": [beam]}})
+
+    def test_null_where_default_is_none(self):
+        cfg = RunConfig.from_dict({"strategy": {"fixed_time": None}, "rdp": {"t_clear": None}})
+        assert cfg.strategy.fixed_time is None
+        assert cfg.rdp.t_clear is None
+
 
 class TestSchemes:
     @pytest.mark.parametrize("name,bandwidth", [("F7", 8), ("F8", 16), ("two_level", 2)])
@@ -177,6 +211,37 @@ class TestHashing:
 
     def test_resolved_is_json_serializable(self):
         json.dumps(RunConfig.from_dict({}).resolved())
+
+    def test_empty_dict_is_field_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {},
+            {
+                "scheme": {"f": 7, "f_excited": 7, "polarization_pair": "pi_sigma_minus", "start_m": -2},
+                "initial_nbar": 1.0,
+                "strategy": {"kind": "fixed", "n_pulses": 3, "fixed_time": 0.2},
+                "pumping": {
+                    "beams": [
+                        {"label": "D_pi", "f_ground": 7, "polarization": "pi"},
+                        {"label": "D6", "f_ground": 6, "polarization": "sigma_pm", "weight": 2.0},
+                        {"label": "D8", "f_ground": 8, "polarization": "sigma_pm"},
+                    ]
+                },
+                "timing": {"pre_probe_delay_seconds": 0.001},
+                "rdp": {"enabled": True},
+            },
+        ],
+        ids=["default", "cool-custom-rdp"],
+    )
+    def test_resolved_form_parses_back(self, raw):
+        # the hashed form and the field defaults are one schema
+        cfg = RunConfig.from_dict(raw)
+        resolved = json.loads(json.dumps(cfg.resolved()))
+        del resolved["scheme"]
+        assert replace(RunConfig.from_dict(resolved), scheme=cfg.scheme) == cfg
 
 
 class TestFromFile:
