@@ -364,8 +364,12 @@ def main(argv=None) -> int:
             heating_enabled=False if args.no_heating else None,
             rdp_enabled=True if args.rdp else None,
         )
-        if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-            raise ConfigError(f"output directory {cfg.out_dir!r} is an existing file")
+        # makedirs needs the nearest existing part of the path to be a directory
+        existing = os.path.abspath(cfg.out_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"output directory {cfg.out_dir!r}: {existing!r} is not a directory")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

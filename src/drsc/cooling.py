@@ -209,16 +209,17 @@ def optimize_global(
 ) -> PulseSequence:
     """Minimize the final mean occupation over all pulse durations.
 
-    Bounded L-BFGS-B (t >= 1e-6) on the exact adjoint gradient, built up
-    incrementally: the k-pulse problem is started both from the (k-1)-pulse
-    solution extended by its last duration and from a uniform train at
-    the single-pulse optimum, so the final mean occupation is
-    non-increasing in pulse count by construction.  The uniform seed uses
-    the tail-suppression optimum when the distribution covers the
-    asymptotic window, otherwise the single-pulse mean-n optimum.  Each
-    trace entry is (k, objective); the returned sequence carries the
-    objective evaluations spent at each k.  Deterministic; no randomness
-    enters the search.
+    Bounded L-BFGS-B (t >= 1e-6) on log <n>, with the exact adjoint
+    gradient divided by <n>, so the gradient tolerance means the same at
+    every depth of cooling.  One start per pulse count: k = 1 starts from
+    the uniform seed, every k > 1 from the (k-1)-pulse optimum extended by
+    its last duration.  Appending a pulse cannot raise <n> and L-BFGS-B
+    never returns a point worse than its start, so the final mean
+    occupation is non-increasing in pulse count.  The seed is the
+    tail-suppression optimum when the distribution covers the asymptotic
+    window, otherwise the single-pulse mean-n optimum.  Each trace entry
+    is (k, <n>); the returned sequence carries the objective evaluations
+    spent at each k.  Deterministic; no randomness enters the search.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -226,56 +227,39 @@ def optimize_global(
     p0 = init.probs
 
     try:
-        window = _check_window(asymptotic_window(trap.eta), init, len(chain.steps))
-        t_seed, _ = _grid_then_brent(
-            lambda t: _suppression(evolver, t, init, window),
-            _T_GRID_LO,
-            _T_GRID_HI,
-            _T_GRID_POINTS,
-        )
+        t_seed, _ = optimize_fixed_pulse(chain, trap, init)
     except ValueError:
         t_seed = _single_pulse_seed(evolver, p0)
 
-    prev: list[float] = []
-    best_x = None
-    best_obj = math.inf
+    # <n> of every evaluated point: the trace reports it, not exp(log <n>)
+    means: dict[bytes, float] = {}
+
+    def log_mean_and_gradient(times: np.ndarray) -> tuple[float, np.ndarray]:
+        f, grad = _mean_and_gradient(times, evolver, p0)
+        means[times.tobytes()] = float(f)
+        # tiny keeps the log finite when no population is above the ground state
+        f_pos = f + np.finfo(float).tiny
+        return math.log(f_pos), grad / f_pos
+
+    x0 = np.array([t_seed])
     converged = True
     n_evals = []
     for k in range(1, n_pulses + 1):
-        starts = []
-        if prev:
-            starts.append(np.array(prev + [prev[-1]]))
-        starts.append(np.full(k, t_seed))
-        best_k = None
-        best_k_obj = math.inf
-        best_k_total = math.inf
-        best_k_ok = True
-        evals_k = 0
-        for x0 in starts:
-            res = minimize(
-                _mean_and_gradient,
-                x0,
-                args=(evolver, p0),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(_MIN_PULSE_TIME, None)] * k,
-                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000},
-            )
-            evals_k += res.nfev
-            total = float(np.sum(res.x))
-            better = res.fun < best_k_obj - 1e-12 or (
-                abs(res.fun - best_k_obj) <= 1e-12 and total < best_k_total
-            )
-            if better:
-                best_k, best_k_obj, best_k_total, best_k_ok = res.x, res.fun, total, bool(res.success)
-        prev = [float(t) for t in best_k]
-        best_x, best_obj = best_k, best_k_obj
-        converged = converged and best_k_ok
-        n_evals.append(evals_k)
+        res = minimize(
+            log_mean_and_gradient,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(_MIN_PULSE_TIME, None)] * k,
+            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000},
+        )
+        converged = converged and bool(res.success)
+        n_evals.append(res.nfev)
         if trace is not None:
-            trace.append((k, float(best_obj)))
+            trace.append((k, means[res.x.tobytes()]))
+        x0 = np.append(res.x, res.x[-1])
     return PulseSequence(
-        times=tuple(float(t) for t in best_x),
+        times=tuple(float(t) for t in res.x),
         strategy="global_opt",
         scheme=scheme,
         converged=converged,

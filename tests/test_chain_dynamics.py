@@ -196,3 +196,47 @@ class TestApplySequence:
         dist = thermal_distribution(8.0, 100)
         out = apply_pulses(dist, ChainEvolver(F8, TRAP, 100), [0.64] * 5)
         assert out.sum() == pytest.approx(dist.probs.sum(), abs=1e-12)
+
+
+def einsum_reference(evolver, t):
+    """P and dP/dt from complex amplitudes, a = sum_j C exp(-i pi w t)."""
+    phases = np.exp(-1j * np.pi * evolver.w * t)
+    amps = np.einsum("nkj,nj->nk", evolver.C, phases)
+    d_amps = np.einsum("nkj,nj->nk", evolver.C, -1j * np.pi * evolver.w * phases)
+    return np.abs(amps) ** 2, 2.0 * np.real(np.conj(amps) * d_amps)
+
+
+class TestRealKernel:
+    TIMES = np.linspace(0.0, 2.5, 20)
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_both_tables_agree_bit_for_bit(self, chain):
+        ev = ChainEvolver(chain, TRAP, 120)
+        for t in self.TIMES:
+            p, _ = ev.site_probabilities_with_derivative(t)
+            assert np.array_equal(ev.site_probabilities(t), p)
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_matches_complex_reference(self, chain):
+        ev = ChainEvolver(chain, TRAP, 120)
+        for t in self.TIMES:
+            p_ref, dp_ref = einsum_reference(ev, t)
+            p, dp = ev.site_probabilities_with_derivative(t)
+            np.testing.assert_allclose(ev.site_probabilities(t), p_ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-14)
+            # dP/dt carries a factor pi w, and its rounding with it
+            np.testing.assert_allclose(dp, dp_ref, rtol=0, atol=1e-13 * np.max(np.abs(dp_ref)))
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_derivative_matches_central_differences(self, chain):
+        ev = ChainEvolver(chain, TRAP, 120)
+        h = 1e-6
+        for t in self.TIMES[1:]:
+            _, dp = ev.site_probabilities_with_derivative(t)
+            fd = (ev.site_probabilities(t + h) - ev.site_probabilities(t - h)) / (2 * h)
+            assert np.max(np.abs(dp - fd)) <= 1e-7 * np.max(np.abs(dp))
+
+    def test_zero_time_derivative_vanishes(self):
+        p, dp = ChainEvolver(F8, TRAP, 25).site_probabilities_with_derivative(0.0)
+        assert np.array_equal(dense(p), np.eye(26))
+        assert not dp.any()

@@ -125,9 +125,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "d0748da2305963b34b5f84e8a5bfd5b3693bbb97906a5ea10217f631a3c13ded",
-            "cool_sequence.json": "4ec29f403e31153b37114c0d4815a5431b99491ded81ab64031bfc9de022014b",
-            "cool_snapshots.csv": "8d6a16f25da9d6106c4010fb9086038a4748bb8c0034bd7cbcb4dc78228619da",
+            "cool_history.csv": "c5eb4c1aae17cfc77ba6223bb837079a2306d6c52f9f3e2a1d3b31c3405cbc45",
+            "cool_sequence.json": "2c99d83e104a821aa91fdd1f5ebde83b61eed4c44ad9704c7d248f8727330ea5",
+            "cool_snapshots.csv": "39ac541785cb088031dfcb3dbcafc2de0197a342407e19e8665cd94d3f8f94db",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -136,9 +136,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "bf4e98131650c5b739d81bceb811687db31b9695c72741db11ffa84045cc76d3",
-            "cool_sequence.json": "36e12c51a35e2b4bd9c5ab1706074cbde2fd6dbff05d63fc0d4aa713601fc97f",
-            "cool_snapshots.csv": "831242ba5d0b3369a919d4fe74c566f96ba275321889657d81eac43fc3378abf",
+            "cool_history.csv": "7a7c374f049ba6a55b30882734e66586a1dc579dc5b357132579ca0878f07ecb",
+            "cool_sequence.json": "ea3ec25addbee20ac19c36606f5234d20c5a54be191b1c35dd39dac01c38c12b",
+            "cool_snapshots.csv": "72c98c17e88ba162ed927b818fe0cc774e7a4b57db192e21b2c3248d354f9c9d",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -160,9 +160,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "f56983c8106ddfc8e7e54963d3aa1f6d624ca2f13ff91f9daf3e5817d2362a57",
-            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "71a00dd3bd9884a98f7921de5074995818f429e9b390bdf59d1d5670f62665b3",
+            "cool_history.csv": "e4b3eaa4c6ec6ac8c698909e1e639d6c0598a4f0f6bd6f3054fc785cd6bebf53",
+            "cool_sequence.json": "d698890da6d89a6aa3f14e104f641c9de0724e0af91549f8daead0a1e654e9df",
+            "cool_snapshots.csv": "1e5a23be8b3a45eeaae847baf09e3a4d9c118b26846ce27f375b78c72b83f13f",
             "cool_suppression_fit.json": "73607695f31c793145433b42230a9db1d875234e7571fbcd1b1e322be66b9ce2",
         },
     ),
@@ -174,8 +174,8 @@ DIGEST_CASES = [
         {
             "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
             "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
-            "transfer_matrix_01.csv": "8c91c5d6eb1ba177636ea4cafd0cc198339d6b6e594c09b8e7eeca79dd10f22d",
-            "transfer_matrix_01.json": "417bbb0596a1d90bd65b534360d43a0aa5599cec51bda08ae58e9d62ac2c0767",
+            "transfer_matrix_01.csv": "609efbce07e369b4eb6195aaca11e3a1a5d3d35d4f667d58a9b4080f021da828",
+            "transfer_matrix_01.json": "8f7de731e282595405d0142f632d40ce9930e3aa31215e9d6722cf8031401028",
             "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
         },
     ),
@@ -184,8 +184,8 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
         {
-            "transfer_matrix_00.csv": "8717006864723fb1bde2095a908edbeb6acadf2b2e051a790dba060044797fce",
-            "transfer_matrix_00.json": "5b9a3126827e3696c152b2dd358fb93a6094f77dab3f7c305bb99c4588ab2c64",
+            "transfer_matrix_00.csv": "ae0a22882ceba092abf7832c3c413813fbfa710032d89a37648453d09ef53ff6",
+            "transfer_matrix_00.json": "1ce0218ead03803cc7f95ce5bf9a91b96f8b8e75882313bd3cdd65bd1c0b9b82",
             "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
         },
     ),
@@ -215,8 +215,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "8ac315b65cc603caa76e6499004e4e5ea6cc60a2314763f092fd2f7888e6573f",
-            "optimize_trace.csv": "2ea3f5b092ce4091efe5ba69fcaf6754ab282cd79e67645cc106d3e650dd42ee",
+            "optimize_sequence.json": "c6cdf88c21ee9b5a234694b45232de2723ad51d241421567afdce46d4a89442d",
+            "optimize_trace.csv": "2cad38ddaf1cf956e7d0a5e9898d756a0487b3da3aa8ead1b3cd26ba2fb11a0e",
         },
     ),
 ]
@@ -387,6 +387,19 @@ class TestErrorPaths:
             argv = ["probe"]
         else:
             argv = ["probe", "--out", str(target)]
+        assert main(argv) == 2
+        assert target.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_out_below_a_file_exits_2(self, tmp_path, monkeypatch, via_env):
+        target = tmp_path / "taken"
+        target.write_bytes(b"keep me\n")
+        out_dir = target / "sub" / "deeper"
+        if via_env:
+            monkeypatch.setenv("DRSC_OUT", str(out_dir))
+            argv = ["probe"]
+        else:
+            argv = ["probe", "--out", str(out_dir)]
         assert main(argv) == 2
         assert target.read_bytes() == b"keep me\n"
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drsc import cooling
 from drsc.chain_dynamics import ChainEvolver
 from drsc.cooling import (
     PulseSequence,
@@ -127,6 +128,13 @@ class TestOptimizeGlobal:
         n = np.arange(init.n_max + 1)
         assert n @ out < mean_n(init) * init.probs.sum()
 
+    def test_ground_state_has_nothing_to_cool(self):
+        # <n> = 0 has no log; the search must still end, at <n> = 0
+        trace = []
+        seq = optimize_global(F7, TRAP, thermal_distribution(0.0, 30), 2, trace=trace)
+        assert [obj for _k, obj in trace] == [0.0, 0.0]
+        assert seq.converged
+
     def test_strategy_label(self):
         seq = optimize_global(F7, TRAP, thermal_state(0.5), 2)
         assert seq.strategy == "global_opt"
@@ -172,11 +180,33 @@ class TestOptimizeGlobal:
         assert seq.converged
         assert len(seq.n_evals) == 10
         assert all(n > 0 for n in seq.n_evals)
+        # two starts per pulse count spent 418 evaluations here
+        assert sum(seq.n_evals) <= 250
 
     def test_f8_no_worse_than_nelder_mead(self):
         trace = []
-        optimize_global(F8, TRAP, cli_thermal(15.87, F8), 15, trace=trace)
+        seq = optimize_global(F8, TRAP, cli_thermal(15.87, F8), 15, trace=trace)
         assert trace[-1][1] <= NELDER_MEAD_F8_FINAL * (1 + 1e-9)
+        # two starts per pulse count spent 389 evaluations here
+        assert sum(seq.n_evals) <= 220
+
+    def test_one_warm_start_per_pulse_count(self, monkeypatch):
+        calls = []
+        real_minimize = cooling.minimize
+
+        def counting(fun, x0, *args, **kwargs):
+            res = real_minimize(fun, x0, *args, **kwargs)
+            calls.append((np.array(x0), res.x.copy()))
+            return res
+
+        monkeypatch.setattr(cooling, "minimize", counting)
+        trace = []
+        seq = optimize_global(F7, TRAP, thermal_state(1.0), 4, trace=trace)
+        assert [len(x0) for x0, _ in calls] == [1, 2, 3, 4]
+        for (_, prev), (x0, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(x0, np.append(prev, prev[-1]))
+        assert seq.times == tuple(calls[-1][1])
+        assert len(seq.n_evals) == len(trace) == 4
 
 
 class TestHeuristicSequence:
