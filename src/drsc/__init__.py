@@ -8,6 +8,7 @@ from .cooling import (
     PulseSequence,
     heuristic_sequence,
     optimize_fixed_pulse,
+    optimize_fixed_pulses,
     optimize_global,
     suppression_factor,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "PulseSequence",
     "heuristic_sequence",
     "optimize_fixed_pulse",
+    "optimize_fixed_pulses",
     "optimize_global",
     "suppression_factor",
     "build_pumping_graph",

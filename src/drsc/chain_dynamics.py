@@ -54,37 +54,50 @@ class ChainEvolver:
             self.w[n, :k] = vals
             self.C[n, :k, :k] = vecs * vecs[0, :]
 
-    def site_probabilities(self, t: float) -> np.ndarray:
-        """P[n, k] = probability that a start at phonon n ends k quanta lower."""
+    def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
+        """P[n, k] = probability that a start at phonon n ends k quanta lower.
+
+        For an array of pulse times the tables are stacked along leading
+        axes of the same shape, each bit for bit the table of its own
+        scalar call.
+        """
         return self._tables(t, derivative=False)[0]
 
     def site_probabilities_with_derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The table P of site_probabilities(t), bit for bit, together with dP/dt."""
         return self._tables(t, derivative=True)
 
-    def _tables(self, t: float, derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _tables(
+        self, t: float | np.ndarray, derivative: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """P and, if asked, dP/dt from real batched products on cos and sin.
 
         The site amplitude sum_j C e^{-i pi w t} is re - i im with
         re = C cos(pi w t) and im = C sin(pi w t), so P = re^2 + im^2 and
         dP/dt = -2 pi (re C(w sin) - im C(w cos)).  P is computed the same
-        way whether or not dP/dt is asked for.
+        way whether or not dP/dt is asked for, and the axes of t lead the
+        table axes; tables at t = 0 are the exact identity.
         """
-        if t < 0:
-            raise ValueError(f"pulse time must be >= 0, got {t}")
-        if t == 0:
-            p = np.zeros((self.n_max + 1, self.n_sites))
-            p[:, 0] = 1.0
-            return p, np.zeros_like(p) if derivative else None
-        phase = np.pi * t * self.w
+        t = np.asarray(t, dtype=float)
+        t_min = t.min(initial=np.inf)
+        if t_min < 0:
+            raise ValueError(f"pulse time must be >= 0, got {t_min}")
+        phase = np.pi * t[..., None, None] * self.w
         cos, sin = np.cos(phase), np.sin(phase)
         amps = self.C @ np.stack([cos, sin], axis=-1)
         re, im = amps[..., 0], amps[..., 1]
         p = re * re + im * im
+        # all times > 0 is the common case; a NaN minimum could hide a zero
+        any_zero = not t_min > 0
+        if any_zero:
+            p[t == 0] = np.arange(self.n_sites) == 0
         if not derivative:
             return p, None
         d_amps = self.C @ np.stack([self.w * sin, self.w * cos], axis=-1)
-        return p, -2.0 * np.pi * (re * d_amps[..., 0] - im * d_amps[..., 1])
+        dp = -2.0 * np.pi * (re * d_amps[..., 0] - im * d_amps[..., 1])
+        if any_zero:
+            dp[t == 0] = 0.0
+        return p, dp
 
     def apply_pulse(self, t: float, probs: np.ndarray) -> np.ndarray:
         """Propagate a population vector through one pulse of duration t."""
@@ -92,11 +105,15 @@ class ChainEvolver:
 
 
 def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k)."""
-    out = np.zeros_like(probs)
-    n_top = len(probs)
-    for k in range(site_p.shape[1]):
-        out[: n_top - k] += site_p[k:, k] * probs[k:]
+    """Populations after a pulse whose table is site_p[..., n, k] = P(n -> n - k).
+
+    Leading axes of site_p and probs broadcast, so one call applies a stack
+    of tables, or one table to a stack of population vectors.
+    """
+    out = np.zeros(np.broadcast(site_p[..., 0], probs).shape)
+    n_top = probs.shape[-1]
+    for k in range(site_p.shape[-1]):
+        out[..., : n_top - k] += site_p[..., k:, k] * probs[..., k:]
     return out
 
 

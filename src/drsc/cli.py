@@ -24,6 +24,7 @@ from .cooling import (
     dual_thermal_decompose,
     heuristic_sequence,
     optimize_fixed_pulse,
+    optimize_fixed_pulses,
     optimize_global,
 )
 from .heating import (
@@ -223,9 +224,9 @@ def cmd_table1(cfg: RunConfig) -> dict[str, str]:
     for scheme_name in cfg.table1.schemes:
         chain, _ = type(cfg.scheme).parse(scheme_name).build()
         n_max = asymptotic_window(cfg.trap.eta)[1] + len(chain.steps)
-        for nbar in cfg.table1.nbars:
-            init = thermal_distribution(nbar, n_max)
-            t_opt, a_opt = optimize_fixed_pulse(chain, cfg.trap, init)
+        inits = [thermal_distribution(nbar, n_max) for nbar in cfg.table1.nbars]
+        optima = optimize_fixed_pulses(chain, cfg.trap, inits)
+        for nbar, (t_opt, a_opt) in zip(cfg.table1.nbars, optima):
             ref = REFERENCE_OPTIMA.get((scheme_name, nbar))
             if ref is not None:
                 t_ref, a_ref = ref

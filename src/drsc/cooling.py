@@ -9,6 +9,7 @@ per pulse; the sequence strategies below either exploit that directly
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ from .motional import PhononDistribution, TrapParams, thermal_state
 _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
 _T_GRID_POINTS = 240
+# pulse times per grid kernel call: each (6, n_max+1, K, 2) temporary is
+# 0.62 MB at F8/n_max 400 (K = 16); longer chunks outgrow the cache and
+# measured slower
+_GRID_CHUNK = 6
 _MIN_PULSE_TIME = 1e-6
 
 
@@ -87,13 +92,13 @@ def _check_window(
     return n_lo, n_hi
 
 
-def _suppression(
-    evolver: ChainEvolver, t: float, init: PhononDistribution, window: tuple[int, int]
-) -> float:
+def _suppression(after: np.ndarray, p0: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+    """Tail suppression of the populations `after` one pulse from p0: the
+    geometric mean over the window of the per-bin ratios.  Leading axes of
+    after and p0 broadcast; the last axis is the phonon number."""
     n_lo, n_hi = window
-    after = evolver.apply_pulse(t, init.probs)
-    ratios = after[n_lo : n_hi + 1] / init.probs[n_lo : n_hi + 1]
-    return float(np.exp(np.mean(np.log(ratios))))
+    ratios = after[..., n_lo : n_hi + 1] / p0[..., n_lo : n_hi + 1]
+    return np.exp(np.mean(np.log(ratios), axis=-1))
 
 
 def suppression_factor(
@@ -114,19 +119,65 @@ def suppression_factor(
         window = asymptotic_window(trap.eta)
     window = _check_window(window, init, len(chain.steps))
     evolver = cached_evolver(chain, trap, init.n_max)
-    return _suppression(evolver, t, init, window)
+    return float(_suppression(evolver.apply_pulse(t, init.probs), init.probs, window))
 
 
-def _grid_then_brent(f, lo: float, hi: float, points: int) -> tuple[float, float]:
-    """Coarse grid scan refined by bracketed scalar minimization."""
-    ts = np.linspace(lo, hi, points)
-    vals = np.array([f(t) for t in ts])
-    i = int(np.argmin(vals))
-    if 0 < i < len(ts) - 1:
-        res = minimize_scalar(f, bracket=(ts[i - 1], ts[i], ts[i + 1]), method="brent")
-        if res.fun < vals[i]:
-            return float(res.x), float(res.fun)
-    return float(ts[i]), float(vals[i])
+def _grid_then_brent(
+    evolver: ChainEvolver,
+    p0s: np.ndarray,
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> list[tuple[float, float]]:
+    """Minimize objective(populations after one pulse, p0) over the pulse
+    time, for each start p0 in the rows of p0s; one (t, value) per start.
+
+    A coarse grid scan, whose tables are computed _GRID_CHUNK pulse times
+    per kernel call and applied to every start at once, is refined by
+    bracketed Brent minimization on single pulses.  The objective takes
+    broadcasting leading axes and returns one value per population vector.
+    """
+    ts = np.linspace(_T_GRID_LO, _T_GRID_HI, _T_GRID_POINTS)
+    vals = np.concatenate(
+        [
+            objective(apply_table(evolver.site_probabilities(chunk)[:, None], p0s), p0s)
+            for chunk in np.split(ts, range(_GRID_CHUNK, len(ts), _GRID_CHUNK))
+        ]
+    )
+    results = []
+    for p0, col in zip(p0s, vals.T):
+        i = int(np.argmin(col))
+        t_best, f_best = float(ts[i]), float(col[i])
+        if 0 < i < len(ts) - 1:
+            res = minimize_scalar(
+                lambda t: float(objective(evolver.apply_pulse(t, p0), p0)),
+                bracket=(ts[i - 1], ts[i], ts[i + 1]),
+                method="brent",
+            )
+            if res.fun < f_best:
+                t_best, f_best = float(res.x), float(res.fun)
+        results.append((t_best, f_best))
+    return results
+
+
+def optimize_fixed_pulses(
+    chain: CouplingChain,
+    trap: TrapParams,
+    inits: list[PhononDistribution],
+    window: tuple[int, int] | None = None,
+) -> list[tuple[float, float]]:
+    """optimize_fixed_pulse for every distribution in inits, which share
+    one n_max: a single grid scan's tables serve them all.  Returns one
+    (t_opt, a_opt) per init."""
+    if len({init.n_max for init in inits}) != 1:
+        raise ValueError("inits must be a non-empty list sharing one n_max")
+    if window is None:
+        window = asymptotic_window(trap.eta)
+    window = [_check_window(window, init, len(chain.steps)) for init in inits][0]
+    evolver = cached_evolver(chain, trap, inits[0].n_max)
+    return _grid_then_brent(
+        evolver,
+        np.stack([init.probs for init in inits]),
+        lambda after, p0: _suppression(after, p0, window),
+    )
 
 
 def optimize_fixed_pulse(
@@ -136,16 +187,7 @@ def optimize_fixed_pulse(
     window: tuple[int, int] | None = None,
 ) -> tuple[float, float]:
     """Duration minimizing the tail suppression factor; returns (t_opt, a_opt)."""
-    if window is None:
-        window = asymptotic_window(trap.eta)
-    window = _check_window(window, init, len(chain.steps))
-    evolver = cached_evolver(chain, trap, init.n_max)
-    return _grid_then_brent(
-        lambda t: _suppression(evolver, t, init, window),
-        _T_GRID_LO,
-        _T_GRID_HI,
-        _T_GRID_POINTS,
-    )
+    return optimize_fixed_pulses(chain, trap, [init], window)[0]
 
 
 def _mean_and_gradient(
@@ -183,19 +225,10 @@ def _mean_and_gradient(
 
 
 def _single_pulse_seed(evolver: ChainEvolver, p0: np.ndarray) -> float:
-    # value only: the grid scan needs no derivative tables
     n = np.arange(len(p0))
-
-    def mean_after(t: float) -> float:
-        p = evolver.apply_pulse(t, p0)
-        return float(n @ p) / p.sum()
-
-    t, _ = _grid_then_brent(
-        mean_after,
-        _T_GRID_LO,
-        _T_GRID_HI,
-        _T_GRID_POINTS,
-    )
+    # row by row, so a grid value is bit for bit the objective Brent sees
+    mean_after = np.vectorize(lambda p: float(n @ p) / p.sum(), signature="(n)->()")
+    ((t, _),) = _grid_then_brent(evolver, p0[None], lambda after, _p0: mean_after(after))
     return t
 
 

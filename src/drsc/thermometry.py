@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import cached_evolver
+from .chain_dynamics import apply_table, cached_evolver
 from .cooling import PulseSequence, optimize_global
 from .heating import DEFAULT_CHANNEL_RATES, propagate_heating
 from .manifold import CouplingChain
@@ -63,15 +63,22 @@ def sideband_probe(
 
     P_red = sum_n p(n) sin^2(pi t R(n) / 2) and P_blue the same with
     R(n+1), where R(n) is the red-sideband coupling ratio.  The inferred
-    occupation is R/(1-R) with R = P_red/P_blue.
+    occupation is R/(1-R) with R = P_red/P_blue.  A probe time whose
+    phases or excitations are not finite raises FloatingPointError.
     """
     if probe_time <= 0:
         raise ValueError(f"probe_time must be > 0, got {probe_time}")
     ratios = _probe_ratios(dist.n_max, trap.eta)
-    red_amp = np.sin(0.5 * np.pi * probe_time * ratios[: dist.n_max + 1]) ** 2
-    blue_amp = np.sin(0.5 * np.pi * probe_time * ratios[1:]) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * np.pi * probe_time * ratios
+    if not np.isfinite(phase).all():
+        raise FloatingPointError(f"sideband probe phase overflows at probe_time {probe_time}")
+    red_amp = np.sin(phase[: dist.n_max + 1]) ** 2
+    blue_amp = np.sin(phase[1:]) ** 2
     p_red = float(dist.probs @ red_amp)
     p_blue = float(dist.probs @ blue_amp)
+    if not (math.isfinite(p_red) and math.isfinite(p_blue)):
+        raise FloatingPointError("sideband excitations are not finite")
     if p_blue == 0:
         raise ValueError("blue sideband signal vanishes; cannot form the ratio")
     ratio = p_red / p_blue
@@ -88,7 +95,8 @@ def rdp_filter(
 
     Population that responded to the pulse left the start sublevel and is
     discarded; what remains is renormalized.  n = 0 is dark to the pulse
-    and survives with probability 1.
+    and survives with probability 1.  If nothing survives there is nothing
+    to renormalize, and FloatingPointError is raised.
     """
     if t_clear <= 0:
         raise ValueError(f"t_clear must be > 0, got {t_clear}")
@@ -97,7 +105,7 @@ def rdp_filter(
     kept = dist.probs * retention
     success = float(kept.sum())
     if success <= 0:
-        raise ValueError("clearing pulse removed all population")
+        raise FloatingPointError("clearing pulse removed all population")
     conditioned = PhononDistribution(probs=kept / success, n_max=dist.n_max)
     return conditioned, success
 
@@ -177,13 +185,14 @@ def end_to_end_protocol(
         repump_rate = rates["optical_pumping"] + rates["trap"]
 
     evolver = cached_evolver(chain, trap, init.n_max)
+    tables = {t: evolver.site_probabilities(t) for t in set(sequence.times)}
     state = init
     snapshots = [state]
     nbars = [mean_n(state)]
     nbars_sb = [sideband_probe(state, trap, probe_time).nbar_sb]
     for t in sequence.times:
         state = PhononDistribution(
-            probs=evolver.apply_pulse(t, state.probs), n_max=state.n_max
+            probs=apply_table(tables[t], state.probs), n_max=state.n_max
         )
         if heating_on:
             state = propagate_heating(state, pulse_rate, t * timing.t_f_seconds)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import ChainEvolver, cached_evolver
+from drsc.chain_dynamics import ChainEvolver, apply_table, cached_evolver
 from drsc.cli import cmd_transfer_matrix
 from drsc.config import RunConfig
 from drsc.manifold import (
@@ -240,3 +240,30 @@ class TestRealKernel:
         p, dp = ChainEvolver(F8, TRAP, 25).site_probabilities_with_derivative(0.0)
         assert np.array_equal(dense(p), np.eye(26))
         assert not dp.any()
+
+
+class TestBatchedTables:
+    # 0 included, and a count that is no multiple of the optimizers' chunk
+    TIMES = np.concatenate([[0.0], np.linspace(0.02, 1.2, 12), [0.0, 2.5]])
+
+    @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
+    def test_stack_is_the_scalar_tables(self, chain, n_max):
+        ev = cached_evolver(chain, TRAP, n_max)
+        stack = ev.site_probabilities(self.TIMES)
+        assert stack.shape == (len(self.TIMES), n_max + 1, ev.n_sites)
+        assert np.array_equal(stack, np.stack([ev.site_probabilities(t) for t in self.TIMES]))
+        assert np.array_equal(dense(stack[0]), np.eye(n_max + 1))
+
+    def test_negative_time_in_array_rejected(self):
+        with pytest.raises(ValueError, match="pulse time"):
+            ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, 0.0, -1e-9, 0.5]))
+
+    def test_apply_table_broadcasts_leading_axes(self):
+        ev = ChainEvolver(F8, TRAP, 60)
+        stack = ev.site_probabilities(self.TIMES)
+        starts = np.stack([thermal_distribution(nbar, 60).probs for nbar in (0.5, 4.0, 9.0)])
+        out = apply_table(stack[:, None], starts)
+        assert out.shape == (len(self.TIMES), 3, 61)
+        for i, table in enumerate(stack):
+            for j, start in enumerate(starts):
+                assert np.array_equal(out[i, j], apply_table(table, start))

@@ -242,11 +242,12 @@ class TestDigests:
 
 class TestEvolverCache:
     def test_table1_builds_one_evolver_per_scheme(self):
-        # n_max does not depend on nbar, so each scheme's cells share one build
+        # n_max does not depend on nbar, so each scheme's cells share one
+        # grid scan and look their evolver up once
         cached_evolver.cache_clear()
         cmd_table1(RunConfig.from_dict({"table1": {"nbars": [10.0, 20.0]}}))
         info = cached_evolver.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert (info.misses, info.hits) == (2, 0)
 
     def test_fixed_rdp_cool_builds_one_evolver(self):
         # optimize_fixed_pulse, end_to_end_protocol and rdp_filter share it
@@ -366,6 +367,19 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("probe", {"probe": {"times": [1e308]}}),
+            ("cool", {"probe_time": 1e308, "strategy": {"kind": "fixed", "fixed_time": 0.2}}),
+        ],
+    )
+    def test_overflowing_probe_exits_3(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
     def test_invalid_scheme_exits_2(self, tmp_path):

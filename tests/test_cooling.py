@@ -2,20 +2,24 @@
 two-component decomposition of fixed-pulse histories."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from drsc import cooling
-from drsc.chain_dynamics import ChainEvolver
+from drsc.chain_dynamics import ChainEvolver, cached_evolver
 from drsc.cooling import (
     PulseSequence,
     SuppressionFit,
     _mean_and_gradient,
+    _single_pulse_seed,
     asymptotic_window,
     dual_thermal_decompose,
     heuristic_sequence,
     optimize_fixed_pulse,
+    optimize_fixed_pulses,
     optimize_global,
     suppression_factor,
 )
@@ -108,6 +112,73 @@ class TestOptimizeFixedPulse:
         t, a = optimize_fixed_pulse(two_level_chain(), TRAP, deep_thermal(15.0, two_level_chain()))
         assert 0.05 < t < 0.3
         assert a > 0.9
+
+
+def grid_loop_then_brent(f):
+    """The single-pulse search as a loop of scalar objective calls: the
+    reference the chunked grid must reproduce bit for bit."""
+    ts = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_GRID_POINTS)
+    vals = np.array([f(t) for t in ts])
+    i = int(np.argmin(vals))
+    assert 0 < i < len(ts) - 1
+    res = minimize_scalar(f, bracket=(ts[i - 1], ts[i], ts[i + 1]), method="brent")
+    if res.fun < vals[i]:
+        return float(res.x), float(res.fun)
+    return float(ts[i]), float(vals[i])
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSharedGridScan:
+    NBARS = (5.0, 20.0, 40.0)
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_equals_one_call_per_init(self, chain):
+        inits = [deep_thermal(nbar, chain) for nbar in self.NBARS]
+        singles = [optimize_fixed_pulse(chain, TRAP, init) for init in inits]
+        assert optimize_fixed_pulses(chain, TRAP, inits) == singles
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_equals_a_per_time_loop(self, chain):
+        init = deep_thermal(20.0, chain)
+        expected = grid_loop_then_brent(lambda t: suppression_factor(chain, TRAP, t, init))
+        assert optimize_fixed_pulse(chain, TRAP, init) == expected
+
+    def test_mean_n_seed_equals_a_per_time_loop(self):
+        init = thermal_state(1.0)
+        ev = ChainEvolver(F7, TRAP, init.n_max)
+        n = np.arange(init.n_max + 1)
+
+        def mean_after(t):
+            p = ev.apply_pulse(t, init.probs)
+            return float(n @ p) / p.sum()
+
+        assert _single_pulse_seed(ev, init.probs) == grid_loop_then_brent(mean_after)[0]
+
+    def test_inits_must_share_n_max(self):
+        with pytest.raises(ValueError, match="n_max"):
+            optimize_fixed_pulses(F7, TRAP, [deep_thermal(10.0, F7), deep_thermal(10.0, F8)])
+        with pytest.raises(ValueError, match="n_max"):
+            optimize_fixed_pulses(F7, TRAP, [])
+
+    # evolvers are built before tracing, so the bound is on the search's own
+    # arrays, which the grid chunk length keeps small
+    def test_nine_nbar_scan_memory(self):
+        inits = [thermal_distribution(nbar, 260) for nbar in (5, 10, 15, 20, 25, 30, 35, 40, 50)]
+        cached_evolver(F8, TRAP, 260)
+        assert traced_peak_bytes(lambda: optimize_fixed_pulses(F8, TRAP, inits)) <= 4e6
+
+    def test_single_scan_memory_at_n_max_400(self):
+        init = thermal_distribution(40.0, 400)
+        cached_evolver(F8, TRAP, 400)
+        assert traced_peak_bytes(lambda: optimize_fixed_pulse(F8, TRAP, init)) <= 4e6
 
 
 class TestOptimizeGlobal:

@@ -81,6 +81,16 @@ class TestSidebandProbe:
         with pytest.raises(ValueError):
             sideband_probe(thermal_distribution(1.0, 30), TRAP, 0.0)
 
+    def test_overflowing_probe_phase_is_a_numerical_failure(self):
+        # a finite time whose phases overflow: no warning, no bogus result
+        with pytest.raises(FloatingPointError, match="overflows"):
+            sideband_probe(thermal_distribution(1.0, 30), TRAP, 1e308)
+
+    def test_non_finite_populations_are_a_numerical_failure(self):
+        dist = PhononDistribution(probs=np.full(31, np.nan), n_max=30)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            sideband_probe(dist, TRAP, 0.5)
+
     def test_result_bounds_checked(self):
         with pytest.raises(ValueError):
             SidebandProbeResult(p_red=1.5, p_blue=0.2, probe_time=1.0, nbar_sb=1.0)
@@ -111,6 +121,11 @@ class TestRdpFilter:
 
     def test_default_t_clear_value(self):
         assert default_t_clear(F7, TRAP) == pytest.approx(0.792, abs=2e-3)
+
+    def test_nothing_kept_is_a_numerical_failure(self):
+        empty = PhononDistribution(probs=np.zeros(31), n_max=30)
+        with pytest.raises(FloatingPointError, match="removed all population"):
+            rdp_filter(empty, F7, TRAP, 0.79)
 
     def test_invalid_t_clear(self):
         with pytest.raises(ValueError):
@@ -173,6 +188,19 @@ class TestEndToEndProtocol:
         assert report.t_clear is not None
         assert 0.0 < report.success_probability <= 1.0
         assert report.nbar_history[-1] < report.nbar_history[-2]
+
+    def test_one_table_per_distinct_pulse_time(self, monkeypatch):
+        calls = []
+        table = ChainEvolver.site_probabilities
+
+        def counted(evolver, t):
+            calls.append(t)
+            return table(evolver, t)
+
+        monkeypatch.setattr(ChainEvolver, "site_probabilities", counted)
+        report = self.run(n_pulses=20)
+        assert calls == [0.17]
+        assert len(report.history) == 21
 
     def test_final_matches_last_snapshot(self):
         report = self.run(n_pulses=2, rdp=True)
