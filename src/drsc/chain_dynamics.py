@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .manifold import CouplingChain
 from .motional import TrapParams, sideband_coupling_ratios
@@ -47,12 +46,22 @@ class ChainEvolver:
         self.w = np.zeros((n_max + 1, n_sites))
         self.C = np.zeros((n_max + 1, n_sites, n_sites))
         self.C[0, 0, 0] = 1.0
-        for n in range(1, n_max + 1):
-            k = min(len(g) + 1, n + 1)
-            off = 0.5 * g[: k - 1] * ratios[n - np.arange(k - 1)]
-            vals, vecs = eigh_tridiagonal(np.zeros(k), off)
-            self.w[n, :k] = vals
-            self.C[n, :k, :k] = vecs * vecs[0, :]
+        # rows n < n_sites - 1 are cut short by the ground state, one at a time
+        for n in range(1, n_sites - 1):
+            self._diagonalize(slice(n, n + 1), n + 1, g, ratios)
+        # every row from n_sites - 1 up is full length: one batched eigensolve
+        if n_sites > 1:
+            self._diagonalize(slice(n_sites - 1, n_max + 1), n_sites, g, ratios)
+
+    def _diagonalize(self, rows: slice, k: int, g: np.ndarray, ratios: np.ndarray) -> None:
+        """Fill w and C for the start phonons in rows, whose chains have k sites."""
+        n = np.arange(rows.start, rows.stop)
+        ham = np.zeros((len(n), k, k))
+        i = np.arange(k - 1)
+        ham[:, i, i + 1] = ham[:, i + 1, i] = 0.5 * g[: k - 1] * ratios[n[:, None] - i]
+        vals, vecs = np.linalg.eigh(ham)
+        self.w[rows, :k] = vals
+        self.C[rows, :k, :k] = vecs * vecs[:, :1, :]
 
     def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
         """P[n, k] = probability that a start at phonon n ends k quanta lower.
@@ -63,8 +72,10 @@ class ChainEvolver:
         """
         return self._tables(t, derivative=False)[0]
 
-    def site_probabilities_with_derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The table P of site_probabilities(t), bit for bit, together with dP/dt."""
+    def site_probabilities_with_derivative(
+        self, t: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The tables P of site_probabilities(t), bit for bit, together with dP/dt."""
         return self._tables(t, derivative=True)
 
     def _tables(
@@ -76,13 +87,17 @@ class ChainEvolver:
         re = C cos(pi w t) and im = C sin(pi w t), so P = re^2 + im^2 and
         dP/dt = -2 pi (re C(w sin) - im C(w cos)).  P is computed the same
         way whether or not dP/dt is asked for, and the axes of t lead the
-        table axes; tables at t = 0 are the exact identity.
+        table axes; tables at t = 0 are the exact identity.  A pulse time
+        whose phases are not finite raises FloatingPointError.
         """
         t = np.asarray(t, dtype=float)
         t_min = t.min(initial=np.inf)
         if t_min < 0:
             raise ValueError(f"pulse time must be >= 0, got {t_min}")
-        phase = np.pi * t[..., None, None] * self.w
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.pi * t[..., None, None] * self.w
+        if not np.isfinite(phase).all():
+            raise FloatingPointError(f"pulse phase overflows at pulse time {t.max()}")
         cos, sin = np.cos(phase), np.sin(phase)
         amps = self.C @ np.stack([cos, sin], axis=-1)
         re, im = amps[..., 0], amps[..., 1]

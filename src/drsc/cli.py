@@ -29,9 +29,9 @@ from .cooling import (
 )
 from .heating import (
     build_pumping_graph,
-    mean_steps_to_dark,
     monte_carlo_steps,
     recoil_heating_estimate,
+    steps_to_dark,
 )
 from .motional import default_n_max, thermal_distribution
 from .thermometry import end_to_end_protocol, sideband_probe
@@ -246,12 +246,11 @@ def cmd_table1(cfg: RunConfig) -> dict[str, str]:
 
 def cmd_pumping(cfg: RunConfig) -> dict[str, str]:
     graph = build_pumping_graph(cfg.pumping.beams)
-    per_state_rows = [
-        [str(f), str(m), mean_steps_to_dark(graph, (f, m))] for (f, m) in graph.states
-    ]
-    uniform = mean_steps_to_dark(graph)
-    from_7p1 = mean_steps_to_dark(graph, (7, 1))
-    from_7m1 = mean_steps_to_dark(graph, (7, -1))
+    steps = steps_to_dark(graph)
+    per_state_rows = [[str(f), str(m), x] for (f, m), x in zip(graph.states, steps.tolist())]
+    uniform = float(steps.mean())
+    from_7p1 = float(steps[graph.index((7, 1))])
+    from_7m1 = float(steps[graph.index((7, -1))])
     recoil = {
         channel: recoil_heating_estimate(rate, uniform, cfg.trap.eta, cfg.pumping.geometry)
         for channel, rate in cfg.pumping.scatter_rates.items()

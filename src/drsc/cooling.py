@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import minimize, minimize_scalar
 
 from .chain_dynamics import ChainEvolver, apply_table, cached_evolver
 from .manifold import CouplingChain, ManifoldScheme
@@ -27,6 +26,9 @@ _T_GRID_POINTS = 240
 # 0.62 MB at F8/n_max 400 (K = 16); longer chunks outgrow the cache and
 # measured slower
 _GRID_CHUNK = 6
+# the refinement stops once a step moves the pulse time by no more than this
+_REFINE_XTOL = 1e-10
+_REFINE_MAX_STEPS = 60
 _MIN_PULSE_TIME = 1e-6
 
 
@@ -122,18 +124,33 @@ def suppression_factor(
     return float(_suppression(evolver.apply_pulse(t, init.probs), init.probs, window))
 
 
-def _grid_then_brent(
+def _suppression_slope(
+    after: np.ndarray, d_after: np.ndarray, p0: np.ndarray, window: tuple[int, int]
+) -> np.ndarray:
+    """d/dt of log _suppression(after, p0, window), given d_after = d(after)/dt."""
+    n_lo, n_hi = window
+    return np.mean(d_after[..., n_lo : n_hi + 1] / after[..., n_lo : n_hi + 1], axis=-1)
+
+
+def _grid_then_refine(
     evolver: ChainEvolver,
     p0s: np.ndarray,
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    slope: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> list[tuple[float, float]]:
     """Minimize objective(populations after one pulse, p0) over the pulse
     time, for each start p0 in the rows of p0s; one (t, value) per start.
 
     A coarse grid scan, whose tables are computed _GRID_CHUNK pulse times
-    per kernel call and applied to every start at once, is refined by
-    bracketed Brent minimization on single pulses.  The objective takes
-    broadcasting leading axes and returns one value per population vector.
+    per kernel call and applied to every start at once, brackets each
+    start's minimum by the grid neighbours of its lowest point.  Illinois
+    regula falsi then seeks the zero of slope(after, d_after, p0), which
+    has the sign of the objective's t-derivative.  Each step evaluates one
+    time per start still refining, _GRID_CHUNK times per kernel call, and
+    a start stops on its own, so its result does not depend on the other
+    starts.  The grid point stands when the bracket shows no sign change
+    or the refined value is not lower.  objective and slope take
+    broadcasting leading axes and return one value per population vector.
     """
     ts = np.linspace(_T_GRID_LO, _T_GRID_HI, _T_GRID_POINTS)
     vals = np.concatenate(
@@ -142,19 +159,47 @@ def _grid_then_brent(
             for chunk in np.split(ts, range(_GRID_CHUNK, len(ts), _GRID_CHUNK))
         ]
     )
-    results = []
-    for p0, col in zip(p0s, vals.T):
-        i = int(np.argmin(col))
-        t_best, f_best = float(ts[i]), float(col[i])
-        if 0 < i < len(ts) - 1:
-            res = minimize_scalar(
-                lambda t: float(objective(evolver.apply_pulse(t, p0), p0)),
-                bracket=(ts[i - 1], ts[i], ts[i + 1]),
-                method="brent",
-            )
-            if res.fun < f_best:
-                t_best, f_best = float(res.x), float(res.fun)
-        results.append((t_best, f_best))
+    best = np.argmin(vals, axis=0)
+    results = [(float(ts[i]), float(vals[i, s])) for s, i in enumerate(best)]
+
+    def evaluate(times, starts):
+        """objective and slope at times[j] from start starts[j]"""
+        f, g = np.empty(len(times)), np.empty(len(times))
+        for i in range(0, len(times), _GRID_CHUNK):
+            chunk = slice(i, i + _GRID_CHUNK)
+            site_p, d_site_p = evolver.site_probabilities_with_derivative(times[chunk])
+            p0 = p0s[starts[chunk]]
+            after = apply_table(site_p, p0)
+            f[chunk] = objective(after, p0)
+            g[chunk] = slope(after, apply_table(d_site_p, p0), p0)
+        return f, g
+
+    starts = np.nonzero((best > 0) & (best < len(ts) - 1))[0]
+    # row 0 of bracket is the end with slope < 0, row 1 the end with slope > 0
+    bracket = np.stack([ts[best[starts] - 1], ts[best[starts] + 1]])
+    g_ends = evaluate(bracket.ravel(), np.tile(starts, 2))[1].reshape(2, -1)
+    live = (g_ends[0] < 0) & (g_ends[1] > 0)
+    starts, bracket, g_ends = starts[live], bracket[:, live], g_ends[:, live]
+    last_end = np.full(len(starts), -1)
+    t_prev = np.full(len(starts), np.nan)
+    # a start not converged after the last step keeps its grid point
+    for _ in range(_REFINE_MAX_STEPS):
+        if not len(starts):
+            break
+        t = bracket[1] - g_ends[1] * (bracket[1] - bracket[0]) / (g_ends[1] - g_ends[0])
+        f, g = evaluate(t, starts)
+        end = (g > 0).astype(int)
+        cols = np.arange(len(starts))
+        # Illinois: the end kept a second time in a row has its slope halved
+        g_ends[1 - end, cols] *= np.where(end == last_end, 0.5, 1.0)
+        bracket[end, cols], g_ends[end, cols] = t, g
+        done = (g == 0) | (np.abs(t - t_prev) <= _REFINE_XTOL)
+        for s, t_s, f_s in zip(starts[done], t[done], f[done]):
+            if f_s < results[s][1]:
+                results[s] = (float(t_s), float(f_s))
+        live = ~done
+        starts, bracket, g_ends = starts[live], bracket[:, live], g_ends[:, live]
+        last_end, t_prev = end[live], t[live]
     return results
 
 
@@ -173,10 +218,11 @@ def optimize_fixed_pulses(
         window = asymptotic_window(trap.eta)
     window = [_check_window(window, init, len(chain.steps)) for init in inits][0]
     evolver = cached_evolver(chain, trap, inits[0].n_max)
-    return _grid_then_brent(
+    return _grid_then_refine(
         evolver,
         np.stack([init.probs for init in inits]),
         lambda after, p0: _suppression(after, p0, window),
+        lambda after, d_after, p0: _suppression_slope(after, d_after, p0, window),
     )
 
 
@@ -226,9 +272,16 @@ def _mean_and_gradient(
 
 def _single_pulse_seed(evolver: ChainEvolver, p0: np.ndarray) -> float:
     n = np.arange(len(p0))
-    # row by row, so a grid value is bit for bit the objective Brent sees
+    # row by row, as the scalar float(n @ p) / p.sum(); a batched P @ n rounds differently
     mean_after = np.vectorize(lambda p: float(n @ p) / p.sum(), signature="(n)->()")
-    ((t, _),) = _grid_then_brent(evolver, p0[None], lambda after, _p0: mean_after(after))
+
+    def mean_slope(after, d_after, _p0):
+        # sum(p)^2 times d/dt of (n @ p) / sum(p)
+        return (d_after @ n) * after.sum(axis=-1) - (after @ n) * d_after.sum(axis=-1)
+
+    ((t, _),) = _grid_then_refine(
+        evolver, p0[None], lambda after, _p0: mean_after(after), mean_slope
+    )
     return t
 
 
@@ -273,6 +326,9 @@ def optimize_global(
         # tiny keeps the log finite when no population is above the ground state
         f_pos = f + np.finfo(float).tiny
         return math.log(f_pos), grad / f_pos
+
+    # imported here, not at module level: only this optimizer needs scipy
+    from scipy.optimize import minimize
 
     x0 = np.array([t_seed])
     converged = True

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .manifold import cg_signed_square, decay_branching
 from .motional import PhononDistribution
@@ -33,6 +32,9 @@ def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of the unit-rate diffusive
     generator on n = 0..n_max: diagonal -(2n+1), off-diagonal n between
     n-1 and n.  The top row keeps its upward leak out of the ladder."""
+    # imported here, not at module level: only heated protocols need scipy
+    from scipy.linalg import eigh_tridiagonal
+
     n = np.arange(n_max + 1, dtype=float)
     lam, vecs = eigh_tridiagonal(-(2.0 * n + 1.0), n[1:])
     lam.setflags(write=False)
@@ -201,14 +203,9 @@ def _check_reachable(graph: PumpingGraph) -> None:
         )
 
 
-def mean_steps_to_dark(
-    graph: PumpingGraph, start: tuple[int, int] | dict | None = None
-) -> float:
-    """Expected scattering events before reaching the dark state.
-
-    start: a single (F, m) level, a {level: weight} distribution, or None
-    for a uniform average over all sublevels (the dark state counting 0).
-    """
+def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
+    """Expected scattering events before reaching the dark state, from
+    each sublevel in graph.states order (the dark state counting 0)."""
     _check_reachable(graph)
     transient, q = _transient_system(graph)
     try:
@@ -217,6 +214,18 @@ def mean_steps_to_dark(
         raise RuntimeError("absorption unreachable: singular fundamental matrix") from exc
     steps = np.zeros(len(graph.states))
     steps[transient] = x
+    return steps
+
+
+def mean_steps_to_dark(
+    graph: PumpingGraph, start: tuple[int, int] | dict | None = None
+) -> float:
+    """Expected scattering events before reaching the dark state.
+
+    start: a single (F, m) level, a {level: weight} distribution, or None
+    for a uniform average over all sublevels (the dark state counting 0).
+    """
+    steps = steps_to_dark(graph)
     if start is None:
         return float(steps.mean())
     if isinstance(start, dict):
@@ -258,9 +267,8 @@ def monte_carlo_steps(
     for _ in range(max_steps):
         if counts.sum() == 0:
             break
-        new = np.zeros(n, dtype=np.int64)
-        for i in np.nonzero(counts)[0]:
-            new += rng.multinomial(counts[i], graph.step_matrix[i])
+        occupied = np.nonzero(counts)[0]
+        new = rng.multinomial(counts[occupied], graph.step_matrix[occupied]).sum(axis=0)
         absorbed_at.append(int(new[idx_abs]))
         new[idx_abs] = 0
         counts = new

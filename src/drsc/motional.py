@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 _RESCALE = 1e250
 
@@ -107,7 +106,7 @@ def fock_coupling(n: int, n_prime: int, eta: float) -> float:
     lo, hi = min(n, n_prime), max(n, n_prime)
     dn = hi - lo
     x = eta * eta
-    log_pref = -0.5 * x + dn * math.log(eta) + 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+    log_pref = -0.5 * x + dn * math.log(eta) + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
     # L_k^dn(x) for k = 0..lo with overflow rescaling
     log_scale = 0.0
     prev, cur = 1.0, 1.0 + dn - x

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,9 +162,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "e4b3eaa4c6ec6ac8c698909e1e639d6c0598a4f0f6bd6f3054fc785cd6bebf53",
-            "cool_sequence.json": "d698890da6d89a6aa3f14e104f641c9de0724e0af91549f8daead0a1e654e9df",
-            "cool_snapshots.csv": "1e5a23be8b3a45eeaae847baf09e3a4d9c118b26846ce27f375b78c72b83f13f",
+            "cool_history.csv": "7c65e7f23f3dfc7910e77efd3df2f9a879171c80b91b3d967ef0bcb9a9d58663",
+            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
+            "cool_snapshots.csv": "c6a1653e9f678ee6be6ce1c9cb46bf1fe10ecf25bab6f172276cbafa8afdc809",
             "cool_suppression_fit.json": "73607695f31c793145433b42230a9db1d875234e7571fbcd1b1e322be66b9ce2",
         },
     ),
@@ -199,7 +201,7 @@ DIGEST_CASES = [
         "table1-f7",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
-        {"table1.csv": "ca3b70c8a8f2ccce651b1bfe2ba8d069362c481702cfd53d877c443b10bd5199"},
+        {"table1.csv": "1d1b41fa1df3fb2f1b3ac8236029f02709b1055143a2f56e0fe90b22e026ab7f"},
     ),
     (
         "pumping",
@@ -382,6 +384,25 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("transfer-matrix", {"transfer_matrix": {"n_max": 20, "times": [1e308]}}),
+            (
+                "cool",
+                {
+                    "rdp": {"enabled": True, "t_clear": 1e308},
+                    "strategy": {"kind": "fixed", "fixed_time": 0.2},
+                },
+            ),
+        ],
+    )
+    def test_overflowing_pulse_exits_3(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_invalid_scheme_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"scheme": "F9"})
         assert main(["cool", "--config", cfg]) == 2
@@ -448,3 +469,58 @@ class TestEnvironment:
         ha = read_meta_lines(a / "probe.csv")["config_sha256"]
         hb = read_meta_lines(b / "probe.csv")["config_sha256"]
         assert ha != hb
+
+
+# Runs in a fresh interpreter whose imports of scipy fail: drsc must import
+# without it and four commands must run without it; cool, which optimizes,
+# imports it once the block is lifted.
+SCIPY_FREE_SCRIPT = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+blocker = BlockScipy()
+sys.meta_path.insert(0, blocker)
+import drsc
+import drsc.cli
+
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded
+config, out = sys.argv[1], sys.argv[2]
+for command in ("table1", "pumping", "transfer-matrix", "probe"):
+    assert drsc.cli.main([command, "--config", config, "--out", out]) == 0, command
+sys.meta_path.remove(blocker)
+assert drsc.cli.main(["cool", "--no-heating", "--config", config, "--out", out]) == 0
+"""
+
+
+class TestScipyFree:
+    def test_four_commands_run_without_scipy(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "initial_nbar": 1.0,
+                "strategy": {"kind": "global_opt", "n_pulses": 2},
+                "table1": {"schemes": ["F7", "F8"], "nbars": [10.0]},
+                "pumping": {"monte_carlo_trajectories": 1000},
+                "transfer_matrix": {"n_max": 20, "times": [0.3]},
+                "probe": {"times": [1.0]},
+            },
+        )
+        out = tmp_path / "out"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", SCIPY_FREE_SCRIPT, cfg, str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = sorted(os.listdir(out))
+        assert "table1.csv" in written and "cool_history.csv" in written

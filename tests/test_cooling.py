@@ -6,10 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize_scalar
 
 from drsc import cooling
 from drsc.chain_dynamics import ChainEvolver, cached_evolver
+from drsc.cli import cmd_table1
+from drsc.config import RunConfig
 from drsc.cooling import (
     PulseSequence,
     SuppressionFit,
@@ -115,8 +118,9 @@ class TestOptimizeFixedPulse:
 
 
 def grid_loop_then_brent(f):
-    """The single-pulse search as a loop of scalar objective calls: the
-    reference the chunked grid must reproduce bit for bit."""
+    """The single-pulse search as a loop of scalar objective calls refined
+    by scipy's Brent minimizer: an oracle independent of the batched grid
+    and its derivative-based refinement."""
     ts = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_GRID_POINTS)
     vals = np.array([f(t) for t in ts])
     i = int(np.argmin(vals))
@@ -146,12 +150,19 @@ class TestSharedGridScan:
         assert optimize_fixed_pulses(chain, TRAP, inits) == singles
 
     @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
-    def test_equals_a_per_time_loop(self, chain):
+    def test_matches_brent_oracle(self, chain):
         init = deep_thermal(20.0, chain)
-        expected = grid_loop_then_brent(lambda t: suppression_factor(chain, TRAP, t, init))
-        assert optimize_fixed_pulse(chain, TRAP, init) == expected
 
-    def test_mean_n_seed_equals_a_per_time_loop(self):
+        def suppression(t):
+            return suppression_factor(chain, TRAP, t, init)
+
+        t_ref, a_ref = grid_loop_then_brent(suppression)
+        t, a = optimize_fixed_pulse(chain, TRAP, init)
+        assert abs(t - t_ref) <= 1e-8
+        assert a <= a_ref + 1e-15
+        assert a == suppression(t)
+
+    def test_mean_n_seed_matches_brent_oracle(self):
         init = thermal_state(1.0)
         ev = ChainEvolver(F7, TRAP, init.n_max)
         n = np.arange(init.n_max + 1)
@@ -160,7 +171,27 @@ class TestSharedGridScan:
             p = ev.apply_pulse(t, init.probs)
             return float(n @ p) / p.sum()
 
-        assert _single_pulse_seed(ev, init.probs) == grid_loop_then_brent(mean_after)[0]
+        t_ref, f_ref = grid_loop_then_brent(mean_after)
+        t = _single_pulse_seed(ev, init.probs)
+        assert abs(t - t_ref) <= 1e-8
+        assert mean_after(t) <= f_ref + 1e-15
+
+    def test_table1_f7_kernel_calls(self, monkeypatch):
+        # one 240-point grid for all nine nbar cells, six pulse times per
+        # call, then the refinement's batched derivative calls
+        nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
+        cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
+        calls = []
+        real_tables = ChainEvolver._tables
+
+        def counting(self, t, derivative):
+            calls.append(derivative)
+            return real_tables(self, t, derivative)
+
+        monkeypatch.setattr(ChainEvolver, "_tables", counting)
+        cmd_table1(cfg)
+        assert calls.count(False) <= 40
+        assert calls.count(True) <= 15
 
     def test_inits_must_share_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -263,14 +294,14 @@ class TestOptimizeGlobal:
 
     def test_one_warm_start_per_pulse_count(self, monkeypatch):
         calls = []
-        real_minimize = cooling.minimize
+        real_minimize = scipy.optimize.minimize
 
         def counting(fun, x0, *args, **kwargs):
             res = real_minimize(fun, x0, *args, **kwargs)
             calls.append((np.array(x0), res.x.copy()))
             return res
 
-        monkeypatch.setattr(cooling, "minimize", counting)
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
         trace = []
         seq = optimize_global(F7, TRAP, thermal_state(1.0), 4, trace=trace)
         assert [len(x0) for x0, _ in calls] == [1, 2, 3, 4]
