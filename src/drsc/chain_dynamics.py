@@ -26,9 +26,13 @@ class ChainEvolver:
     off-diagonal elements g_k * R(n - k) / 2, where R(n) is the
     red-sideband coupling ratio and K = min(chain length + 1, n + 1).
     Evolution for duration t (units of the reference pi-time) is
-    U = exp(-i pi H t), done by eigendecomposition since the same chain
-    is queried at many pulse times.  H is real, so the pulse tables are
-    computed in real arithmetic from cos and sin of the eigenphases.
+    U = exp(-i pi H t).  The zero diagonal makes the chain bipartite:
+    H couples even sites only to odd ones through the block B, so its
+    eigenvalues are the pairs +-sigma of the singular values of
+    B = U S W^T (Jordan-Wielandt).  From the even start site 0, the
+    amplitude on even site 2a is sum_j U_aj U_0j cos(pi sigma_j t), and on
+    odd site 2b + 1 it is -i sum_j W_bj U_0j sin(pi sigma_j t): one real
+    matvec per row, on ceil(K/2) mode frequencies.
     """
 
     def __init__(self, chain: CouplingChain, trap: TrapParams, n_max: int):
@@ -37,31 +41,39 @@ class ChainEvolver:
         g = chain.couplings
         ratios = sideband_coupling_ratios(n_max, trap.eta)
         n_sites = min(len(g) + 1, n_max + 1)
+        n_modes = (n_sites + 1) // 2
         self.chain = chain
         self.trap = trap
         self.n_max = n_max
         self.n_sites = n_sites
-        # C[n, k, j] = V_kj * V_0j so the site-k amplitude after time t is
-        # sum_j C[n, k, j] exp(-i pi w[n, j] t)
-        self.w = np.zeros((n_max + 1, n_sites))
-        self.C = np.zeros((n_max + 1, n_sites, n_sites))
+        # w[n, j] = sigma_j, zero-padded; the site-k amplitude after time t
+        # is sum_j C[n, k, j] [cos(pi w t), sin(pi w t)]_j up to a phase
+        self.w = np.zeros((n_max + 1, n_modes))
+        self.C = np.zeros((n_max + 1, n_sites, 2 * n_modes))
         self.C[0, 0, 0] = 1.0
         # rows n < n_sites - 1 are cut short by the ground state, one at a time
         for n in range(1, n_sites - 1):
             self._diagonalize(slice(n, n + 1), n + 1, g, ratios)
-        # every row from n_sites - 1 up is full length: one batched eigensolve
+        # every row from n_sites - 1 up is full length: one batched SVD
         if n_sites > 1:
             self._diagonalize(slice(n_sites - 1, n_max + 1), n_sites, g, ratios)
 
     def _diagonalize(self, rows: slice, k: int, g: np.ndarray, ratios: np.ndarray) -> None:
-        """Fill w and C for the start phonons in rows, whose chains have k sites."""
+        """Fill w and C for the start phonons in rows, whose chains have k sites.
+
+        For odd k, B has one row more than columns; the zero-padded
+        sigma carries its null mode as the constant cos(0) = 1.
+        """
         n = np.arange(rows.start, rows.stop)
         ham = np.zeros((len(n), k, k))
         i = np.arange(k - 1)
         ham[:, i, i + 1] = ham[:, i + 1, i] = 0.5 * g[: k - 1] * ratios[n[:, None] - i]
-        vals, vecs = np.linalg.eigh(ham)
-        self.w[rows, :k] = vals
-        self.C[rows, :k, :k] = vecs * vecs[:, :1, :]
+        u, sigma, wt = np.linalg.svd(ham[:, 0::2, 1::2], full_matrices=True)
+        n_odd, n_modes = k // 2, self.w.shape[1]
+        self.w[rows, :n_odd] = sigma
+        # even sites read cos against U_aj U_0j, odd sites sin against W_bj U_0j
+        self.C[rows, 0:k:2, : k - n_odd] = u * u[:, :1, :]
+        self.C[rows, 1:k:2, n_modes : n_modes + n_odd] = wt.transpose(0, 2, 1) * u[:, :1, :n_odd]
 
     def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
         """P[n, k] = probability that a start at phonon n ends k quanta lower.
@@ -81,14 +93,13 @@ class ChainEvolver:
     def _tables(
         self, t: float | np.ndarray, derivative: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """P and, if asked, dP/dt from real batched products on cos and sin.
+        """P and, if asked, dP/dt from real batched matvecs on cos and sin.
 
-        The site amplitude sum_j C e^{-i pi w t} is re - i im with
-        re = C cos(pi w t) and im = C sin(pi w t), so P = re^2 + im^2 and
-        dP/dt = -2 pi (re C(w sin) - im C(w cos)).  P is computed the same
-        way whether or not dP/dt is asked for, and the axes of t lead the
-        table axes; tables at t = 0 are the exact identity.  A pulse time
-        whose phases are not finite raises FloatingPointError.
+        The site amplitude is amp = C [cos(pi w t); sin(pi w t)], so
+        P = amp^2 and dP/dt = 2 pi amp C [-w sin; w cos].  P is computed
+        the same way whether or not dP/dt is asked for, and the axes of t
+        lead the table axes; tables at t = 0 are the exact identity.  A
+        pulse time whose phases are not finite raises FloatingPointError.
         """
         t = np.asarray(t, dtype=float)
         t_min = t.min(initial=np.inf)
@@ -99,17 +110,17 @@ class ChainEvolver:
         if not np.isfinite(phase).all():
             raise FloatingPointError(f"pulse phase overflows at pulse time {t.max()}")
         cos, sin = np.cos(phase), np.sin(phase)
-        amps = self.C @ np.stack([cos, sin], axis=-1)
-        re, im = amps[..., 0], amps[..., 1]
-        p = re * re + im * im
+        amp = (self.C @ np.concatenate([cos, sin], axis=-1)[..., None])[..., 0]
+        p = amp * amp
         # all times > 0 is the common case; a NaN minimum could hide a zero
         any_zero = not t_min > 0
         if any_zero:
             p[t == 0] = np.arange(self.n_sites) == 0
         if not derivative:
             return p, None
-        d_amps = self.C @ np.stack([self.w * sin, self.w * cos], axis=-1)
-        dp = -2.0 * np.pi * (re * d_amps[..., 0] - im * d_amps[..., 1])
+        d_arg = np.concatenate([-self.w * sin, self.w * cos], axis=-1)
+        d_amp = (self.C @ d_arg[..., None])[..., 0]
+        dp = 2.0 * np.pi * amp * d_amp
         if any_zero:
             dp[t == 0] = 0.0
         return p, dp

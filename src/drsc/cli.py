@@ -81,13 +81,57 @@ def _json(meta: dict, payload: dict) -> str:
     return json.dumps({"metadata": meta, **payload}, sort_keys=True, indent=2) + "\n"
 
 
+def _window_n_max(cfg: RunConfig, chain) -> int:
+    """Truncation covering the suppression window plus the pulse band."""
+    return asymptotic_window(cfg.trap.eta)[1] + len(chain.steps)
+
+
+def _initial_n_max(cfg: RunConfig, chain) -> int:
+    return max(default_n_max(cfg.initial_nbar, cfg.coverage), _window_n_max(cfg, chain))
+
+
+def _probe_n_max(cfg: RunConfig) -> int:
+    # raised floor keeps the sideband ratio truncation bias well below 1e-6
+    return max(default_n_max(cfg.initial_nbar, cfg.coverage), 400)
+
+
 def _initial_state(cfg: RunConfig, chain):
     """Thermal start truncated to cover the suppression window plus band."""
-    n_max = max(
-        default_n_max(cfg.initial_nbar, cfg.coverage),
-        asymptotic_window(cfg.trap.eta)[1] + len(chain.steps),
-    )
-    return thermal_distribution(cfg.initial_nbar, n_max)
+    return thermal_distribution(cfg.initial_nbar, _initial_n_max(cfg, chain))
+
+
+# no single array a command allocates may exceed this; the largest in the
+# benchmark workloads is 1.3 MB
+_ARRAY_BUDGET_BYTES = 2**28
+
+
+def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
+    """Estimated bytes of the largest array the command allocates: a dense
+    (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
+    evolver's (n_max+1) K^2 pulse weights, or the probe's populations."""
+
+    def evolver(chain, n_max):
+        return (n_max + 1) * chain.bandwidth**2 * 8
+
+    if command == "transfer-matrix":
+        chain, _ = cfg.scheme.build()
+        n_max = cfg.transfer_matrix.n_max
+        return max((n_max + 1) ** 2 * 8, evolver(chain, n_max))
+    if command in ("cool", "optimize"):
+        chain, _ = cfg.scheme.build()
+        n_max = _initial_n_max(cfg, chain)
+        sizes = [evolver(chain, n_max)]
+        if cfg.strategy.kind == "heuristic":
+            sizes.append(evolver(chain, default_n_max(cfg.strategy.final_nbar)))
+        if command == "cool" and cfg.heating.enabled:
+            sizes.append((n_max + 1) ** 2 * 8)
+        return max(sizes)
+    if command == "table1":
+        chains = [type(cfg.scheme).parse(name).build()[0] for name in cfg.table1.schemes]
+        return max(evolver(chain, _window_n_max(cfg, chain)) for chain in chains)
+    if command == "probe":
+        return (_probe_n_max(cfg) + 2) * 8
+    return 0
 
 
 def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
@@ -223,7 +267,7 @@ def cmd_table1(cfg: RunConfig) -> dict[str, str]:
     rows = []
     for scheme_name in cfg.table1.schemes:
         chain, _ = type(cfg.scheme).parse(scheme_name).build()
-        n_max = asymptotic_window(cfg.trap.eta)[1] + len(chain.steps)
+        n_max = _window_n_max(cfg, chain)
         inits = [thermal_distribution(nbar, n_max) for nbar in cfg.table1.nbars]
         optima = optimize_fixed_pulses(chain, cfg.trap, inits)
         for nbar, (t_opt, a_opt) in zip(cfg.table1.nbars, optima):
@@ -279,9 +323,7 @@ def cmd_pumping(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_probe(cfg: RunConfig) -> dict[str, str]:
-    # raised floor keeps the sideband ratio truncation bias well below 1e-6
-    n_max = max(default_n_max(cfg.initial_nbar, cfg.coverage), 400)
-    dist = thermal_distribution(cfg.initial_nbar, n_max)
+    dist = thermal_distribution(cfg.initial_nbar, _probe_n_max(cfg))
     rows = []
     for tau in cfg.probe.times:
         r = sideband_probe(dist, cfg.trap, tau)
@@ -375,6 +417,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        size = _largest_array_bytes(args.command, cfg)
+        if size > _ARRAY_BUDGET_BYTES:
+            raise ConfigError(
+                f"{args.command} would allocate an array of about {size / 2**20:.4g} MiB, "
+                f"over the {_ARRAY_BUDGET_BYTES / 2**20:.4g} MiB budget"
+            )
         files = _COMMANDS[args.command](cfg)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

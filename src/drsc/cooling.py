@@ -13,7 +13,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain_dynamics import ChainEvolver, apply_table, cached_evolver
 from .manifold import CouplingChain, ManifoldScheme
@@ -259,28 +258,28 @@ def _mean_and_gradient(
     total = p.sum()
     f = float(n @ p) / total
     lam = (n - f) / total
-    pad = np.zeros(evolver.n_sites - 1)
-    grad = np.empty(len(tables))
+    grad = np.zeros(len(tables))
     for i in range(len(tables) - 1, -1, -1):
         site_p, d_site_p = tables[i]
-        # shifted[j, k] = lambda_{i+1}[j - k], zero where j < k
-        shifted = sliding_window_view(np.concatenate([pad, lam]), evolver.n_sites)[:, ::-1]
-        grad[i] = inputs[i] @ np.sum(d_site_p * shifted, axis=1)
-        lam = np.sum(site_p * shifted, axis=1)
+        p_i, lam_next = inputs[i], np.zeros_like(lam)
+        # band k moves population from j to j - k, as in apply_table
+        for k in range(site_p.shape[-1]):
+            shifted = lam[: len(lam) - k]
+            lam_next[k:] += site_p[k:, k] * shifted
+            grad[i] += (d_site_p[k:, k] * p_i[k:]) @ shifted
+        lam = lam_next
     return f, grad
 
 
 def _single_pulse_seed(evolver: ChainEvolver, p0: np.ndarray) -> float:
     n = np.arange(len(p0))
-    # row by row, as the scalar float(n @ p) / p.sum(); a batched P @ n rounds differently
-    mean_after = np.vectorize(lambda p: float(n @ p) / p.sum(), signature="(n)->()")
 
     def mean_slope(after, d_after, _p0):
         # sum(p)^2 times d/dt of (n @ p) / sum(p)
         return (d_after @ n) * after.sum(axis=-1) - (after @ n) * d_after.sum(axis=-1)
 
     ((t, _),) = _grid_then_refine(
-        evolver, p0[None], lambda after, _p0: mean_after(after), mean_slope
+        evolver, p0[None], lambda after, _p0: (after @ n) / after.sum(axis=-1), mean_slope
     )
     return t
 
@@ -340,7 +339,7 @@ def optimize_global(
             jac=True,
             method="L-BFGS-B",
             bounds=[(_MIN_PULSE_TIME, None)] * k,
-            options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000},
+            options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 1000},
         )
         converged = converged and bool(res.success)
         n_evals.append(res.nfev)

@@ -8,6 +8,7 @@ selection-rule zeros are exact zeros, not small floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
@@ -149,11 +150,14 @@ def _step_amplitude(scheme: ManifoldScheme, m_from: int, m_to: int) -> float:
     return amp
 
 
+@functools.lru_cache(maxsize=16)
 def build_coupling_chain(scheme: ManifoldScheme) -> CouplingChain:
     """Walk the manifold from start_m, collecting relative couplings.
 
     The walk stops at the manifold edge or at the first exactly-forbidden
-    step.  Couplings are magnitudes normalized to the first step.
+    step.  Couplings are magnitudes normalized to the first step.  The
+    chain is immutable and cached per scheme, so the CLI's array-size
+    check and the command it guards share one walk.
     """
     d = scheme.step_direction
     raw: list[ChainStep] = []

@@ -60,6 +60,8 @@ def default_n_max(nbar: float, coverage: float = 0.9999) -> int:
     if nbar == 0:
         return floor
     r = nbar / (nbar + 1.0)
+    if r == 1.0:
+        raise ValueError(f"nbar {nbar} is too large for any finite truncation")
     # retained mass 1 - r^(n_max+1) >= coverage
     n_cov = math.ceil(math.log(1.0 - coverage) / math.log(r) - 1.0)
     return max(floor, n_cov)

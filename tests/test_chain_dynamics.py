@@ -1,8 +1,9 @@
-"""Pulse evolution against an independent ODE integration, plus the
-structural invariants of the banded pulse table."""
+"""Pulse evolution against an independent ODE integration and a 30-digit
+row exponential, plus the structural invariants of the banded pulse table."""
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,7 +19,7 @@ from drsc.manifold import (
     f8_scheme,
     two_level_chain,
 )
-from drsc.motional import TrapParams, fock_coupling, thermal_distribution
+from drsc.motional import TrapParams, fock_coupling, sideband_coupling_ratios, thermal_distribution
 
 F7 = build_coupling_chain(f7_scheme())
 F8 = build_coupling_chain(f8_scheme())
@@ -199,11 +200,58 @@ class TestApplySequence:
 
 
 def einsum_reference(evolver, t):
-    """P and dP/dt from complex amplitudes, a = sum_j C exp(-i pi w t)."""
-    phases = np.exp(-1j * np.pi * evolver.w * t)
-    amps = np.einsum("nkj,nj->nk", evolver.C, phases)
-    d_amps = np.einsum("nkj,nj->nk", evolver.C, -1j * np.pi * evolver.w * phases)
+    """P and dP/dt from complex exponentials of the sublattice modes.
+
+    Each singular triplet of the even-to-odd block gives the two
+    eigenmodes +-w of the chain; both enter the even sites with the cos
+    weights C[..., :M] and the odd sites, with opposite signs, with the
+    sin weights C[..., M:], so a = sum_j C_cos (e^{-ix} + e^{ix}) / 2 +
+    C_sin (e^{-ix} - e^{ix}) / 2 with x = pi w t.
+    """
+    m = evolver.w.shape[1]
+    down, up = np.exp(-1j * np.pi * evolver.w * t), np.exp(1j * np.pi * evolver.w * t)
+    c_cos, c_sin = evolver.C[..., :m], evolver.C[..., m:]
+    amps = np.einsum("nkj,nj->nk", c_cos, (down + up) / 2) + np.einsum(
+        "nkj,nj->nk", c_sin, (down - up) / 2
+    )
+    rate = -1j * np.pi * evolver.w
+    d_amps = np.einsum("nkj,nj->nk", c_cos, rate * (down - up) / 2) + np.einsum(
+        "nkj,nj->nk", c_sin, rate * (down + up) / 2
+    )
     return np.abs(amps) ** 2, 2.0 * np.real(np.conj(amps) * d_amps)
+
+
+def mpmath_rows(chain, n_max, rows, times):
+    """P[n, k] for the given start rows and pulse times from the full k x k
+    Hamiltonian, diagonalized by mpmath at 30 digits; one (len(times),
+    len(rows), sites) array, zero past each row's chain."""
+    g = chain.couplings
+    ratios = sideband_coupling_ratios(n_max, TRAP.eta)
+    n_sites = min(len(g) + 1, n_max + 1)
+    out = np.zeros((len(times), len(rows), n_sites))
+    with mpmath.workdps(30):
+        for r, n in enumerate(rows):
+            k = min(n_sites, n + 1)
+            h = mpmath.zeros(k, k)
+            for i in range(k - 1):
+                h[i, i + 1] = h[i + 1, i] = mpmath.mpf(0.5 * g[i]) * mpmath.mpf(ratios[n - i])
+            energies, vecs = mpmath.eigsy(h)
+            for s, t in enumerate(times):
+                phases = [mpmath.expjpi(-energies[j] * mpmath.mpf(t)) for j in range(k)]
+                for site in range(k):
+                    amp = mpmath.fsum(vecs[site, j] * vecs[0, j] * phases[j] for j in range(k))
+                    out[s, r, site] = float(abs(amp) ** 2)
+    return out
+
+
+# hand-built chains the shipped schemes never reach: odd length, and a
+# zero coupling that cuts the chain (degenerate singular values)
+FIVE_SITES = CouplingChain(
+    steps=tuple(ChainStep(-k, -k - 1, g) for k, g in enumerate([1.0, 1.3, 0.7, 1.9]))
+)
+CUT = CouplingChain(
+    steps=tuple(ChainStep(-k, -k - 1, g) for k, g in enumerate([1.0, 0.8, 0.0, 1.2, 0.5]))
+)
 
 
 class TestRealKernel:
@@ -235,6 +283,27 @@ class TestRealKernel:
             _, dp = ev.site_probabilities_with_derivative(t)
             fd = (ev.site_probabilities(t + h) - ev.site_probabilities(t - h)) / (2 * h)
             assert np.max(np.abs(dp - fd)) <= 1e-7 * np.max(np.abs(dp))
+
+    @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
+    def test_matches_mpmath_exponential(self, chain):
+        # every third row up to n_max 120, at the optimizers' times and past them
+        times = [0.17, 0.65, 1.2, 2.5]
+        rows = list(range(0, 121, 3))
+        ref = mpmath_rows(chain, 120, rows, times)
+        ev = ChainEvolver(chain, TRAP, 120)
+        np.testing.assert_allclose(ev.site_probabilities(times)[:, rows], ref, rtol=0, atol=2e-14)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [FIVE_SITES, CUT, two_level_chain()],
+        ids=["five-sites", "zero-coupling", "two-level"],
+    )
+    def test_odd_and_degenerate_chains(self, chain):
+        times = [0.0, 0.3, 1.1, 2.5]
+        site_p = ChainEvolver(chain, TRAP, 40).site_probabilities(times)
+        ref = mpmath_rows(chain, 40, range(41), times)
+        np.testing.assert_allclose(site_p, ref, rtol=0, atol=2e-14)
+        np.testing.assert_allclose(site_p.sum(axis=-1), 1.0, rtol=0, atol=1e-13)
 
     def test_zero_time_derivative_vanishes(self):
         p, dp = ChainEvolver(F8, TRAP, 25).site_probabilities_with_derivative(0.0)

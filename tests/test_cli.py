@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from drsc import cli
 from drsc.chain_dynamics import cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
@@ -127,9 +129,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "c5eb4c1aae17cfc77ba6223bb837079a2306d6c52f9f3e2a1d3b31c3405cbc45",
-            "cool_sequence.json": "2c99d83e104a821aa91fdd1f5ebde83b61eed4c44ad9704c7d248f8727330ea5",
-            "cool_snapshots.csv": "39ac541785cb088031dfcb3dbcafc2de0197a342407e19e8665cd94d3f8f94db",
+            "cool_history.csv": "5ae09bd46020e4912135b2cfd4bd6005c46c99aeb38e784d9ded0f99bb25d3e0",
+            "cool_sequence.json": "e55a94946b3cd640e475e86504db7d6fd621195ff86d568e6e9daecfa2690b77",
+            "cool_snapshots.csv": "6dab8e11e6b9bacbf57b062fed29945f65f83330c46b5c034686f4a48717ee7d",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -138,9 +140,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "7a7c374f049ba6a55b30882734e66586a1dc579dc5b357132579ca0878f07ecb",
-            "cool_sequence.json": "ea3ec25addbee20ac19c36606f5234d20c5a54be191b1c35dd39dac01c38c12b",
-            "cool_snapshots.csv": "72c98c17e88ba162ed927b818fe0cc774e7a4b57db192e21b2c3248d354f9c9d",
+            "cool_history.csv": "52a2a9c85592ef9050cce5509f26e6df5631cc3f5c7a6554cf03d40bae9fe94d",
+            "cool_sequence.json": "1b4c446a2cede1db5b738241f4f6a3f11249036323330266a63dc68ab8835740",
+            "cool_snapshots.csv": "7ea8fb89c3d9c7cfcfcec2c815eeaa53bc49e76e8a704f59f1d92eee4647d7b2",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -162,10 +164,10 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "7c65e7f23f3dfc7910e77efd3df2f9a879171c80b91b3d967ef0bcb9a9d58663",
+            "cool_history.csv": "aae6141cdb38aafee25a04556c318a996a041a83777efbda932e06163294a069",
             "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "c6a1653e9f678ee6be6ce1c9cb46bf1fe10ecf25bab6f172276cbafa8afdc809",
-            "cool_suppression_fit.json": "73607695f31c793145433b42230a9db1d875234e7571fbcd1b1e322be66b9ce2",
+            "cool_snapshots.csv": "7d7c936a9c4062ff6c1b8de01af04dfccfa1bf14dcaa280a0d1fd2a8a21f591f",
+            "cool_suppression_fit.json": "34dabc5f25b3934f597cfcee15dd392b9d233c87dc637f43c6dab7ffba0ce909",
         },
     ),
     (
@@ -176,8 +178,8 @@ DIGEST_CASES = [
         {
             "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
             "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
-            "transfer_matrix_01.csv": "609efbce07e369b4eb6195aaca11e3a1a5d3d35d4f667d58a9b4080f021da828",
-            "transfer_matrix_01.json": "8f7de731e282595405d0142f632d40ce9930e3aa31215e9d6722cf8031401028",
+            "transfer_matrix_01.csv": "0ebbe70e7aff595239f4d4b9eb9f923e87ade97a8722cf7041bb68c9366c55da",
+            "transfer_matrix_01.json": "805b2ec3166a8c03a33381b788cbac72e67c5edb957725e931837b5c2497f12e",
             "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
         },
     ),
@@ -186,8 +188,8 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
         {
-            "transfer_matrix_00.csv": "ae0a22882ceba092abf7832c3c413813fbfa710032d89a37648453d09ef53ff6",
-            "transfer_matrix_00.json": "1ce0218ead03803cc7f95ce5bf9a91b96f8b8e75882313bd3cdd65bd1c0b9b82",
+            "transfer_matrix_00.csv": "625c488f8246769e41cbdc9a43d7b6468686683bcf342697c1535cd16cee66c9",
+            "transfer_matrix_00.json": "4450e1bf864fa461dd770d3b2016d4cfdf4342aa0bd07c03d5b2f8c967098da7",
             "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
         },
     ),
@@ -217,8 +219,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "c6cdf88c21ee9b5a234694b45232de2723ad51d241421567afdce46d4a89442d",
-            "optimize_trace.csv": "2cad38ddaf1cf956e7d0a5e9898d756a0487b3da3aa8ead1b3cd26ba2fb11a0e",
+            "optimize_sequence.json": "60ab4ac53f4069ef299cbee9b85a529a34f552191b17507d26c6a0bff32d751d",
+            "optimize_trace.csv": "6249e8477988ff46ffb23c27465e423d409b9bba38fde9fdf6f408c960c38575",
         },
     ),
 ]
@@ -401,6 +403,32 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            # an 8 TB dense matrix
+            ("transfer-matrix", {"transfer_matrix": {"n_max": 1000000}}),
+            # n_max 10^6: 8 TB of heating eigenvectors, a 512 MB evolver
+            ("cool", {"initial_nbar": 1e5}),
+            ("optimize", {"initial_nbar": 1e5}),
+            # the asymptotic window at eta 1e-4 reaches n = 1.2e8
+            ("table1", {"trap": {"eta": 1e-4}}),
+            # no finite truncation holds 0.9999 of this state
+            ("probe", {"initial_nbar": 1e17}),
+        ],
+    )
+    def test_oversized_arrays_exit_2(self, tmp_path, monkeypatch, command, payload):
+        def never(cfg):
+            raise AssertionError(f"{command} started computing")
+
+        monkeypatch.setitem(cli._COMMANDS, command, never)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
         assert not out.exists()
 
     def test_invalid_scheme_exits_2(self, tmp_path):

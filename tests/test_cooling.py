@@ -292,6 +292,13 @@ class TestOptimizeGlobal:
         # two starts per pulse count spent 389 evaluations here
         assert sum(seq.n_evals) <= 220
 
+    def test_converged_on_the_long_f7_sequence(self):
+        # the acceptance-10 case: with ftol at 1e-15 the line search stalled
+        # at the ~1e-14 rounding floor of log <n> and reported converged False
+        seq = optimize_global(F7, TRAP, cli_thermal(15.87, F7), 21)
+        assert seq.converged is True
+        assert sum(seq.n_evals) <= 649
+
     def test_one_warm_start_per_pulse_count(self, monkeypatch):
         calls = []
         real_minimize = scipy.optimize.minimize
