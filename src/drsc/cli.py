@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -132,6 +133,50 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     if command == "probe":
         return (_probe_n_max(cfg) + 2) * 8
     return 0
+
+
+# no command may write more text than this; the largest benchmark output,
+# the snapshot CSV of 150 pulses at n_max 400, is 1.6 MB
+_OUTPUT_BUDGET_BYTES = 2**26
+# a written line or list entry holding one float: up to 24 characters of
+# repr plus indices, separators and indentation
+_LINE_BYTES = 32
+
+
+def _output_bytes(command: str, cfg: RunConfig) -> int:
+    """Estimated bytes of the text that grows with the config: cool's
+    snapshot rows, one per phonon number after each pulse; up to 8 lines
+    per pulse of pulse times, history, trace and evaluation counts; and
+    at least 4 bytes ("0.0,") per dense transfer-matrix entry.  The fixed
+    stage of a heuristic sequence is not counted: its length is known only
+    once its pulse time is optimized."""
+    if command in ("cool", "optimize"):
+        strategy = cfg.strategy
+        n_pulses = strategy.n_final if strategy.kind == "heuristic" else strategy.n_pulses
+        lines = 8 * n_pulses
+        if command == "cool":
+            chain, _ = cfg.scheme.build()
+            lines += (n_pulses + 2) * (_initial_n_max(cfg, chain) + 1)
+        return lines * _LINE_BYTES
+    if command == "transfer-matrix":
+        return len(cfg.transfer_matrix.times) * (cfg.transfer_matrix.n_max + 1) ** 2 * 4
+    return 0
+
+
+# what repr and json write for a nan or an infinity, as a whole word
+_NON_FINITE = re.compile(r"(?<![\w.])(?:nan|inf|NaN|Infinity)(?![\w.])")
+
+
+def _has_non_finite(text: str) -> bool:
+    # the regex is tried only where str.find sees a word's first letter:
+    # 0.3 ms on a 1.6 MB snapshot CSV, where a regex search takes 60 ms
+    for first in "niNI":
+        i = text.find(first)
+        while i >= 0:
+            if _NON_FINITE.match(text, i):
+                return True
+            i = text.find(first, i + 1)
+    return False
 
 
 def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
@@ -423,7 +468,16 @@ def main(argv=None) -> int:
                 f"{args.command} would allocate an array of about {size / 2**20:.4g} MiB, "
                 f"over the {_ARRAY_BUDGET_BYTES / 2**20:.4g} MiB budget"
             )
+        size = _output_bytes(args.command, cfg)
+        if size > _OUTPUT_BUDGET_BYTES:
+            raise ConfigError(
+                f"{args.command} would write about {size / 2**20:.4g} MiB of text, "
+                f"over the {_OUTPUT_BUDGET_BYTES / 2**20:.4g} MiB budget"
+            )
         files = _COMMANDS[args.command](cfg)
+        non_finite = [name for name, content in files.items() if _has_non_finite(content)]
+        if non_finite:
+            raise FloatingPointError(f"non-finite number in {', '.join(non_finite)}")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

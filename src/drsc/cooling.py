@@ -271,6 +271,167 @@ def _mean_and_gradient(
     return f, grad
 
 
+def _cubic_min(a, fa, da, b, fb, db) -> tuple[float, float]:
+    """(r, gamma): the cubic through (a, fa, da) and (b, fb, db) has its
+    minimizer at a + r (b - a); gamma is zero when it has no turning point."""
+    theta = 3.0 * (fa - fb) / (b - a) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s))), b - a)
+    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """Moré–Thuente's safeguarded step: the next trial step and the updated
+    interval (stx, sty), where stx holds the lowest value found so far."""
+    opposite = dp * math.copysign(1.0, dx) < 0
+    if fp > fx:  # a higher value brackets the minimum
+        r, _ = _cubic_min(stx, fx, dx, stp, fp, dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite or abs(dp) < abs(dx):  # a slope sign change brackets it; else a flattening
+        r, gamma = _cubic_min(stp, fp, dp, stx, fx, dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if opposite:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            brackt = True
+        else:
+            if not (r < 0 and gamma != 0):
+                stpc = stpmax if stp > stx else stpmin
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                limit = stp + 0.66 * (sty - stp)
+                stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:  # a lower value, not flatter: move toward the other end
+        r, _ = _cubic_min(stp, fp, dp, sty, fy, dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(phi, f0, g0, stp, stpmax, ftol=1e-3, gtol=0.9, xtol=0.1, max_steps=20):
+    """Moré–Thuente's dcsrch (ACM TOMS 20, 286 (1994)) with L-BFGS-B's
+    settings: a step along the direction where phi(step) = (f, f') meets
+    the strong Wolfe conditions.  Its warning exits (rounding errors, the
+    xtol interval, the step cap) also return the last step tried; None
+    when the input is invalid or max_steps evaluations find no step."""
+    if not 0 < stp <= stpmax or g0 >= 0:
+        return None
+    gtest = ftol * g0
+    brackt, stage = False, 1
+    width, width1 = stpmax, 2.0 * stpmax
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, 5.0 * stp
+    for _ in range(max_steps):
+        f, g = phi(stp)
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        # convergence, or a warning: the step cap, or a step sent back to the
+        # best end stx because rounding errors or xtol stop the bracketing
+        if (
+            (f <= ftest and abs(g) <= -gtol * g0)
+            or (stp == stpmax and f <= ftest and g <= gtest)
+            or stp == stx
+        ):
+            return stp
+        # until a step meets sufficient decrease, step on psi = f - stp * gtest
+        c = gtest if stage == 1 and ftest < f <= fx else 0.0
+        stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+            stx, fx - stx * c, gx - c, sty, fy - sty * c, gy - c,
+            stp, f - stp * c, g - c, brackt, stmin, stmax,
+        )
+        fx, fy, gx, gy = fx + stx * c, fy + sty * c, gx + c, gy + c
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), stpmax)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
+            stp = stx
+    return None
+
+
+def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
+    """Minimize fun(x) -> (f, gradient) over x >= lower by L-BFGS (Liu &
+    Nocedal, Math. Prog. 45, 503 (1989)), driven as L-BFGS-B drives it
+    while no bound is active; the bound only caps each step's length.
+    Converged when the relative decrease is <= ftol or the projected
+    gradient's largest entry is <= gtol.  A failed line search clears the
+    memory and retries; a failure with the memory already empty, or
+    max_iter steps, end the search unconverged.
+    Returns (x, evaluations, converged)."""
+    f, g = fun(x)
+    n_evals, nit = 1, 0
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    trial: list = []
+
+    def phi(stp):
+        nonlocal n_evals
+        x_t = np.maximum(x + stp * d, lower)
+        f_t, g_t = fun(x_t)
+        n_evals += 1
+        trial[:] = x_t, f_t, g_t
+        return f_t, float(g_t @ d)
+
+    while True:
+        if np.max(np.abs(np.where(g > 0, np.minimum(x - lower, g), g))) <= gtol:
+            return x, n_evals, True
+        if nit == max_iter:
+            return x, n_evals, False
+        # two-loop recursion for d = -H g, with H0 = s.y / y.y
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            d = d / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        # L-BFGS-B caps the first step at 1 and later ones at 1e10, and we
+        # cap each where the first variable would cross the bound
+        falling = d < 0
+        stpmax = min(
+            1.0 if nit == 0 else 1e10,
+            float(np.min((x[falling] - lower) / -d[falling], initial=np.inf)),
+        )
+        gd = float(g @ d)
+        stp = min(1.0 / np.linalg.norm(d) if nit == 0 else 1.0, stpmax)
+        stp = _line_search(phi, f, gd, stp, stpmax)
+        if stp is None:
+            if not pairs:
+                return x, n_evals, False
+            pairs.clear()
+            continue
+        nit += 1
+        x_new, f_new, g_new = trial
+        s, y, scale = x_new - x, g_new - g, max(abs(f), abs(f_new), 1.0)
+        x, f, g, decrease = x_new, f_new, g_new, f - f_new
+        if decrease <= ftol * scale:
+            return x, n_evals, True
+        sy = float(s @ y)
+        # L-BFGS-B's curvature test: skip pairs that would spoil H's definiteness
+        if sy > np.finfo(float).eps * -gd * stp:
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
+
+
 def _single_pulse_seed(evolver: ChainEvolver, p0: np.ndarray) -> float:
     n = np.arange(len(p0))
 
@@ -294,12 +455,12 @@ def optimize_global(
 ) -> PulseSequence:
     """Minimize the final mean occupation over all pulse durations.
 
-    Bounded L-BFGS-B (t >= 1e-6) on log <n>, with the exact adjoint
-    gradient divided by <n>, so the gradient tolerance means the same at
-    every depth of cooling.  One start per pulse count: k = 1 starts from
-    the uniform seed, every k > 1 from the (k-1)-pulse optimum extended by
-    its last duration.  Appending a pulse cannot raise <n> and L-BFGS-B
-    never returns a point worse than its start, so the final mean
+    L-BFGS (t >= 1e-6) on log <n>, with the exact adjoint gradient
+    divided by <n>, so the gradient tolerance means the same at every
+    depth of cooling.  One start per pulse count: k = 1 starts from the
+    uniform seed, every k > 1 from the (k-1)-pulse optimum extended by
+    its last duration.  Appending a pulse cannot raise <n> and no step of
+    the search raises its objective, so the final mean
     occupation is non-increasing in pulse count.  The seed is the
     tail-suppression optimum when the distribution covers the asymptotic
     window, otherwise the single-pulse mean-n optimum.  Each trace entry
@@ -326,28 +487,19 @@ def optimize_global(
         f_pos = f + np.finfo(float).tiny
         return math.log(f_pos), grad / f_pos
 
-    # imported here, not at module level: only this optimizer needs scipy
-    from scipy.optimize import minimize
-
-    x0 = np.array([t_seed])
+    x = np.array([t_seed])
     converged = True
     n_evals = []
     for k in range(1, n_pulses + 1):
-        res = minimize(
-            log_mean_and_gradient,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(_MIN_PULSE_TIME, None)] * k,
-            options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 1000},
-        )
-        converged = converged and bool(res.success)
-        n_evals.append(res.nfev)
+        x, evals, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
+        converged = converged and ok
+        n_evals.append(evals)
         if trace is not None:
-            trace.append((k, means[res.x.tobytes()]))
-        x0 = np.append(res.x, res.x[-1])
+            trace.append((k, means[x.tobytes()]))
+        if k < n_pulses:
+            x = np.append(x, x[-1])
     return PulseSequence(
-        times=tuple(float(t) for t in res.x),
+        times=tuple(float(t) for t in x),
         strategy="global_opt",
         scheme=scheme,
         converged=converged,

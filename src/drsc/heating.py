@@ -32,11 +32,11 @@ def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of the unit-rate diffusive
     generator on n = 0..n_max: diagonal -(2n+1), off-diagonal n between
     n-1 and n.  The top row keeps its upward leak out of the ladder."""
-    # imported here, not at module level: only heated protocols need scipy
-    from scipy.linalg import eigh_tridiagonal
-
     n = np.arange(n_max + 1, dtype=float)
-    lam, vecs = eigh_tridiagonal(-(2.0 * n + 1.0), n[1:])
+    generator = np.diag(-(2.0 * n + 1.0))
+    up = np.arange(n_max)
+    generator[up, up + 1] = generator[up + 1, up] = n[1:]
+    lam, vecs = np.linalg.eigh(generator)
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return lam, vecs
@@ -68,6 +68,11 @@ def propagate_heating(
             f"heating propagator gave a probability of {lowest:.3e} < -{_NEGATIVE_TOLERANCE:g}"
         )
     np.maximum(p, 0.0, out=p)
+    if not p.sum() > 0:
+        raise FloatingPointError(
+            f"heating at {rate:g} quanta/s for {duration:g} s left no population on "
+            f"n = 0..{dist.n_max}: the tail loss went from {dist.tail_loss:.3g} to 1"
+        )
     return PhononDistribution(probs=p, n_max=dist.n_max)
 
 

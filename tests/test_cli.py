@@ -129,9 +129,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "5ae09bd46020e4912135b2cfd4bd6005c46c99aeb38e784d9ded0f99bb25d3e0",
-            "cool_sequence.json": "e55a94946b3cd640e475e86504db7d6fd621195ff86d568e6e9daecfa2690b77",
-            "cool_snapshots.csv": "6dab8e11e6b9bacbf57b062fed29945f65f83330c46b5c034686f4a48717ee7d",
+            "cool_history.csv": "e52f4082e19fd5c452c9de3ed34e1557100e3bd41f32c3cc127b4853a4585035",
+            "cool_sequence.json": "70f0840808a56d1cfae2eb6feea63f6da32b496e2a3f4afd6ed52a36a9302eec",
+            "cool_snapshots.csv": "509f4b7d7f17ca9d9093cae9085eaa25288ca7fc945df8bfc138b8c0031afc6a",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -140,9 +140,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "52a2a9c85592ef9050cce5509f26e6df5631cc3f5c7a6554cf03d40bae9fe94d",
-            "cool_sequence.json": "1b4c446a2cede1db5b738241f4f6a3f11249036323330266a63dc68ab8835740",
-            "cool_snapshots.csv": "7ea8fb89c3d9c7cfcfcec2c815eeaa53bc49e76e8a704f59f1d92eee4647d7b2",
+            "cool_history.csv": "1541360d234b239bd5d928e2ae6daf5aac4b98b9063c275a2671657c9a27ee6c",
+            "cool_sequence.json": "6bb32e7eee4d302ef5a7df063eb6faf214042ce686699dd1be76ba7e9350a3d0",
+            "cool_snapshots.csv": "d64ed0047748429b023d007342ce1dcfab35f69ac52b4000c95b28503f37bbc8",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -164,10 +164,10 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "aae6141cdb38aafee25a04556c318a996a041a83777efbda932e06163294a069",
+            "cool_history.csv": "f5a764e2f9d8172f18cdd242b7317a202ae8f5f1c574c8bdf0b5708f6e934a57",
             "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "7d7c936a9c4062ff6c1b8de01af04dfccfa1bf14dcaa280a0d1fd2a8a21f591f",
-            "cool_suppression_fit.json": "34dabc5f25b3934f597cfcee15dd392b9d233c87dc637f43c6dab7ffba0ce909",
+            "cool_snapshots.csv": "fd7bc22ec99d88cef29d29e6c569ec3d85467447a506348a98e69385158e46a4",
+            "cool_suppression_fit.json": "d8c9a41e707923ddf1624529cdc9399f39df412c5252717d1aa046c6037da8f4",
         },
     ),
     (
@@ -219,8 +219,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "60ab4ac53f4069ef299cbee9b85a529a34f552191b17507d26c6a0bff32d751d",
-            "optimize_trace.csv": "6249e8477988ff46ffb23c27465e423d409b9bba38fde9fdf6f408c960c38575",
+            "optimize_sequence.json": "7ac8ac3fa4a230b2ee375474a4ce975eea283fc9cca8c062321018d49b9ffde2",
+            "optimize_trace.csv": "9c93ab48063d787e8c7872de04e9bb5b7d12086d5e69d570f1057054a395b0a5",
         },
     ),
 ]
@@ -431,6 +431,50 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 1.0
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            # an 86 MB sequence file
+            ("optimize", {"strategy": {"kind": "fixed", "n_pulses": 10000000, "fixed_time": 0.3}}),
+            # 2.5e7 snapshot rows
+            ("cool", {"strategy": {"kind": "fixed", "n_pulses": 100000, "fixed_time": 0.3}}),
+            # ten dense 2001 x 2001 matrices, each within the array budget
+            ("transfer-matrix", {"transfer_matrix": {"n_max": 2000, "times": [0.3] * 10}}),
+        ],
+    )
+    def test_oversized_output_exits_2(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"timing": {"repump_seconds": 1e6}}, {"heating": {"rates": {"trap": 1e300}}}],
+        ids=["long-repump", "huge-rate"],
+    )
+    def test_heating_that_empties_the_ladder_exits_3(self, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["cool", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.5,nan\n", '{"a": NaN}\n', "1,-inf\n", '{"b": [Infinity]}\n'])
+    def test_non_finite_artifact_exits_3(self, tmp_path, monkeypatch, text):
+        monkeypatch.setitem(cli._COMMANDS, "probe", lambda cfg: {"probe.csv": "# ok\n" + text})
+        out = tmp_path / "out"
+        assert main(["probe", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_words_holding_nan_or_inf_are_not_numbers(self, tmp_path, monkeypatch):
+        text = '{"labels": ["info", "banana", "Infinity_beam", "D_inf2"], "x": 1.5e-300}\n'
+        monkeypatch.setitem(cli._COMMANDS, "probe", lambda cfg: {"probe.json": text})
+        out = tmp_path / "out"
+        assert main(["probe", "--out", str(out)]) == 0
+        assert (out / "probe.json").read_text() == text
+
     def test_invalid_scheme_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"scheme": "F9"})
         assert main(["cool", "--config", cfg]) == 2
@@ -500,8 +544,8 @@ class TestEnvironment:
 
 
 # Runs in a fresh interpreter whose imports of scipy fail: drsc must import
-# without it and four commands must run without it; cool, which optimizes,
-# imports it once the block is lifted.
+# without it and every command must run without it, heated and optimizing
+# runs included.
 SCIPY_FREE_SCRIPT = """
 import sys
 
@@ -511,23 +555,23 @@ class BlockScipy:
             raise ImportError(f"scipy is blocked: {name}")
         return None
 
-blocker = BlockScipy()
-sys.meta_path.insert(0, blocker)
+sys.meta_path.insert(0, BlockScipy())
 import drsc
 import drsc.cli
 
+config, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["table1"], ["pumping"], ["transfer-matrix"], ["probe"], ["cool"], ["cool", "--rdp"], ["optimize"]
+]
+for argv in runs:
+    assert drsc.cli.main(argv + ["--config", config, "--out", out]) == 0, argv
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert not loaded, loaded
-config, out = sys.argv[1], sys.argv[2]
-for command in ("table1", "pumping", "transfer-matrix", "probe"):
-    assert drsc.cli.main([command, "--config", config, "--out", out]) == 0, command
-sys.meta_path.remove(blocker)
-assert drsc.cli.main(["cool", "--no-heating", "--config", config, "--out", out]) == 0
 """
 
 
 class TestScipyFree:
-    def test_four_commands_run_without_scipy(self, tmp_path):
+    def test_six_commands_run_without_scipy(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {
@@ -551,4 +595,5 @@ class TestScipyFree:
         )
         assert proc.returncode == 0, proc.stderr
         written = sorted(os.listdir(out))
-        assert "table1.csv" in written and "cool_history.csv" in written
+        for name in ("table1.csv", "cool_history.csv", "optimize_trace.csv", "probe.csv"):
+            assert name in written

@@ -1,12 +1,12 @@
 """Suppression-factor extraction, pulse-time optimization, and the
 two-component decomposition of fixed-pulse histories."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import minimize_scalar
 
 from drsc import cooling
@@ -67,6 +67,68 @@ NELDER_MEAD_F7_TRACE = (
 )
 # its final objective on F8, nbar 15.87, 15 pulses
 NELDER_MEAD_F8_FINAL = 0.0005485482927587203
+
+# scipy's L-BFGS-B on the same objective, which the numpy L-BFGS replaced:
+# (scheme, nbar, pulses) -> (<n> at every pulse count, total evaluations)
+LBFGSB_RUNS = {
+    ("F7", 6.08, 10): (
+        (
+            3.40859144481899, 1.8565410523346402, 1.014777055513959, 0.562745268403549,
+            0.31444722225643296, 0.17428525521423144, 0.09526356086442686,
+            0.051899399443461974, 0.028524217521242266, 0.015854369523272592,
+        ),
+        185,
+    ),
+    ("F8", 15.87, 15): (
+        (
+            8.832835812485888, 4.649575257406653, 2.386437328653379, 1.209209803358976,
+            0.608260648931254, 0.30458904218739097, 0.15206405911104573,
+            0.07575350035378253, 0.03767581275942773, 0.01871205279367844,
+            0.009281185426886388, 0.004596504476656538, 0.002271750297044006,
+            0.0011192360463581229, 0.0005485482806871256,
+        ),
+        161,
+    ),
+    ("F7", 15.87, 21): (
+        (
+            12.913510723825244, 10.328143200719648, 8.021884470725315, 6.184818431486788,
+            4.75117194774333, 3.641448442550298, 2.787104294524532, 2.131663603823077,
+            1.629719559598235, 1.2453003605357256, 0.9500948328633405, 0.7225584082652531,
+            0.5479747907685126, 0.4148441875625219, 0.31366563243731505, 0.2369854853772175,
+            0.17901414440892074, 0.1352572867047214, 0.10225350236189394,
+            0.07735909444823381, 0.05856651632838336,
+        ),
+        531,
+    ),
+    ("F8", 40.0, 40): (
+        (
+            31.175710374681202, 23.929225204512605, 18.210352198308538, 13.79208347783829,
+            10.41575518949758, 7.8513110762087965, 5.910609654454097, 4.445330508638803,
+            3.3407035333634494, 2.508842151987921, 1.8828674727267927, 1.4120889709536486,
+            1.0581868106044685, 0.792244627479524, 0.5924691840343213, 0.44245025254568077,
+            0.329838883086718, 0.245346607801874, 0.18198930541622724, 0.13451680002207841,
+            0.09898305280996275, 0.07242255860269022, 0.05260685135611327,
+            0.03786136904938728, 0.02692776022636007, 0.018860379857758323,
+            0.012948495230491776, 0.008657815615706303, 0.005586534517107931,
+            0.0034322496331103476, 0.0019669776982842438, 0.0010180027447731963,
+            0.0004522385326161688, 0.0001606384406892478, 4.234504224501304e-05,
+            7.790474590275917e-06, 9.555891749456682e-07, 7.613593208395299e-08,
+            3.922564240487031e-09, 1.3348208663900609e-10,
+        ),
+        493,
+    ),
+}
+
+
+@functools.cache
+def global_run(scheme, nbar, n_pulses):
+    """optimize_global from the state `drsc cool` builds, once per case;
+    returns the sequence and <n> at every pulse count."""
+    chain = {"F7": F7, "F8": F8}[scheme]
+    trace = []
+    seq = optimize_global(chain, TRAP, cli_thermal(nbar, chain), n_pulses, trace=trace)
+    assert [k for k, _ in trace] == list(range(1, n_pulses + 1))
+    return seq, [obj for _k, obj in trace]
 
 
 class TestAsymptoticWindow:
@@ -272,10 +334,7 @@ class TestOptimizeGlobal:
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
     def test_f7_no_worse_than_nelder_mead_at_every_count(self):
-        trace = []
-        seq = optimize_global(F7, TRAP, cli_thermal(6.08, F7), 10, trace=trace)
-        assert [k for k, _ in trace] == list(range(1, 11))
-        objs = [obj for _k, obj in trace]
+        seq, objs = global_run("F7", 6.08, 10)
         for obj, ref in zip(objs, NELDER_MEAD_F7_TRACE):
             assert obj <= ref * (1 + 1e-9)
         assert all(b <= a for a, b in zip(objs, objs[1:]))
@@ -286,29 +345,38 @@ class TestOptimizeGlobal:
         assert sum(seq.n_evals) <= 250
 
     def test_f8_no_worse_than_nelder_mead(self):
-        trace = []
-        seq = optimize_global(F8, TRAP, cli_thermal(15.87, F8), 15, trace=trace)
-        assert trace[-1][1] <= NELDER_MEAD_F8_FINAL * (1 + 1e-9)
+        seq, objs = global_run("F8", 15.87, 15)
+        assert objs[-1] <= NELDER_MEAD_F8_FINAL * (1 + 1e-9)
         # two starts per pulse count spent 389 evaluations here
         assert sum(seq.n_evals) <= 220
 
     def test_converged_on_the_long_f7_sequence(self):
         # the acceptance-10 case: with ftol at 1e-15 the line search stalled
         # at the ~1e-14 rounding floor of log <n> and reported converged False
-        seq = optimize_global(F7, TRAP, cli_thermal(15.87, F7), 21)
+        seq, _ = global_run("F7", 15.87, 21)
         assert seq.converged is True
         assert sum(seq.n_evals) <= 649
 
+    @pytest.mark.parametrize("case", list(LBFGSB_RUNS), ids=lambda case: "-".join(map(str, case)))
+    def test_no_worse_than_scipy_lbfgsb(self, case):
+        ref_objs, ref_evals = LBFGSB_RUNS[case]
+        seq, objs = global_run(*case)
+        assert seq.converged is True
+        assert sum(seq.n_evals) <= round(1.05 * ref_evals)
+        for obj, ref in zip(objs, ref_objs, strict=True):
+            assert obj <= ref * (1 + 1e-12)
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+
     def test_one_warm_start_per_pulse_count(self, monkeypatch):
         calls = []
-        real_minimize = scipy.optimize.minimize
+        real_lbfgs = cooling._lbfgs
 
         def counting(fun, x0, *args, **kwargs):
-            res = real_minimize(fun, x0, *args, **kwargs)
-            calls.append((np.array(x0), res.x.copy()))
-            return res
+            x, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
+            calls.append((np.array(x0), x.copy()))
+            return x, n_evals, converged
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        monkeypatch.setattr(cooling, "_lbfgs", counting)
         trace = []
         seq = optimize_global(F7, TRAP, thermal_state(1.0), 4, trace=trace)
         assert [len(x0) for x0, _ in calls] == [1, 2, 3, 4]
@@ -316,6 +384,35 @@ class TestOptimizeGlobal:
             np.testing.assert_array_equal(x0, np.append(prev, prev[-1]))
         assert seq.times == tuple(calls[-1][1])
         assert len(seq.n_evals) == len(trace) == 4
+
+
+def rosenbrock(x):
+    f = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+class TestLbfgs:
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0] * 5], ids=["2-D", "10-D"])
+    def test_rosenbrock_reaches_its_minimum(self, x0):
+        x, n_evals, converged = cooling._lbfgs(rosenbrock, np.array(x0), -np.inf)
+        assert converged
+        np.testing.assert_allclose(x, 1.0, rtol=0, atol=1e-7)
+        assert n_evals <= 100
+
+    def test_iterates_respect_the_bound(self):
+        seen = []
+
+        def linear(t):
+            seen.append(float(t[0]))
+            return float(t[0]), np.ones(1)
+
+        x, _, converged = cooling._lbfgs(linear, np.array([1.0]), 1e-6)
+        assert min(seen) >= 1e-6
+        assert x[0] == pytest.approx(1e-6, rel=1e-9)
+        assert converged
 
 
 class TestHeuristicSequence:

@@ -4,6 +4,7 @@ optical-pumping absorbing chain against its fundamental matrix."""
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from drsc import heating, thermometry
 from drsc.cooling import PulseSequence
@@ -121,6 +122,31 @@ class TestPropagateHeating:
         dist = PhononDistribution(probs=np.r_[np.zeros(30), 1.0], n_max=30)
         out = propagate_heating(dist, 2.0, 0.5)
         assert out.tail_loss > 0.0
+
+    @pytest.mark.parametrize("rate, duration", [(5.58, 1e6), (1e300, 0.015)])
+    def test_emptied_ladder_is_a_numerical_failure(self, rate, duration):
+        with pytest.raises(FloatingPointError, match="tail loss"):
+            propagate_heating(thermal_distribution(1.0, 50), rate, duration)
+
+    @pytest.mark.parametrize("n_max", [252, 400])
+    def test_matches_tridiagonal_eigensolver(self, n_max):
+        # the dense eigh of the generator against LAPACK's tridiagonal solver,
+        # at the default rates over a 0.3 pi-time pulse, a repump and a delay
+        n = np.arange(n_max + 1, dtype=float)
+        lam, vecs = eigh_tridiagonal(-(2.0 * n + 1.0), n[1:])
+        rates = DEFAULT_CHANNEL_RATES
+        timing = PulseTiming()
+        intervals = [
+            (rates["raman"] + rates["trap"], 0.3 * timing.t_f_seconds),
+            (rates["optical_pumping"] + rates["trap"], timing.repump_seconds),
+            (rates["trap"], 0.001),
+        ]
+        for nbar in (0.05, 6.08, 40.0):
+            dist = thermal_distribution(nbar, n_max)
+            for rate, duration in intervals:
+                ref = vecs @ (np.exp(rate * duration * lam) * (vecs.T @ dist.probs))
+                out = propagate_heating(dist, rate, duration)
+                assert np.max(np.abs(out.probs - np.maximum(ref, 0.0))) <= 1e-15
 
 
 class TestPumpingGraph:
