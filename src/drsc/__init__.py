@@ -12,7 +12,7 @@ from .cooling import (
     optimize_global,
     suppression_factor,
 )
-from .heating import build_pumping_graph, mean_steps_to_dark, propagate_heating
+from .heating import build_pumping_graph, propagate_heating
 from .manifold import CouplingChain, ManifoldScheme, build_coupling_chain, f7_scheme, f8_scheme
 from .motional import PhononDistribution, TrapParams, fock_coupling, mean_n, thermal_state
 from .thermometry import ProtocolReport, end_to_end_protocol, rdp_filter, sideband_probe
@@ -29,7 +29,6 @@ __all__ = [
     "optimize_global",
     "suppression_factor",
     "build_pumping_graph",
-    "mean_steps_to_dark",
     "propagate_heating",
     "CouplingChain",
     "ManifoldScheme",

@@ -42,8 +42,6 @@ class ChainEvolver:
         ratios = sideband_coupling_ratios(n_max, trap.eta)
         n_sites = min(len(g) + 1, n_max + 1)
         n_modes = (n_sites + 1) // 2
-        self.chain = chain
-        self.trap = trap
         self.n_max = n_max
         self.n_sites = n_sites
         # w[n, j] = sigma_j, zero-padded; the site-k amplitude after time t

@@ -115,11 +115,11 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
         return (n_max + 1) * chain.bandwidth**2 * 8
 
     if command == "transfer-matrix":
-        chain, _ = cfg.scheme.build()
+        chain = cfg.scheme.build()
         n_max = cfg.transfer_matrix.n_max
         return max((n_max + 1) ** 2 * 8, evolver(chain, n_max))
     if command in ("cool", "optimize"):
-        chain, _ = cfg.scheme.build()
+        chain = cfg.scheme.build()
         n_max = _initial_n_max(cfg, chain)
         sizes = [evolver(chain, n_max)]
         if cfg.strategy.kind == "heuristic":
@@ -128,7 +128,7 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)
     if command == "table1":
-        chains = [type(cfg.scheme).parse(name).build()[0] for name in cfg.table1.schemes]
+        chains = [type(cfg.scheme).parse(name).build() for name in cfg.table1.schemes]
         return max(evolver(chain, _window_n_max(cfg, chain)) for chain in chains)
     if command == "probe":
         return (_probe_n_max(cfg) + 2) * 8
@@ -155,7 +155,7 @@ def _output_bytes(command: str, cfg: RunConfig) -> int:
         n_pulses = strategy.n_final if strategy.kind == "heuristic" else strategy.n_pulses
         lines = 8 * n_pulses
         if command == "cool":
-            chain, _ = cfg.scheme.build()
+            chain = cfg.scheme.build()
             lines += (n_pulses + 2) * (_initial_n_max(cfg, chain) + 1)
         return lines * _LINE_BYTES
     if command == "transfer-matrix":
@@ -182,7 +182,6 @@ def _has_non_finite(text: str) -> bool:
 def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
     """Sequence per the configured strategy, plus details for the manifest."""
     kind = cfg.strategy.kind
-    _, scheme = cfg.scheme.build()
     details: dict = {"strategy": kind}
     if kind == "fixed":
         if cfg.strategy.fixed_time is not None:
@@ -191,10 +190,10 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
             t, a = optimize_fixed_pulse(chain, cfg.trap, init)
             details["a_opt"] = a
         details["pulse_time"] = t
-        seq = PulseSequence(times=(t,) * cfg.strategy.n_pulses, strategy="fixed", scheme=scheme)
+        seq = PulseSequence(times=(t,) * cfg.strategy.n_pulses, strategy="fixed")
     elif kind == "global_opt":
         trace: list = []
-        seq = optimize_global(chain, cfg.trap, init, cfg.strategy.n_pulses, scheme, trace=trace)
+        seq = optimize_global(chain, cfg.trap, init, cfg.strategy.n_pulses, trace=trace)
         details["trace"] = trace
         details["n_evals"] = list(seq.n_evals)
         details["converged"] = seq.converged
@@ -206,7 +205,6 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
             tail_target=cfg.strategy.tail_target,
             n_final=cfg.strategy.n_final,
             final_nbar=cfg.strategy.final_nbar,
-            scheme=scheme,
         )
         details["tail_target"] = cfg.strategy.tail_target
         details["n_final"] = cfg.strategy.n_final
@@ -216,7 +214,7 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
 def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
     """Each pulse as a dense matrix W[i, j] = P(i -> j) and as its bands,
     bands[k][i - k] = P(i -> i - k), both read off the banded table."""
-    chain, _ = cfg.scheme.build()
+    chain = cfg.scheme.build()
     n_max = cfg.transfer_matrix.n_max
     evolver = cached_evolver(chain, cfg.trap, n_max)
     n_top = n_max + 1
@@ -249,7 +247,7 @@ def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_cool(cfg: RunConfig) -> dict[str, str]:
-    chain, _ = cfg.scheme.build()
+    chain = cfg.scheme.build()
     init = _initial_state(cfg, chain)
     seq, details = _build_sequence(cfg, chain, init)
     report = end_to_end_protocol(
@@ -311,7 +309,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
 def cmd_table1(cfg: RunConfig) -> dict[str, str]:
     rows = []
     for scheme_name in cfg.table1.schemes:
-        chain, _ = type(cfg.scheme).parse(scheme_name).build()
+        chain = type(cfg.scheme).parse(scheme_name).build()
         n_max = _window_n_max(cfg, chain)
         inits = [thermal_distribution(nbar, n_max) for nbar in cfg.table1.nbars]
         optima = optimize_fixed_pulses(chain, cfg.trap, inits)
@@ -381,7 +379,7 @@ def cmd_probe(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_optimize(cfg: RunConfig) -> dict[str, str]:
-    chain, _ = cfg.scheme.build()
+    chain = cfg.scheme.build()
     init = _initial_state(cfg, chain)
     seq, details = _build_sequence(cfg, chain, init)
     meta = _meta(cfg)

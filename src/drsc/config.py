@@ -202,14 +202,14 @@ class SchemeConfig:
         _require_keys(raw, {f.name for f in fields(cls)} - {"kind"}, where)
         return _parse(cls(kind="custom"), raw, where)
 
-    def build(self) -> tuple[CouplingChain, ManifoldScheme | None]:
+    def build(self) -> CouplingChain:
         try:
             if self.kind == "F7":
                 scheme = f7_scheme()
             elif self.kind == "F8":
                 scheme = f8_scheme()
             elif self.kind == "two_level":
-                return two_level_chain(), None
+                return two_level_chain()
             else:
                 scheme = ManifoldScheme(
                     f=self.f,
@@ -217,7 +217,7 @@ class SchemeConfig:
                     polarization_pair=self.polarization_pair,
                     start_m=self.start_m,
                 )
-            return build_coupling_chain(scheme), scheme
+            return build_coupling_chain(scheme)
         except ValueError as exc:
             raise ConfigError(f"invalid scheme: {exc}") from exc
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_dynamics import ChainEvolver, apply_table, cached_evolver
-from .manifold import CouplingChain, ManifoldScheme
+from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
 _T_GRID_LO = 0.02
@@ -29,6 +29,9 @@ _GRID_CHUNK = 6
 _REFINE_XTOL = 1e-10
 _REFINE_MAX_STEPS = 60
 _MIN_PULSE_TIME = 1e-6
+# dual_thermal_decompose refuses a window whose tail mass falls below this:
+# heating's absolute rounding over the default 124-entry window is ~2.7e-14
+_MIN_TAIL_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,6 @@ class PulseSequence:
 
     times: tuple[float, ...]
     strategy: str
-    scheme: ManifoldScheme | None = None
     converged: bool = True
     n_evals: tuple[int, ...] = ()
 
@@ -123,33 +125,16 @@ def suppression_factor(
     return float(_suppression(evolver.apply_pulse(t, init.probs), init.probs, window))
 
 
-def _suppression_slope(
-    after: np.ndarray, d_after: np.ndarray, p0: np.ndarray, window: tuple[int, int]
-) -> np.ndarray:
-    """d/dt of log _suppression(after, p0, window), given d_after = d(after)/dt."""
-    n_lo, n_hi = window
-    return np.mean(d_after[..., n_lo : n_hi + 1] / after[..., n_lo : n_hi + 1], axis=-1)
-
-
-def _grid_then_refine(
+def _grid_scan(
     evolver: ChainEvolver,
     p0s: np.ndarray,
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    slope: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> list[tuple[float, float]]:
-    """Minimize objective(populations after one pulse, p0) over the pulse
-    time, for each start p0 in the rows of p0s; one (t, value) per start.
-
-    A coarse grid scan, whose tables are computed _GRID_CHUNK pulse times
-    per kernel call and applied to every start at once, brackets each
-    start's minimum by the grid neighbours of its lowest point.  Illinois
-    regula falsi then seeks the zero of slope(after, d_after, p0), which
-    has the sign of the objective's t-derivative.  Each step evaluates one
-    time per start still refining, _GRID_CHUNK times per kernel call, and
-    a start stops on its own, so its result does not depend on the other
-    starts.  The grid point stands when the bracket shows no sign change
-    or the refined value is not lower.  objective and slope take
-    broadcasting leading axes and return one value per population vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """objective(populations after one pulse, p0) on the pulse-time grid,
+    for each start p0 in the rows of p0s: (ts, vals), vals[i, s] at ts[i]
+    from start s.  The tables are computed _GRID_CHUNK pulse times per
+    kernel call and applied to every start at once; objective takes
+    broadcasting leading axes and returns one value per population vector.
     """
     ts = np.linspace(_T_GRID_LO, _T_GRID_HI, _T_GRID_POINTS)
     vals = np.concatenate(
@@ -158,19 +143,38 @@ def _grid_then_refine(
             for chunk in np.split(ts, range(_GRID_CHUNK, len(ts), _GRID_CHUNK))
         ]
     )
+    return ts, vals
+
+
+def _minimize_suppression(
+    evolver: ChainEvolver, p0s: np.ndarray, window: tuple[int, int]
+) -> list[tuple[float, float]]:
+    """Minimize the tail suppression a over the pulse time, for each start
+    p0 in the rows of p0s; one (t, a) per start.
+
+    The grid neighbours of each start's lowest grid point bracket its
+    minimum.  Illinois regula falsi then seeks the zero of d(log a)/dt.
+    Each step evaluates one time per start still refining, _GRID_CHUNK
+    times per kernel call, and a start stops on its own, so its result
+    does not depend on the other starts.  The grid point stands when the
+    bracket shows no sign change or the refined value is not lower.
+    """
+    n_lo, n_hi = window
+    ts, vals = _grid_scan(evolver, p0s, lambda after, p0: _suppression(after, p0, window))
     best = np.argmin(vals, axis=0)
     results = [(float(ts[i]), float(vals[i, s])) for s, i in enumerate(best)]
 
     def evaluate(times, starts):
-        """objective and slope at times[j] from start starts[j]"""
+        """suppression and d(log suppression)/dt at times[j] from start starts[j]"""
         f, g = np.empty(len(times)), np.empty(len(times))
         for i in range(0, len(times), _GRID_CHUNK):
             chunk = slice(i, i + _GRID_CHUNK)
             site_p, d_site_p = evolver.site_probabilities_with_derivative(times[chunk])
             p0 = p0s[starts[chunk]]
             after = apply_table(site_p, p0)
-            f[chunk] = objective(after, p0)
-            g[chunk] = slope(after, apply_table(d_site_p, p0), p0)
+            d_after = apply_table(d_site_p, p0)
+            f[chunk] = _suppression(after, p0, window)
+            g[chunk] = np.mean(d_after[..., n_lo : n_hi + 1] / after[..., n_lo : n_hi + 1], axis=-1)
         return f, g
 
     starts = np.nonzero((best > 0) & (best < len(ts) - 1))[0]
@@ -217,12 +221,7 @@ def optimize_fixed_pulses(
         window = asymptotic_window(trap.eta)
     window = [_check_window(window, init, len(chain.steps)) for init in inits][0]
     evolver = cached_evolver(chain, trap, inits[0].n_max)
-    return _grid_then_refine(
-        evolver,
-        np.stack([init.probs for init in inits]),
-        lambda after, p0: _suppression(after, p0, window),
-        lambda after, d_after, p0: _suppression_slope(after, d_after, p0, window),
-    )
+    return _minimize_suppression(evolver, np.stack([init.probs for init in inits]), window)
 
 
 def optimize_fixed_pulse(
@@ -432,25 +431,11 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
             pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
 
 
-def _single_pulse_seed(evolver: ChainEvolver, p0: np.ndarray) -> float:
-    n = np.arange(len(p0))
-
-    def mean_slope(after, d_after, _p0):
-        # sum(p)^2 times d/dt of (n @ p) / sum(p)
-        return (d_after @ n) * after.sum(axis=-1) - (after @ n) * d_after.sum(axis=-1)
-
-    ((t, _),) = _grid_then_refine(
-        evolver, p0[None], lambda after, _p0: (after @ n) / after.sum(axis=-1), mean_slope
-    )
-    return t
-
-
 def optimize_global(
     chain: CouplingChain,
     trap: TrapParams,
     init: PhononDistribution,
     n_pulses: int,
-    scheme: ManifoldScheme | None = None,
     trace: list | None = None,
 ) -> PulseSequence:
     """Minimize the final mean occupation over all pulse durations.
@@ -458,24 +443,18 @@ def optimize_global(
     L-BFGS (t >= 1e-6) on log <n>, with the exact adjoint gradient
     divided by <n>, so the gradient tolerance means the same at every
     depth of cooling.  One start per pulse count: k = 1 starts from the
-    uniform seed, every k > 1 from the (k-1)-pulse optimum extended by
-    its last duration.  Appending a pulse cannot raise <n> and no step of
-    the search raises its objective, so the final mean
-    occupation is non-increasing in pulse count.  The seed is the
-    tail-suppression optimum when the distribution covers the asymptotic
-    window, otherwise the single-pulse mean-n optimum.  Each trace entry
-    is (k, <n>); the returned sequence carries the objective evaluations
-    spent at each k.  Deterministic; no randomness enters the search.
+    pulse-time grid point with the lowest one-pulse <n>, every k > 1 from
+    the (k-1)-pulse optimum extended by its last duration.  Appending a
+    pulse cannot raise <n> and no step of the search raises its
+    objective, so the final mean occupation is non-increasing in pulse
+    count.  Each trace entry is (k, <n>); the returned sequence carries
+    the objective evaluations spent at each k.  Deterministic; no
+    randomness enters the search.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     evolver = cached_evolver(chain, trap, init.n_max)
     p0 = init.probs
-
-    try:
-        t_seed, _ = optimize_fixed_pulse(chain, trap, init)
-    except ValueError:
-        t_seed = _single_pulse_seed(evolver, p0)
 
     # <n> of every evaluated point: the trace reports it, not exp(log <n>)
     means: dict[bytes, float] = {}
@@ -487,7 +466,10 @@ def optimize_global(
         f_pos = f + np.finfo(float).tiny
         return math.log(f_pos), grad / f_pos
 
-    x = np.array([t_seed])
+    # k = 1 starts at the grid time with the lowest one-pulse <n>
+    n = np.arange(init.n_max + 1)
+    ts, vals = _grid_scan(evolver, p0[None], lambda after, _p0: (after @ n) / after.sum(axis=-1))
+    x = np.array([ts[np.argmin(vals[:, 0])]])
     converged = True
     n_evals = []
     for k in range(1, n_pulses + 1):
@@ -501,7 +483,6 @@ def optimize_global(
     return PulseSequence(
         times=tuple(float(t) for t in x),
         strategy="global_opt",
-        scheme=scheme,
         converged=converged,
         n_evals=tuple(n_evals),
     )
@@ -514,7 +495,6 @@ def heuristic_sequence(
     tail_target: float = 0.01,
     n_final: int = 5,
     final_nbar: float = 5.0,
-    scheme: ManifoldScheme | None = None,
 ) -> PulseSequence:
     """Fixed pulses until the tail factor drops below target, then a short
     globally optimized stage tuned for a moderate thermal remnant.
@@ -527,9 +507,9 @@ def heuristic_sequence(
     n_fixed = math.ceil(math.log(tail_target) / math.log(a_opt))
     times = [t_opt] * n_fixed
     if n_final > 0:
-        tail = optimize_global(chain, trap, thermal_state(final_nbar), n_final, scheme)
+        tail = optimize_global(chain, trap, thermal_state(final_nbar), n_final)
         times.extend(tail.times)
-    return PulseSequence(times=tuple(times), strategy="heuristic", scheme=scheme)
+    return PulseSequence(times=tuple(times), strategy="heuristic")
 
 
 def dual_thermal_decompose(
@@ -551,16 +531,16 @@ def dual_thermal_decompose(
         if eta is None:
             raise ValueError("either window or eta must be given")
         window = asymptotic_window(eta)
-    n_lo, n_hi = int(window[0]), int(window[1])
     init = history[0]
-    if n_hi > init.n_max:
-        raise ValueError(f"window {window} exceeds n_max = {init.n_max}")
-    if np.any(init.probs[n_lo : n_hi + 1] <= 0):
-        raise ValueError(f"window {window} contains zero-probability entries")
+    n_lo, n_hi = _check_window(window, init, 0)
 
     tail_mass = np.array([float(h.probs[n_lo : n_hi + 1].sum()) for h in history])
-    if np.any(tail_mass <= 0):
-        raise ValueError("tail mass vanished inside the fit window")
+    k_min = int(np.argmin(tail_mass))
+    if tail_mass[k_min] < _MIN_TAIL_MASS:
+        raise ValueError(
+            f"tail mass in window {window} falls to {tail_mass[k_min]:.3g} after {k_min} "
+            f"pulses, below {_MIN_TAIL_MASS:g}; the fit would follow rounding noise"
+        )
     k = np.arange(len(history), dtype=float)
     y = np.log(tail_mass)
     slope, intercept = np.polyfit(k, y, 1)

@@ -181,13 +181,6 @@ def build_pumping_graph(
     return PumpingGraph(states=states, absorbing=absorbing, beams=tuple(beams), step_matrix=matrix)
 
 
-def _transient_system(graph: PumpingGraph) -> tuple[list[int], np.ndarray]:
-    idx_abs = graph.index(graph.absorbing)
-    transient = [i for i in range(len(graph.states)) if i != idx_abs]
-    q = graph.step_matrix[np.ix_(transient, transient)]
-    return transient, q
-
-
 def _check_reachable(graph: PumpingGraph) -> None:
     # backward breadth-first search from the absorbing state
     n = len(graph.states)
@@ -212,7 +205,9 @@ def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
     """Expected scattering events before reaching the dark state, from
     each sublevel in graph.states order (the dark state counting 0)."""
     _check_reachable(graph)
-    transient, q = _transient_system(graph)
+    idx_abs = graph.index(graph.absorbing)
+    transient = [i for i in range(len(graph.states)) if i != idx_abs]
+    q = graph.step_matrix[np.ix_(transient, transient)]
     try:
         x = np.linalg.solve(np.eye(len(transient)) - q, np.ones(len(transient)))
     except np.linalg.LinAlgError as exc:
@@ -220,25 +215,6 @@ def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
     steps = np.zeros(len(graph.states))
     steps[transient] = x
     return steps
-
-
-def mean_steps_to_dark(
-    graph: PumpingGraph, start: tuple[int, int] | dict | None = None
-) -> float:
-    """Expected scattering events before reaching the dark state.
-
-    start: a single (F, m) level, a {level: weight} distribution, or None
-    for a uniform average over all sublevels (the dark state counting 0).
-    """
-    steps = steps_to_dark(graph)
-    if start is None:
-        return float(steps.mean())
-    if isinstance(start, dict):
-        total = sum(start.values())
-        if total <= 0:
-            raise ValueError("start distribution has zero weight")
-        return float(sum(w * steps[graph.index(s)] for s, w in start.items()) / total)
-    return float(steps[graph.index(tuple(start))])
 
 
 def monte_carlo_steps(

@@ -188,8 +188,6 @@ def end_to_end_protocol(
     tables = {t: evolver.site_probabilities(t) for t in set(sequence.times)}
     state = init
     snapshots = [state]
-    nbars = [mean_n(state)]
-    nbars_sb = [sideband_probe(state, trap, probe_time).nbar_sb]
     for t in sequence.times:
         state = PhononDistribution(
             probs=apply_table(tables[t], state.probs), n_max=state.n_max
@@ -198,8 +196,6 @@ def end_to_end_protocol(
             state = propagate_heating(state, pulse_rate, t * timing.t_f_seconds)
             state = propagate_heating(state, repump_rate, timing.repump_seconds)
         snapshots.append(state)
-        nbars.append(mean_n(state))
-        nbars_sb.append(sideband_probe(state, trap, probe_time).nbar_sb)
 
     if heating_on and timing.pre_probe_delay_seconds > 0:
         state = propagate_heating(state, rates["trap"], timing.pre_probe_delay_seconds)
@@ -210,12 +206,10 @@ def end_to_end_protocol(
         used_t_clear = default_t_clear(chain, trap) if t_clear is None else t_clear
         state, success = rdp_filter(state, chain, trap, used_t_clear)
         snapshots.append(state)
-        nbars.append(mean_n(state))
-        nbars_sb.append(sideband_probe(state, trap, probe_time).nbar_sb)
 
     return ProtocolReport(
-        nbar_history=tuple(nbars),
-        nbar_sb_history=tuple(nbars_sb),
+        nbar_history=tuple(mean_n(s) for s in snapshots),
+        nbar_sb_history=tuple(sideband_probe(s, trap, probe_time).nbar_sb for s in snapshots),
         history=tuple(snapshots),
         final=state,
         success_probability=success,

@@ -24,9 +24,9 @@ from drsc.cooling import (
 )
 from drsc.heating import (
     build_pumping_graph,
-    mean_steps_to_dark,
     monte_carlo_steps,
     propagate_heating,
+    steps_to_dark,
 )
 from drsc.manifold import (
     _step_amplitude,
@@ -279,8 +279,9 @@ def test_07_heating_propagator():
 
 def test_08_pumping_markov_chain():
     graph = build_pumping_graph()
-    uniform = mean_steps_to_dark(graph)
-    neighbor = mean_steps_to_dark(graph, (7, 1))
+    steps = steps_to_dark(graph)
+    uniform = float(steps.mean())
+    neighbor = float(steps[graph.index((7, 1))])
     uniform_ok = abs(uniform - 62.1) / 62.1 <= 0.15
     neighbor_ok = abs(neighbor - 41.4) / 41.4 <= 0.15
     mc_mean, mc_stderr = monte_carlo_steps(graph, None, 1_000_000, seed=404)

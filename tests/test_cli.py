@@ -130,7 +130,7 @@ DIGEST_CASES = [
         None,
         {
             "cool_history.csv": "e52f4082e19fd5c452c9de3ed34e1557100e3bd41f32c3cc127b4853a4585035",
-            "cool_sequence.json": "70f0840808a56d1cfae2eb6feea63f6da32b496e2a3f4afd6ed52a36a9302eec",
+            "cool_sequence.json": "2090151f9f16bd14c0452bad7fe20f0e0b348b24b2cce48c9c8b0a585786ce6d",
             "cool_snapshots.csv": "509f4b7d7f17ca9d9093cae9085eaa25288ca7fc945df8bfc138b8c0031afc6a",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
@@ -141,7 +141,7 @@ DIGEST_CASES = [
         None,
         {
             "cool_history.csv": "1541360d234b239bd5d928e2ae6daf5aac4b98b9063c275a2671657c9a27ee6c",
-            "cool_sequence.json": "6bb32e7eee4d302ef5a7df063eb6faf214042ce686699dd1be76ba7e9350a3d0",
+            "cool_sequence.json": "87f0f45363aaf0046a606f99370753b00b1e68ab7a78be173cf010820cafdca7",
             "cool_snapshots.csv": "d64ed0047748429b023d007342ce1dcfab35f69ac52b4000c95b28503f37bbc8",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
@@ -164,10 +164,10 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "f5a764e2f9d8172f18cdd242b7317a202ae8f5f1c574c8bdf0b5708f6e934a57",
-            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "fd7bc22ec99d88cef29d29e6c569ec3d85467447a506348a98e69385158e46a4",
-            "cool_suppression_fit.json": "d8c9a41e707923ddf1624529cdc9399f39df412c5252717d1aa046c6037da8f4",
+            "cool_history.csv": "5c19a6c993fc256f9ae0dd45d2df07dc0e84a179c963b58c2a5f9651bbded114",
+            "cool_sequence.json": "b8c5f5accbc0963328dcfe0e98731cabc9dd3750469dca7f6acb6e680cb94fcc",
+            "cool_snapshots.csv": "61367b49de6f69420a183646a6cb257b642268c57be5362150b1b90c16c42699",
+            "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
     (
@@ -219,8 +219,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "7ac8ac3fa4a230b2ee375474a4ce975eea283fc9cca8c062321018d49b9ffde2",
-            "optimize_trace.csv": "9c93ab48063d787e8c7872de04e9bb5b7d12086d5e69d570f1057054a395b0a5",
+            "optimize_sequence.json": "10cfb6d56d550b28efd4cbd528bbffef2d24373f5616d04f269c6b68b38a134d",
+            "optimize_trace.csv": "830b97c6c4941f8d9af0b2569e3c57db95c4b7908eb9d75d2bed9a83bedf2359",
         },
     ),
 ]

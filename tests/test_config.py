@@ -143,7 +143,7 @@ class TestTypeValidation:
 class TestSchemes:
     @pytest.mark.parametrize("name,bandwidth", [("F7", 8), ("F8", 16), ("two_level", 2)])
     def test_shorthand(self, name, bandwidth):
-        chain, _scheme = SchemeConfig.parse(name).build()
+        chain = SchemeConfig.parse(name).build()
         assert chain.bandwidth == bandwidth
 
     def test_dict_form_is_custom(self):
@@ -151,9 +151,9 @@ class TestSchemes:
             {"f": 7, "f_excited": 7, "polarization_pair": "pi_sigma_minus", "start_m": 0}
         )
         assert cfg.kind == "custom"
-        chain, scheme = cfg.build()
+        chain = cfg.build()
         assert chain.bandwidth == 8
-        assert scheme.start_m == 0
+        assert chain.steps[0].m_from == 0
 
     def test_unbuildable_chain_is_config_error(self):
         cfg = SchemeConfig.parse(

@@ -17,7 +17,6 @@ from drsc.cooling import (
     PulseSequence,
     SuppressionFit,
     _mean_and_gradient,
-    _single_pulse_seed,
     asymptotic_window,
     dual_thermal_decompose,
     heuristic_sequence,
@@ -234,7 +233,7 @@ class TestSharedGridScan:
             return float(n @ p) / p.sum()
 
         t_ref, f_ref = grid_loop_then_brent(mean_after)
-        t = _single_pulse_seed(ev, init.probs)
+        t = optimize_global(F7, TRAP, init, 1).times[0]
         assert abs(t - t_ref) <= 1e-8
         assert mean_after(t) <= f_ref + 1e-15
 
@@ -377,9 +376,16 @@ class TestOptimizeGlobal:
             return x, n_evals, converged
 
         monkeypatch.setattr(cooling, "_lbfgs", counting)
+        init = thermal_state(1.0)
         trace = []
-        seq = optimize_global(F7, TRAP, thermal_state(1.0), 4, trace=trace)
+        seq = optimize_global(F7, TRAP, init, 4, trace=trace)
         assert [len(x0) for x0, _ in calls] == [1, 2, 3, 4]
+        # k = 1 starts at the grid time with the lowest one-pulse <n>
+        ev = ChainEvolver(F7, TRAP, init.n_max)
+        grid = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_GRID_POINTS)
+        n = np.arange(init.n_max + 1)
+        means = [n @ p / p.sum() for p in (ev.apply_pulse(t, init.probs) for t in grid)]
+        np.testing.assert_array_equal(calls[0][0], [grid[np.argmin(means)]])
         for (_, prev), (x0, _) in zip(calls, calls[1:]):
             np.testing.assert_array_equal(x0, np.append(prev, prev[-1]))
         assert seq.times == tuple(calls[-1][1])
@@ -474,6 +480,12 @@ class TestDualThermalDecompose:
             thermal_distribution(nb, n_max) for nb in (15.0, 14.0, 15.0, 13.0, 15.0)
         ]
         with pytest.raises(ValueError, match="not geometric"):
+            dual_thermal_decompose(history, eta=0.07)
+
+    def test_rejects_tail_at_rounding_floor(self):
+        # a thermal state at nbar 1 holds ~2^-122 in the window n = 122..245
+        history = [thermal_distribution(1.0, 250)] * 4
+        with pytest.raises(ValueError, match=r"falls to 1\.88e-37 after 0 pulses"):
             dual_thermal_decompose(history, eta=0.07)
 
     def test_rejects_short_history(self):
