@@ -41,37 +41,26 @@ class ChainEvolver:
         g = chain.couplings
         ratios = sideband_coupling_ratios(n_max, trap.eta)
         n_sites = min(len(g) + 1, n_max + 1)
-        n_modes = (n_sites + 1) // 2
+        n_odd, n_modes = n_sites // 2, (n_sites + 1) // 2
         self.n_max = n_max
         self.n_sites = n_sites
-        # w[n, j] = sigma_j, zero-padded; the site-k amplitude after time t
-        # is sum_j C[n, k, j] [cos(pi w t), sin(pi w t)]_j up to a phase
-        self.w = np.zeros((n_max + 1, n_modes))
-        self.C = np.zeros((n_max + 1, n_sites, 2 * n_modes))
-        self.C[0, 0, 0] = 1.0
-        # rows n < n_sites - 1 are cut short by the ground state, one at a time
-        for n in range(1, n_sites - 1):
-            self._diagonalize(slice(n, n + 1), n + 1, g, ratios)
-        # every row from n_sites - 1 up is full length: one batched SVD
-        if n_sites > 1:
-            self._diagonalize(slice(n_sites - 1, n_max + 1), n_sites, g, ratios)
-
-    def _diagonalize(self, rows: slice, k: int, g: np.ndarray, ratios: np.ndarray) -> None:
-        """Fill w and C for the start phonons in rows, whose chains have k sites.
-
-        For odd k, B has one row more than columns; the zero-padded
-        sigma carries its null mode as the constant cos(0) = 1.
-        """
-        n = np.arange(rows.start, rows.stop)
-        ham = np.zeros((len(n), k, k))
-        i = np.arange(k - 1)
-        ham[:, i, i + 1] = ham[:, i + 1, i] = 0.5 * g[: k - 1] * ratios[n[:, None] - i]
+        # row n's chain ends at site n, where g_n R(0) = 0, so every row is
+        # diagonalized at full length in one batched SVD
+        n = np.arange(n_max + 1)[:, None]
+        i = np.arange(n_sites - 1)
+        ham = np.zeros((n_max + 1, n_sites, n_sites))
+        ham[:, i, i + 1] = ham[:, i + 1, i] = 0.5 * g[i] * ratios[np.maximum(n - i, 0)]
         u, sigma, wt = np.linalg.svd(ham[:, 0::2, 1::2], full_matrices=True)
-        n_odd, n_modes = k // 2, self.w.shape[1]
-        self.w[rows, :n_odd] = sigma
-        # even sites read cos against U_aj U_0j, odd sites sin against W_bj U_0j
-        self.C[rows, 0:k:2, : k - n_odd] = u * u[:, :1, :]
-        self.C[rows, 1:k:2, n_modes : n_modes + n_odd] = wt.transpose(0, 2, 1) * u[:, :1, :n_odd]
+        # w[n, j] = sigma_j, zero-padded; for odd n_sites, B has one row more
+        # than columns, and the padding carries its null mode as cos(0) = 1.
+        # The site-k amplitude after time t is sum_j C[n, k, j]
+        # [cos(pi w t), sin(pi w t)]_j up to a phase: even sites read cos
+        # against U_aj U_0j, odd sites sin against W_bj U_0j
+        self.w = np.zeros((n_max + 1, n_modes))
+        self.w[:, :n_odd] = sigma
+        self.C = np.zeros((n_max + 1, n_sites, 2 * n_modes))
+        self.C[:, 0::2, :n_modes] = u * u[:, :1, :]
+        self.C[:, 1::2, n_modes : n_modes + n_odd] = wt.transpose(0, 2, 1) * u[:, :1, :n_odd]
 
     def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
         """P[n, k] = probability that a start at phonon n ends k quanta lower.

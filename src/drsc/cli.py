@@ -476,12 +476,13 @@ def main(argv=None) -> int:
         non_finite = [name for name, content in files.items() if _has_non_finite(content)]
         if non_finite:
             raise FloatingPointError(f"non-finite number in {', '.join(non_finite)}")
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # before ValueError, which LinAlgError subclasses
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     for name, content in files.items():

@@ -325,7 +325,8 @@ class RunConfig:
         heating_enabled: bool | None = None,
         rdp_enabled: bool | None = None,
     ) -> "RunConfig":
-        """Apply environment and command-line overrides, flags winning."""
+        """Apply environment and command-line overrides, flags winning; each
+        goes through the same checks as a config file's value."""
         changes: dict = {}
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None:
@@ -340,10 +341,10 @@ class RunConfig:
         if out_dir is not None:
             changes["out_dir"] = out_dir
         if heating_enabled is not None:
-            changes["heating"] = replace(self.heating, enabled=heating_enabled)
+            changes["heating"] = {"enabled": heating_enabled}
         if rdp_enabled is not None:
-            changes["rdp"] = replace(self.rdp, enabled=rdp_enabled)
-        return replace(self, **changes)
+            changes["rdp"] = {"enabled": rdp_enabled}
+        return _parse(self, changes, "")
 
     def resolved(self) -> dict:
         """Canonical fully-resolved form, the basis of the config hash."""

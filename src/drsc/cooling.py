@@ -25,9 +25,6 @@ _T_GRID_POINTS = 240
 # 0.62 MB at F8/n_max 400 (K = 16); longer chunks outgrow the cache and
 # measured slower
 _GRID_CHUNK = 6
-# the refinement stops once a step moves the pulse time by no more than this
-_REFINE_XTOL = 1e-10
-_REFINE_MAX_STEPS = 60
 _MIN_PULSE_TIME = 1e-6
 # dual_thermal_decompose refuses a window whose tail mass falls below this:
 # heating's absolute rounding over the default 124-entry window is ~2.7e-14
@@ -74,9 +71,13 @@ def asymptotic_window(eta: float) -> tuple[int, int]:
     The per-bin ratio (W p)(n)/p(n) of a thermal state settles to its
     asymptote only well above the band edge; empirically the plateau sits
     around the first-sideband coupling maximum, bracketed here by
-    0.6/eta^2 and 1.2/eta^2.
+    0.6/eta^2 and 1.2/eta^2.  An eta whose bounds are not finite raises
+    FloatingPointError.
     """
-    return (int(0.6 / eta**2), math.ceil(1.2 / eta**2))
+    try:
+        return (int(0.6 / eta**2), math.ceil(1.2 / eta**2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FloatingPointError(f"asymptotic window is not finite at eta {eta}") from exc
 
 
 def _check_window(
@@ -95,13 +96,12 @@ def _check_window(
     return n_lo, n_hi
 
 
-def _suppression(after: np.ndarray, p0: np.ndarray, window: tuple[int, int]) -> np.ndarray:
-    """Tail suppression of the populations `after` one pulse from p0: the
-    geometric mean over the window of the per-bin ratios.  Leading axes of
-    after and p0 broadcast; the last axis is the phonon number."""
+def _log_suppression(after: np.ndarray, p0: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+    """log of the tail suppression of the populations `after` one pulse
+    from p0: the mean over the window of the per-bin log ratios.  Leading
+    axes of after and p0 broadcast; the last axis is the phonon number."""
     n_lo, n_hi = window
-    ratios = after[..., n_lo : n_hi + 1] / p0[..., n_lo : n_hi + 1]
-    return np.exp(np.mean(np.log(ratios), axis=-1))
+    return np.mean(np.log(after[..., n_lo : n_hi + 1] / p0[..., n_lo : n_hi + 1]), axis=-1)
 
 
 def suppression_factor(
@@ -122,7 +122,7 @@ def suppression_factor(
         window = asymptotic_window(trap.eta)
     window = _check_window(window, init, len(chain.steps))
     evolver = cached_evolver(chain, trap, init.n_max)
-    return float(_suppression(evolver.apply_pulse(t, init.probs), init.probs, window))
+    return float(np.exp(_log_suppression(evolver.apply_pulse(t, init.probs), init.probs, window)))
 
 
 def _grid_scan(
@@ -152,57 +152,26 @@ def _minimize_suppression(
     """Minimize the tail suppression a over the pulse time, for each start
     p0 in the rows of p0s; one (t, a) per start.
 
-    The grid neighbours of each start's lowest grid point bracket its
-    minimum.  Illinois regula falsi then seeks the zero of d(log a)/dt.
-    Each step evaluates one time per start still refining, _GRID_CHUNK
-    times per kernel call, and a start stops on its own, so its result
-    does not depend on the other starts.  The grid point stands when the
-    bracket shows no sign change or the refined value is not lower.
+    One grid scan serves every start.  L-BFGS (t >= 1e-6) then refines
+    log a from each start's lowest grid point, with the exact slope
+    d(log a)/dt, the window mean of d(after)/dt / after.  log a is the
+    mean that _log_suppression takes, so a is bit for bit
+    suppression_factor(t), and a start's result does not depend on the
+    other starts.
     """
     n_lo, n_hi = window
-    ts, vals = _grid_scan(evolver, p0s, lambda after, p0: _suppression(after, p0, window))
-    best = np.argmin(vals, axis=0)
-    results = [(float(ts[i]), float(vals[i, s])) for s, i in enumerate(best)]
+    ts, vals = _grid_scan(evolver, p0s, lambda after, p0: _log_suppression(after, p0, window))
+    results = []
+    for p0, i in zip(p0s, np.argmin(vals, axis=0)):
 
-    def evaluate(times, starts):
-        """suppression and d(log suppression)/dt at times[j] from start starts[j]"""
-        f, g = np.empty(len(times)), np.empty(len(times))
-        for i in range(0, len(times), _GRID_CHUNK):
-            chunk = slice(i, i + _GRID_CHUNK)
-            site_p, d_site_p = evolver.site_probabilities_with_derivative(times[chunk])
-            p0 = p0s[starts[chunk]]
+        def log_suppression_and_slope(t):
+            site_p, d_site_p = evolver.site_probabilities_with_derivative(t[0])
             after = apply_table(site_p, p0)
-            d_after = apply_table(d_site_p, p0)
-            f[chunk] = _suppression(after, p0, window)
-            g[chunk] = np.mean(d_after[..., n_lo : n_hi + 1] / after[..., n_lo : n_hi + 1], axis=-1)
-        return f, g
+            slope = np.mean(apply_table(d_site_p, p0)[n_lo : n_hi + 1] / after[n_lo : n_hi + 1])
+            return _log_suppression(after, p0, window), np.array([slope])
 
-    starts = np.nonzero((best > 0) & (best < len(ts) - 1))[0]
-    # row 0 of bracket is the end with slope < 0, row 1 the end with slope > 0
-    bracket = np.stack([ts[best[starts] - 1], ts[best[starts] + 1]])
-    g_ends = evaluate(bracket.ravel(), np.tile(starts, 2))[1].reshape(2, -1)
-    live = (g_ends[0] < 0) & (g_ends[1] > 0)
-    starts, bracket, g_ends = starts[live], bracket[:, live], g_ends[:, live]
-    last_end = np.full(len(starts), -1)
-    t_prev = np.full(len(starts), np.nan)
-    # a start not converged after the last step keeps its grid point
-    for _ in range(_REFINE_MAX_STEPS):
-        if not len(starts):
-            break
-        t = bracket[1] - g_ends[1] * (bracket[1] - bracket[0]) / (g_ends[1] - g_ends[0])
-        f, g = evaluate(t, starts)
-        end = (g > 0).astype(int)
-        cols = np.arange(len(starts))
-        # Illinois: the end kept a second time in a row has its slope halved
-        g_ends[1 - end, cols] *= np.where(end == last_end, 0.5, 1.0)
-        bracket[end, cols], g_ends[end, cols] = t, g
-        done = (g == 0) | (np.abs(t - t_prev) <= _REFINE_XTOL)
-        for s, t_s, f_s in zip(starts[done], t[done], f[done]):
-            if f_s < results[s][1]:
-                results[s] = (float(t_s), float(f_s))
-        live = ~done
-        starts, bracket, g_ends = starts[live], bracket[:, live], g_ends[:, live]
-        last_end, t_prev = end[live], t[live]
+        t, log_a, _, _ = _lbfgs(log_suppression_and_slope, ts[i : i + 1], _MIN_PULSE_TIME)
+        results.append((float(t[0]), float(np.exp(log_a))))
     return results
 
 
@@ -376,7 +345,7 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
     gradient's largest entry is <= gtol.  A failed line search clears the
     memory and retries; a failure with the memory already empty, or
     max_iter steps, end the search unconverged.
-    Returns (x, evaluations, converged)."""
+    Returns (x, fun(x)[0], evaluations, converged)."""
     f, g = fun(x)
     n_evals, nit = 1, 0
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
@@ -392,9 +361,9 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
 
     while True:
         if np.max(np.abs(np.where(g > 0, np.minimum(x - lower, g), g))) <= gtol:
-            return x, n_evals, True
+            return x, f, n_evals, True
         if nit == max_iter:
-            return x, n_evals, False
+            return x, f, n_evals, False
         # two-loop recursion for d = -H g, with H0 = s.y / y.y
         d, alphas = -g, []
         for s, y, rho in reversed(pairs):
@@ -416,7 +385,7 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
         stp = _line_search(phi, f, gd, stp, stpmax)
         if stp is None:
             if not pairs:
-                return x, n_evals, False
+                return x, f, n_evals, False
             pairs.clear()
             continue
         nit += 1
@@ -424,7 +393,7 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
         s, y, scale = x_new - x, g_new - g, max(abs(f), abs(f_new), 1.0)
         x, f, g, decrease = x_new, f_new, g_new, f - f_new
         if decrease <= ftol * scale:
-            return x, n_evals, True
+            return x, f, n_evals, True
         sy = float(s @ y)
         # L-BFGS-B's curvature test: skip pairs that would spoil H's definiteness
         if sy > np.finfo(float).eps * -gd * stp:
@@ -473,7 +442,7 @@ def optimize_global(
     converged = True
     n_evals = []
     for k in range(1, n_pulses + 1):
-        x, evals, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
+        x, _, evals, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
         converged = converged and ok
         n_evals.append(evals)
         if trace is not None:

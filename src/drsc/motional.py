@@ -130,17 +130,21 @@ def fock_coupling(n: int, n_prime: int, eta: float) -> float:
 def sideband_coupling_ratios(n_max: int, eta: float) -> np.ndarray:
     """R[n] = coupling(n, n-1) / coupling(1, 0) for n = 0..n_max; R[0] = 0.
 
-    Reduces to L^1_{n-1}(eta^2)/sqrt(n); one recurrence pass over n.
+    Reduces to L^1_{n-1}(eta^2)/sqrt(n); one recurrence pass over n.  An
+    eta whose ratios are not finite raises FloatingPointError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     x = eta * eta
     lag = np.empty(max(n_max, 1), dtype=float)
     lag[0] = 1.0
-    if n_max >= 2:
-        lag[1] = 2.0 - x
-        for k in range(2, n_max):
-            lag[k] = ((2 * k - x) * lag[k - 1] - k * lag[k - 2]) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max >= 2:
+            lag[1] = 2.0 - x
+            for k in range(2, n_max):
+                lag[k] = ((2 * k - x) * lag[k - 1] - k * lag[k - 2]) / k
+    if not np.isfinite(lag).all():
+        raise FloatingPointError(f"sideband coupling ratios overflow at eta {eta}")
     out = np.zeros(n_max + 1)
     if n_max >= 1:
         out[1:] = lag[: n_max] / np.sqrt(np.arange(1, n_max + 1))

@@ -138,18 +138,17 @@ class PulseTiming:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Per-pulse histories plus the final state of one protocol run.
+    """Per-pulse histories of one protocol run.
 
     history[k] is the distribution after k cycles (history[0] the initial
-    state), so nbar_history[k] is its mean; when dark preparation runs, the
-    conditioned state is appended.  final is the state after any pre-probe
-    delay and dark preparation.
+    state), so nbar_history[k] is its mean.  One more state is appended
+    when a pre-probe delay heats or dark preparation conditions the last
+    cycle's state, so history[-1] is always the state the probe reads.
     """
 
     nbar_history: tuple[float, ...]
     nbar_sb_history: tuple[float, ...]
     history: tuple[PhononDistribution, ...]
-    final: PhononDistribution
     success_probability: float
     rdp_applied: bool
     t_clear: float | None
@@ -174,7 +173,7 @@ def end_to_end_protocol(
     pulse duration) followed by a repump interval (optical_pumping + trap
     channels).  Index k of the histories is the state after k cycles; the
     optional dark-preparation filter is applied after the last cycle and
-    any pre-probe delay.
+    any pre-probe delay, and their result is appended as one more entry.
     """
     if timing is None:
         timing = PulseTiming()
@@ -205,13 +204,14 @@ def end_to_end_protocol(
     if rdp:
         used_t_clear = default_t_clear(chain, trap) if t_clear is None else t_clear
         state, success = rdp_filter(state, chain, trap, used_t_clear)
+    # the delayed or conditioned state, when either ran, is what the probe reads
+    if state is not snapshots[-1]:
         snapshots.append(state)
 
     return ProtocolReport(
         nbar_history=tuple(mean_n(s) for s in snapshots),
         nbar_sb_history=tuple(sideband_probe(s, trap, probe_time).nbar_sb for s in snapshots),
         history=tuple(snapshots),
-        final=state,
         success_probability=success,
         rdp_applied=rdp,
         t_clear=used_t_clear,

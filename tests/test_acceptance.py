@@ -306,8 +306,8 @@ def test_09_end_to_end_plausibility():
     bracket_ok = 0.05 <= nbar_sb <= 0.25
 
     with_rdp = end_to_end_protocol(F7, TRAP, seq, init, heating_rates={}, rdp=True)
-    rdp_nbar = mean_n(with_rdp.final)
-    rdp_ok = rdp_nbar < mean_n(heated.final) and rdp_nbar < 0.05
+    rdp_nbar = mean_n(with_rdp.history[-1])
+    rdp_ok = rdp_nbar < mean_n(heated.history[-1]) and rdp_nbar < 0.05
     ok = bracket_ok and rdp_ok
     verdict(
         9,
@@ -315,7 +315,7 @@ def test_09_end_to_end_plausibility():
         ok,
         f"10 optimized pulses, heating on: nbar_sb = {nbar_sb:.4f} (in [0.05, 0.25]); "
         f"with dark preparation: nbar = {rdp_nbar:.4f} "
-        f"(< {mean_n(heated.final):.4f} and < 0.05), success = {with_rdp.success_probability:.3f}",
+        f"(< {mean_n(heated.history[-1]):.4f} and < 0.05), success = {with_rdp.success_probability:.3f}",
     )
 
 

@@ -121,6 +121,24 @@ class TestCool:
         last = lines[-1].split(",")
         assert float(last[-1]) < 1.0  # dark preparation postselects
 
+    def test_pre_probe_delay_appends_row(self, tmp_path):
+        payload = {
+            "initial_nbar": 1.0,
+            "strategy": {"kind": "fixed", "n_pulses": 3, "fixed_time": 0.2},
+            "timing": {"pre_probe_delay_seconds": 1.0},
+        }
+        out = tmp_path / "out"
+        assert main(["cool", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        rows = [
+            line.split(",")
+            for line in (out / "cool_history.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ][1:]
+        assert len(rows) == 5  # initial + 3 pulses + delayed
+        # the probe reads the last row, heated by the delay
+        assert float(rows[-1][1]) > float(rows[-2][1])
+        assert rows[-1][3] == "1.0"
+
 
 # Artifacts pinned byte for byte: (id, argv, config payload or None, sha256 per file)
 DIGEST_CASES = [
@@ -129,9 +147,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "e52f4082e19fd5c452c9de3ed34e1557100e3bd41f32c3cc127b4853a4585035",
-            "cool_sequence.json": "2090151f9f16bd14c0452bad7fe20f0e0b348b24b2cce48c9c8b0a585786ce6d",
-            "cool_snapshots.csv": "509f4b7d7f17ca9d9093cae9085eaa25288ca7fc945df8bfc138b8c0031afc6a",
+            "cool_history.csv": "3f651620b077d0a93a85c0b8b5719cc0cbdcd2e7b78c070bef31b474ce0b7465",
+            "cool_sequence.json": "ad6a32b6df304b776ae2a4a50883664c65546a26e74d7b1502f115654afbec86",
+            "cool_snapshots.csv": "e9658502d79ef82e884dffcd09199f41ad6a1fe3bd97bffc47376d4d63af4fe8",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -140,9 +158,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "1541360d234b239bd5d928e2ae6daf5aac4b98b9063c275a2671657c9a27ee6c",
-            "cool_sequence.json": "87f0f45363aaf0046a606f99370753b00b1e68ab7a78be173cf010820cafdca7",
-            "cool_snapshots.csv": "d64ed0047748429b023d007342ce1dcfab35f69ac52b4000c95b28503f37bbc8",
+            "cool_history.csv": "9f501f5f881da3c71d53af41a81d6bde154ad7a6eb958ba2a6dc8d86e9c78264",
+            "cool_sequence.json": "0c93316650baf0ecd5829aefd099f2d5acf90c521a831f41f75f6841136647b4",
+            "cool_snapshots.csv": "2192853f4d4ea970e72bf599fbb0280b14f3003f9b75551b8bfd884b0037d80d",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -164,9 +182,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "5c19a6c993fc256f9ae0dd45d2df07dc0e84a179c963b58c2a5f9651bbded114",
+            "cool_history.csv": "1074f1c425c7a6c7254ed82fda7c15acf9fc333a72d8728a7fa86512d4a1ea79",
             "cool_sequence.json": "b8c5f5accbc0963328dcfe0e98731cabc9dd3750469dca7f6acb6e680cb94fcc",
-            "cool_snapshots.csv": "61367b49de6f69420a183646a6cb257b642268c57be5362150b1b90c16c42699",
+            "cool_snapshots.csv": "c183531555dc77a347aa0c85463f1af57265183cb8d8c61d39b2431807dadcc7",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -178,8 +196,8 @@ DIGEST_CASES = [
         {
             "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
             "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
-            "transfer_matrix_01.csv": "0ebbe70e7aff595239f4d4b9eb9f923e87ade97a8722cf7041bb68c9366c55da",
-            "transfer_matrix_01.json": "805b2ec3166a8c03a33381b788cbac72e67c5edb957725e931837b5c2497f12e",
+            "transfer_matrix_01.csv": "256588c04986d132fcde2fa17e80724315ddc8fda33e269675eec4384d9438b3",
+            "transfer_matrix_01.json": "29213f9b548cdbe20a473d0313afee77f8e0eb4b4214da7d46516f9cd2108631",
             "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
         },
     ),
@@ -188,8 +206,8 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
         {
-            "transfer_matrix_00.csv": "625c488f8246769e41cbdc9a43d7b6468686683bcf342697c1535cd16cee66c9",
-            "transfer_matrix_00.json": "4450e1bf864fa461dd770d3b2016d4cfdf4342aa0bd07c03d5b2f8c967098da7",
+            "transfer_matrix_00.csv": "a5f7659ea30877073450bd4e582d65f0d15706f495eb03405d8e8f0f223a9f5c",
+            "transfer_matrix_00.json": "c909e4125b73b1c81adf6c3c399e6eb91a37c95e54ca0fb0377c888414872577",
             "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
         },
     ),
@@ -203,7 +221,7 @@ DIGEST_CASES = [
         "table1-f7",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
-        {"table1.csv": "1d1b41fa1df3fb2f1b3ac8236029f02709b1055143a2f56e0fe90b22e026ab7f"},
+        {"table1.csv": "966b862d0ae3013ef37cb484bba1dd2e743fa67c7ff3d80945b96c657a53a443"},
     ),
     (
         "pumping",
@@ -219,7 +237,7 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "10cfb6d56d550b28efd4cbd528bbffef2d24373f5616d04f269c6b68b38a134d",
+            "optimize_sequence.json": "3501c27f93b2d08a502e6b4bf2c0a5ce9a9794f43f815ad16d6795404b397339",
             "optimize_trace.csv": "830b97c6c4941f8d9af0b2569e3c57db95c4b7908eb9d75d2bed9a83bedf2359",
         },
     ),
@@ -405,6 +423,16 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    # 1e155 overflows eta^2 in the asymptotic window, 1e100 the coupling ratios
+    @pytest.mark.parametrize("eta", [1e155, 1e100])
+    @pytest.mark.parametrize("command", ["transfer-matrix", "cool", "table1", "probe", "optimize"])
+    def test_overflowing_eta_exits_3(self, tmp_path, capsys, command, eta):
+        cfg = write_config(tmp_path, {"trap": {"eta": eta}})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, payload",
         [
@@ -541,6 +569,21 @@ class TestEnvironment:
         ha = read_meta_lines(a / "probe.csv")["config_sha256"]
         hb = read_meta_lines(b / "probe.csv")["config_sha256"]
         assert ha != hb
+
+    # overrides get the seed >= 0 check that a config file's seed gets
+    @pytest.mark.parametrize("command", ["probe", "pumping"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, command, via_env):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if via_env:
+            monkeypatch.setenv("DRSC_SEED", "-1")
+        else:
+            monkeypatch.delenv("DRSC_SEED", raising=False)
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Runs in a fresh interpreter whose imports of scipy fail: drsc must import

@@ -239,20 +239,22 @@ class TestSharedGridScan:
 
     def test_table1_f7_kernel_calls(self, monkeypatch):
         # one 240-point grid for all nine nbar cells, six pulse times per
-        # call, then the refinement's batched derivative calls
+        # call, then each cell's L-BFGS, one scalar pulse time per call
         nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
         cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
         calls = []
         real_tables = ChainEvolver._tables
 
         def counting(self, t, derivative):
-            calls.append(derivative)
+            calls.append((derivative, np.shape(t)))
             return real_tables(self, t, derivative)
 
         monkeypatch.setattr(ChainEvolver, "_tables", counting)
         cmd_table1(cfg)
-        assert calls.count(False) <= 40
-        assert calls.count(True) <= 15
+        assert sum(not derivative for derivative, _ in calls) <= 40
+        refinement = [shape for derivative, shape in calls if derivative]
+        assert set(refinement) == {()}
+        assert len(refinement) <= 72
 
     def test_inits_must_share_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -371,9 +373,9 @@ class TestOptimizeGlobal:
         real_lbfgs = cooling._lbfgs
 
         def counting(fun, x0, *args, **kwargs):
-            x, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
+            x, f, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
             calls.append((np.array(x0), x.copy()))
-            return x, n_evals, converged
+            return x, f, n_evals, converged
 
         monkeypatch.setattr(cooling, "_lbfgs", counting)
         init = thermal_state(1.0)
@@ -403,8 +405,9 @@ def rosenbrock(x):
 class TestLbfgs:
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0] * 5], ids=["2-D", "10-D"])
     def test_rosenbrock_reaches_its_minimum(self, x0):
-        x, n_evals, converged = cooling._lbfgs(rosenbrock, np.array(x0), -np.inf)
+        x, f, n_evals, converged = cooling._lbfgs(rosenbrock, np.array(x0), -np.inf)
         assert converged
+        assert f == rosenbrock(x)[0]
         np.testing.assert_allclose(x, 1.0, rtol=0, atol=1e-7)
         assert n_evals <= 100
 
@@ -415,7 +418,7 @@ class TestLbfgs:
             seen.append(float(t[0]))
             return float(t[0]), np.ones(1)
 
-        x, _, converged = cooling._lbfgs(linear, np.array([1.0]), 1e-6)
+        x, _, _, converged = cooling._lbfgs(linear, np.array([1.0]), 1e-6)
         assert min(seen) >= 1e-6
         assert x[0] == pytest.approx(1e-6, rel=1e-9)
         assert converged

@@ -202,10 +202,6 @@ class TestEndToEndProtocol:
         assert calls == [0.17]
         assert len(report.history) == 21
 
-    def test_final_matches_last_snapshot(self):
-        report = self.run(n_pulses=2, rdp=True)
-        np.testing.assert_array_equal(report.final.probs, report.history[-1].probs)
-
     @pytest.mark.parametrize("rdp", [False, True])
     def test_pre_probe_delay_keeps_history_and_snapshots_aligned(self, rdp):
         delayed = self.run(
@@ -215,6 +211,9 @@ class TestEndToEndProtocol:
             assert mean_n(dist) == delayed.nbar_history[k]
         undelayed = self.run(n_pulses=3, heating=True, rdp=rdp)
         np.testing.assert_array_equal(delayed.history[3].probs, undelayed.history[3].probs)
+        # the last row is what the probe reads: without dark preparation the
+        # delay appends its heated state, with it the conditioned row
+        # already follows the delay
+        assert len(delayed.history) == len(undelayed.history) + (not rdp)
         if not rdp:
-            # the delay heats only `final`, the state the probe reads
-            assert mean_n(delayed.final) > delayed.nbar_history[-1]
+            assert delayed.nbar_history[-1] > undelayed.nbar_history[-1]
