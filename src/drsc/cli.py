@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -351,7 +352,7 @@ def cmd_pumping(cfg: RunConfig) -> dict[str, str]:
     }
     if cfg.pumping.monte_carlo_trajectories > 0:
         mc_mean, mc_stderr = monte_carlo_steps(
-            graph, None, cfg.pumping.monte_carlo_trajectories, seed=cfg.seed
+            graph, cfg.pumping.monte_carlo_trajectories, seed=cfg.seed
         )
         summary["monte_carlo"] = {
             "n_trajectories": cfg.pumping.monte_carlo_trajectories,
@@ -460,16 +461,17 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        # the sizes are exact ints beyond float's range; format them as Decimals
         size = _largest_array_bytes(args.command, cfg)
         if size > _ARRAY_BUDGET_BYTES:
             raise ConfigError(
-                f"{args.command} would allocate an array of about {size / 2**20:.4g} MiB, "
+                f"{args.command} would allocate an array of about {Decimal(size) / 2**20:.4g} MiB, "
                 f"over the {_ARRAY_BUDGET_BYTES / 2**20:.4g} MiB budget"
             )
         size = _output_bytes(args.command, cfg)
         if size > _OUTPUT_BUDGET_BYTES:
             raise ConfigError(
-                f"{args.command} would write about {size / 2**20:.4g} MiB of text, "
+                f"{args.command} would write about {Decimal(size) / 2**20:.4g} MiB of text, "
                 f"over the {_OUTPUT_BUDGET_BYTES / 2**20:.4g} MiB budget"
             )
         files = _COMMANDS[args.command](cfg)

@@ -71,21 +71,22 @@ def asymptotic_window(eta: float) -> tuple[int, int]:
     The per-bin ratio (W p)(n)/p(n) of a thermal state settles to its
     asymptote only well above the band edge; empirically the plateau sits
     around the first-sideband coupling maximum, bracketed here by
-    0.6/eta^2 and 1.2/eta^2.  An eta whose bounds are not finite raises
-    FloatingPointError.
+    0.6/eta^2 and 1.2/eta^2.  An eta whose square overflows raises
+    FloatingPointError, one too small for finite bounds ValueError.
     """
     try:
-        return (int(0.6 / eta**2), math.ceil(1.2 / eta**2))
-    except (OverflowError, ZeroDivisionError) as exc:
+        eta2 = eta**2
+    except OverflowError as exc:
         raise FloatingPointError(f"asymptotic window is not finite at eta {eta}") from exc
+    if not (eta2 > 0 and math.isfinite(1.2 / eta2)):
+        raise ValueError(f"asymptotic window at eta {eta} has no finite bound")
+    return (int(0.6 / eta2), math.ceil(1.2 / eta2))
 
 
-def _check_window(
-    window: tuple[int, int], init: PhononDistribution, reach: int
-) -> tuple[int, int]:
-    n_lo, n_hi = int(window[0]), int(window[1])
-    if not 0 <= n_lo <= n_hi:
-        raise ValueError(f"bad window {window}")
+def _checked_window(eta: float, init: PhononDistribution, reach: int) -> tuple[int, int]:
+    """asymptotic_window(eta), which with the pulse reach above it must fit
+    in init's truncation and hold no zero populations."""
+    window = n_lo, n_hi = asymptotic_window(eta)
     if n_hi + reach > init.n_max:
         raise ValueError(
             f"window {window} plus pulse reach {reach} exceeds n_max = {init.n_max}; "
@@ -93,7 +94,7 @@ def _check_window(
         )
     if np.any(init.probs[n_lo : n_hi + 1] <= 0):
         raise ValueError(f"window {window} contains zero-probability entries")
-    return n_lo, n_hi
+    return window
 
 
 def _log_suppression(after: np.ndarray, p0: np.ndarray, window: tuple[int, int]) -> np.ndarray:
@@ -109,18 +110,15 @@ def suppression_factor(
     trap: TrapParams,
     t: float,
     init: PhononDistribution,
-    window: tuple[int, int] | None = None,
 ) -> float:
     """Per-pulse geometric tail suppression a.
 
-    a is the geometric mean over the window of the per-bin population
-    ratio after one pulse of duration t.  The default window is the
-    asymptotic plateau; the initial distribution must be truncated high
-    enough to cover it plus the pulse band.
+    a is the geometric mean over the asymptotic window of the per-bin
+    population ratio after one pulse of duration t; the initial
+    distribution must be truncated high enough to cover the window plus
+    the pulse band.
     """
-    if window is None:
-        window = asymptotic_window(trap.eta)
-    window = _check_window(window, init, len(chain.steps))
+    window = _checked_window(trap.eta, init, len(chain.steps))
     evolver = cached_evolver(chain, trap, init.n_max)
     return float(np.exp(_log_suppression(evolver.apply_pulse(t, init.probs), init.probs, window)))
 
@@ -179,16 +177,13 @@ def optimize_fixed_pulses(
     chain: CouplingChain,
     trap: TrapParams,
     inits: list[PhononDistribution],
-    window: tuple[int, int] | None = None,
 ) -> list[tuple[float, float]]:
     """optimize_fixed_pulse for every distribution in inits, which share
     one n_max: a single grid scan's tables serve them all.  Returns one
     (t_opt, a_opt) per init."""
     if len({init.n_max for init in inits}) != 1:
         raise ValueError("inits must be a non-empty list sharing one n_max")
-    if window is None:
-        window = asymptotic_window(trap.eta)
-    window = [_check_window(window, init, len(chain.steps)) for init in inits][0]
+    window = [_checked_window(trap.eta, init, len(chain.steps)) for init in inits][0]
     evolver = cached_evolver(chain, trap, inits[0].n_max)
     return _minimize_suppression(evolver, np.stack([init.probs for init in inits]), window)
 
@@ -197,10 +192,9 @@ def optimize_fixed_pulse(
     chain: CouplingChain,
     trap: TrapParams,
     init: PhononDistribution,
-    window: tuple[int, int] | None = None,
 ) -> tuple[float, float]:
     """Duration minimizing the tail suppression factor; returns (t_opt, a_opt)."""
-    return optimize_fixed_pulses(chain, trap, [init], window)[0]
+    return optimize_fixed_pulses(chain, trap, [init])[0]
 
 
 def _mean_and_gradient(
@@ -239,112 +233,36 @@ def _mean_and_gradient(
     return f, grad
 
 
-def _cubic_min(a, fa, da, b, fb, db) -> tuple[float, float]:
-    """(r, gamma): the cubic through (a, fa, da) and (b, fb, db) has its
-    minimizer at a + r (b - a); gamma is zero when it has no turning point."""
-    theta = 3.0 * (fa - fb) / (b - a) + da + db
-    s = max(abs(theta), abs(da), abs(db))
-    gamma = math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s))), b - a)
-    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
-
-
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """Moré–Thuente's safeguarded step: the next trial step and the updated
-    interval (stx, sty), where stx holds the lowest value found so far."""
-    opposite = dp * math.copysign(1.0, dx) < 0
-    if fp > fx:  # a higher value brackets the minimum
-        r, _ = _cubic_min(stx, fx, dx, stp, fp, dp)
-        stpc = stx + r * (stp - stx)
-        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif opposite or abs(dp) < abs(dx):  # a slope sign change brackets it; else a flattening
-        r, gamma = _cubic_min(stp, fp, dp, stx, fx, dx)
-        stpc = stp + r * (stx - stp)
-        stpq = stp + dp / (dp - dx) * (stx - stp)
-        if opposite:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            brackt = True
-        else:
-            if not (r < 0 and gamma != 0):
-                stpc = stpmax if stp > stx else stpmin
-            if brackt:
-                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-                limit = stp + 0.66 * (sty - stp)
-                stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
-            else:
-                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-                stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:  # a lower value, not flatter: move toward the other end
-        r, _ = _cubic_min(stp, fp, dp, sty, fy, dy)
-        stpf = stp + r * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _line_search(phi, f0, g0, stp, stpmax, ftol=1e-3, gtol=0.9, xtol=0.1, max_steps=20):
-    """Moré–Thuente's dcsrch (ACM TOMS 20, 286 (1994)) with L-BFGS-B's
-    settings: a step along the direction where phi(step) = (f, f') meets
-    the strong Wolfe conditions.  Its warning exits (rounding errors, the
-    xtol interval, the step cap) also return the last step tried; None
-    when the input is invalid or max_steps evaluations find no step."""
-    if not 0 < stp <= stpmax or g0 >= 0:
+def _line_search(phi, f0, g0, stp):
+    """Backtracking line search along a descent direction, where
+    phi(step) = (f, f'): the first step with sufficient decrease
+    f <= f0 + 1e-3 step g0, within 20 evaluations.  After a rejected step
+    the next is step r, r clipped to [0.1, 0.5], where r step minimizes
+    the cubic through (0, f0, g0) and (step, f, f') (Nocedal & Wright,
+    Numerical Optimization, sec. 3.5), or r = 0.5 when that cubic has no
+    finite minimizer.  None when stp <= 0, g0 >= 0 or no step is found."""
+    if not (stp > 0 and g0 < 0):
         return None
-    gtest = ftol * g0
-    brackt, stage = False, 1
-    width, width1 = stpmax, 2.0 * stpmax
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = g0
-    stmin, stmax = 0.0, 5.0 * stp
-    for _ in range(max_steps):
+    for _ in range(20):
         f, g = phi(stp)
-        ftest = f0 + stp * gtest
-        if stage == 1 and f <= ftest and g >= 0:
-            stage = 2
-        # convergence, or a warning: the step cap, or a step sent back to the
-        # best end stx because rounding errors or xtol stop the bracketing
-        if (
-            (f <= ftest and abs(g) <= -gtol * g0)
-            or (stp == stpmax and f <= ftest and g <= gtest)
-            or stp == stx
-        ):
+        if f <= f0 + 1e-3 * stp * g0:
             return stp
-        # until a step meets sufficient decrease, step on psi = f - stp * gtest
-        c = gtest if stage == 1 and ftest < f <= fx else 0.0
-        stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-            stx, fx - stx * c, gx - c, sty, fy - sty * c, gy - c,
-            stp, f - stp * c, g - c, brackt, stmin, stmax,
-        )
-        fx, fy, gx, gy = fx + stx * c, fy + sty * c, gx + c, gy + c
-        if brackt:
-            if abs(sty - stx) >= 0.66 * width1:
-                stp = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-        else:
-            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-        stp = min(max(stp, 0.0), stpmax)
-        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= xtol * stmax):
-            stp = stx
+        d1 = g0 + g - 3.0 * (f - f0) / stp
+        disc = d1 * d1 - g0 * g
+        denom = g - g0 + 2.0 * math.sqrt(disc) if disc >= 0 else 0.0
+        r = 1.0 - (g + math.sqrt(disc) - d1) / denom if denom != 0 else 0.5
+        stp *= max(0.1, min(0.5, r))
     return None
 
 
-def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
+def _lbfgs(fun, x, lower):
     """Minimize fun(x) -> (f, gradient) over x >= lower by L-BFGS (Liu &
-    Nocedal, Math. Prog. 45, 503 (1989)), driven as L-BFGS-B drives it
-    while no bound is active; the bound only caps each step's length.
-    Converged when the relative decrease is <= ftol or the projected
-    gradient's largest entry is <= gtol.  A failed line search clears the
-    memory and retries; a failure with the memory already empty, or
-    max_iter steps, end the search unconverged.
+    Nocedal, Math. Prog. 45, 503 (1989)) with L-BFGS-B's memory of 10
+    pairs, scaling, curvature skip and stopping tests; the bound only caps
+    each step's length.  Converged when the relative decrease is <= 1e-13
+    or the projected gradient's largest entry is <= 1e-10.  A failed line
+    search clears the memory and retries; a failure with the memory
+    already empty, or 1000 steps, end the search unconverged.
     Returns (x, fun(x)[0], evaluations, converged)."""
     f, g = fun(x)
     n_evals, nit = 1, 0
@@ -360,9 +278,9 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
         return f_t, float(g_t @ d)
 
     while True:
-        if np.max(np.abs(np.where(g > 0, np.minimum(x - lower, g), g))) <= gtol:
+        if np.max(np.abs(np.where(g > 0, np.minimum(x - lower, g), g))) <= 1e-10:
             return x, f, n_evals, True
-        if nit == max_iter:
+        if nit == 1000:
             return x, f, n_evals, False
         # two-loop recursion for d = -H g, with H0 = s.y / y.y
         d, alphas = -g, []
@@ -373,16 +291,16 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
             d = d / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]))
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
             d = d + (alpha - rho * (y @ d)) * s
-        # L-BFGS-B caps the first step at 1 and later ones at 1e10, and we
-        # cap each where the first variable would cross the bound
+        # the first trial step is 1 (1/|d| on the first iteration), capped
+        # at 1 and where the first variable would cross the bound
         falling = d < 0
-        stpmax = min(
-            1.0 if nit == 0 else 1e10,
+        gd = float(g @ d)
+        stp = min(
+            1.0 / np.linalg.norm(d) if nit == 0 else 1.0,
+            1.0,
             float(np.min((x[falling] - lower) / -d[falling], initial=np.inf)),
         )
-        gd = float(g @ d)
-        stp = min(1.0 / np.linalg.norm(d) if nit == 0 else 1.0, stpmax)
-        stp = _line_search(phi, f, gd, stp, stpmax)
+        stp = _line_search(phi, f, gd, stp)
         if stp is None:
             if not pairs:
                 return x, f, n_evals, False
@@ -392,12 +310,12 @@ def _lbfgs(fun, x, lower, ftol=1e-13, gtol=1e-10, max_iter=1000, memory=10):
         x_new, f_new, g_new = trial
         s, y, scale = x_new - x, g_new - g, max(abs(f), abs(f_new), 1.0)
         x, f, g, decrease = x_new, f_new, g_new, f - f_new
-        if decrease <= ftol * scale:
+        if decrease <= 1e-13 * scale:
             return x, f, n_evals, True
         sy = float(s @ y)
         # L-BFGS-B's curvature test: skip pairs that would spoil H's definiteness
         if sy > np.finfo(float).eps * -gd * stp:
-            pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-10:]
 
 
 def optimize_global(
@@ -481,27 +399,18 @@ def heuristic_sequence(
     return PulseSequence(times=tuple(times), strategy="heuristic")
 
 
-def dual_thermal_decompose(
-    history: list[PhononDistribution],
-    window: tuple[int, int] | None = None,
-    eta: float | None = None,
-    r2_threshold: float = 0.99,
-) -> SuppressionFit:
+def dual_thermal_decompose(history: list[PhononDistribution], eta: float) -> SuppressionFit:
     """Fit the two-component model to a fixed-duration pulse history.
 
     history[k] is the distribution after k pulses (history[0] the initial
-    state).  The tail mass over the window should decay geometrically;
-    a is recovered by log-linear regression and the residual component
-    from the final distribution.
+    state).  The tail mass over the asymptotic window of eta should decay
+    geometrically, with R^2 >= 0.99; a is recovered by log-linear
+    regression and the residual component from the final distribution.
     """
     if len(history) < 4:
         raise ValueError("need the initial state plus at least 3 pulses")
-    if window is None:
-        if eta is None:
-            raise ValueError("either window or eta must be given")
-        window = asymptotic_window(eta)
     init = history[0]
-    n_lo, n_hi = _check_window(window, init, 0)
+    window = n_lo, n_hi = _checked_window(eta, init, 0)
 
     tail_mass = np.array([float(h.probs[n_lo : n_hi + 1].sum()) for h in history])
     k_min = int(np.argmin(tail_mass))
@@ -517,9 +426,9 @@ def dual_thermal_decompose(
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < r2_threshold:
+    if r2 < 0.99:
         raise ValueError(
-            f"tail decay is not geometric (R^2 = {r2:.4f} < {r2_threshold}); "
+            f"tail decay is not geometric (R^2 = {r2:.4f} < 0.99); "
             "dual-thermal model does not apply"
         )
     a = float(np.exp(slope))
@@ -536,7 +445,7 @@ def dual_thermal_decompose(
     residual /= total
     return SuppressionFit(
         a=a,
-        fit_window=(n_lo, n_hi),
+        fit_window=window,
         residual=PhononDistribution(probs=residual, n_max=init.n_max),
         r_squared=r2,
     )

@@ -131,20 +131,18 @@ class PumpingGraph:
         return self.states.index(tuple(state))
 
 
-def build_pumping_graph(
-    beams: tuple[Beam, ...] | None = None,
-    f_excited: int = 7,
-    absorbing: tuple[int, int] = (7, 0),
-) -> PumpingGraph:
+def build_pumping_graph(beams: tuple[Beam, ...] | None = None) -> PumpingGraph:
     """One-scattering-event stochastic matrix over the 45 sublevels.
 
     Per event: an excitation channel is chosen among beam components with
     probability proportional to weight times the squared excitation CG,
-    then the excited state decays with squared-CG branching over
-    F in {6, 7, 8}.  The absorbing state must be dark under the beams.
+    then the F' = 7 excited state decays with squared-CG branching over
+    F in {6, 7, 8}.  The absorbing state |F=7, m=0> must be dark under the
+    beams.
     """
     if beams is None:
         beams = default_beams()
+    f_excited, absorbing = 7, (7, 0)
     f_grounds = (f_excited - 1, f_excited, f_excited + 1)
     states = tuple((f, m) for f in f_grounds for m in range(-f, f + 1))
     index = {s: i for i, s in enumerate(states)}
@@ -171,9 +169,6 @@ def build_pumping_graph(
             for (f2, m2), b in decay_branching(m_exc, f_excited).items():
                 matrix[row, index[(f2, m2)]] += (w / total) * float(b)
 
-    absorbing = tuple(absorbing)
-    if absorbing not in index:
-        raise ValueError(f"absorbing state {absorbing} not in the manifold")
     if matrix[index[absorbing]].sum() > 0:
         raise ValueError(
             f"beams drive the absorbing state {absorbing}; it must stay dark"
@@ -218,34 +213,26 @@ def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
 
 
 def monte_carlo_steps(
-    graph: PumpingGraph,
-    start: tuple[int, int] | None,
-    n_trajectories: int,
-    seed: int = 0,
-    max_steps: int = 100_000,
+    graph: PumpingGraph, n_trajectories: int, seed: int = 0
 ) -> tuple[float, float]:
-    """Direct simulation of the scattering walk; returns (mean, stderr).
+    """Direct simulation of the scattering walk from a uniform start over
+    the sublevels; returns (mean, stderr).
 
     Trajectories are propagated as ensemble counts with multinomial draws,
-    which is statistically identical to walking them one by one.
+    which is statistically identical to walking them one by one.  Walkers
+    left after 100000 steps raise RuntimeError.
     """
     _check_reachable(graph)
     rng = np.random.default_rng(seed)
     n = len(graph.states)
     idx_abs = graph.index(graph.absorbing)
-    counts = np.zeros(n, dtype=np.int64)
-    if start is None:
-        base, extra = divmod(n_trajectories, n)
-        counts[:] = base
-        counts[:extra] += 1
-    else:
-        counts[graph.index(tuple(start))] = n_trajectories
+    base, extra = divmod(n_trajectories, n)
+    counts = np.full(n, base, dtype=np.int64)
+    counts[:extra] += 1
 
-    absorbed_at = []
-    absorbed_so_far = counts[idx_abs]
-    absorbed_at.append(int(absorbed_so_far))  # step 0
+    absorbed_at = [int(counts[idx_abs])]  # step 0
     counts[idx_abs] = 0
-    for _ in range(max_steps):
+    for _ in range(100_000):
         if counts.sum() == 0:
             break
         occupied = np.nonzero(counts)[0]
@@ -254,7 +241,7 @@ def monte_carlo_steps(
         new[idx_abs] = 0
         counts = new
     else:
-        raise RuntimeError(f"walkers not absorbed after {max_steps} steps")
+        raise RuntimeError("walkers not absorbed after 100000 steps")
 
     k = np.arange(len(absorbed_at), dtype=float)
     w = np.array(absorbed_at, dtype=float)

@@ -284,7 +284,7 @@ def test_08_pumping_markov_chain():
     neighbor = float(steps[graph.index((7, 1))])
     uniform_ok = abs(uniform - 62.1) / 62.1 <= 0.15
     neighbor_ok = abs(neighbor - 41.4) / 41.4 <= 0.15
-    mc_mean, mc_stderr = monte_carlo_steps(graph, None, 1_000_000, seed=404)
+    mc_mean, mc_stderr = monte_carlo_steps(graph, 1_000_000, seed=404)
     z = (mc_mean - uniform) / mc_stderr
     mc_ok = abs(z) <= 3.0
     ok = uniform_ok and neighbor_ok and mc_ok

@@ -147,9 +147,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "3f651620b077d0a93a85c0b8b5719cc0cbdcd2e7b78c070bef31b474ce0b7465",
-            "cool_sequence.json": "ad6a32b6df304b776ae2a4a50883664c65546a26e74d7b1502f115654afbec86",
-            "cool_snapshots.csv": "e9658502d79ef82e884dffcd09199f41ad6a1fe3bd97bffc47376d4d63af4fe8",
+            "cool_history.csv": "4ea700336607e0385df8e706da2f3cc7d099189eb45cebc5fd7fe3301dfa2721",
+            "cool_sequence.json": "6f0eeb1df38018d23af7513a2f93459ec2965a0d10231e98a7a219bc8f452a7b",
+            "cool_snapshots.csv": "00f49b943de0b41722da5612b70bbbaea3fc92cb23f8ee6d2319b641a38e1b90",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -158,9 +158,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "9f501f5f881da3c71d53af41a81d6bde154ad7a6eb958ba2a6dc8d86e9c78264",
-            "cool_sequence.json": "0c93316650baf0ecd5829aefd099f2d5acf90c521a831f41f75f6841136647b4",
-            "cool_snapshots.csv": "2192853f4d4ea970e72bf599fbb0280b14f3003f9b75551b8bfd884b0037d80d",
+            "cool_history.csv": "f88bff35bb4949814b28f0dfaaa8c63b03c7cf2af129636c28fb1381d1dbd6d0",
+            "cool_sequence.json": "1064c2b076eb4faf9958e2caf313283b8b4a4325cd47d7ed62ab582bf138b95b",
+            "cool_snapshots.csv": "ab9c428082b61c4c51248c2b2e95f436555f0593f3ffb738b2534ec2a7976ec6",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -182,9 +182,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "1074f1c425c7a6c7254ed82fda7c15acf9fc333a72d8728a7fa86512d4a1ea79",
-            "cool_sequence.json": "b8c5f5accbc0963328dcfe0e98731cabc9dd3750469dca7f6acb6e680cb94fcc",
-            "cool_snapshots.csv": "c183531555dc77a347aa0c85463f1af57265183cb8d8c61d39b2431807dadcc7",
+            "cool_history.csv": "9a625659923d74bb1b86285bfde22fa76ff7ee79221cacec04a9bdb86524b0b3",
+            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
+            "cool_snapshots.csv": "0e1340dc2c7c12a7de7755bea85065f93a3c57588d4e2c7f5b5e0855c2a3b8b1",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -221,7 +221,7 @@ DIGEST_CASES = [
         "table1-f7",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
-        {"table1.csv": "966b862d0ae3013ef37cb484bba1dd2e743fa67c7ff3d80945b96c657a53a443"},
+        {"table1.csv": "5471cfc1c1e6b30046e45cf3ce8b86579448988dc7c821520b3bb1f11c459472"},
     ),
     (
         "pumping",
@@ -237,8 +237,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "3501c27f93b2d08a502e6b4bf2c0a5ce9a9794f43f815ad16d6795404b397339",
-            "optimize_trace.csv": "830b97c6c4941f8d9af0b2569e3c57db95c4b7908eb9d75d2bed9a83bedf2359",
+            "optimize_sequence.json": "9e0f5cd3fe18ef5cf67c7c4ce43a3b782d56362b942e4ff3d29c9481670830e0",
+            "optimize_trace.csv": "ea4495333fed626ff8ab703ce9b1aca73e13d1690754d7a738bf7b1f00ba0850",
         },
     ),
 ]
@@ -445,6 +445,14 @@ class TestErrorPaths:
             ("table1", {"trap": {"eta": 1e-4}}),
             # no finite truncation holds 0.9999 of this state
             ("probe", {"initial_nbar": 1e17}),
+            # at eta 1e-100 it reaches 1.2e200: the byte count passes float's range
+            ("cool", {"trap": {"eta": 1e-100}}),
+            # at eta 1e-160 and 1e-200 its bounds are not finite
+            *[
+                (command, {"trap": {"eta": eta}})
+                for eta in (1e-160, 1e-200)
+                for command in ("cool", "optimize", "table1")
+            ],
         ],
     )
     def test_oversized_arrays_exit_2(self, tmp_path, monkeypatch, command, payload):

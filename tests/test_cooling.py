@@ -423,6 +423,19 @@ class TestLbfgs:
         assert x[0] == pytest.approx(1e-6, rel=1e-9)
         assert converged
 
+    def test_direction_blocked_by_the_bound_is_not_converged(self):
+        # t0 sits on the bound and the first direction, -gradient, points
+        # below it: the step cap is 0 although the projected gradient is ~3
+        seen = []
+
+        def corner(t):
+            seen.append(float(t.min()))
+            return float(t[0] + (t[1] - 1.0) ** 2), np.array([1.0, 2.0 * (t[1] - 1.0)])
+
+        _, _, _, converged = cooling._lbfgs(corner, np.array([1e-6, 3.0]), 1e-6)
+        assert min(seen) >= 1e-6
+        assert not converged
+
 
 class TestHeuristicSequence:
     def test_f7_count_from_deep_thermal(self):
@@ -496,11 +509,6 @@ class TestDualThermalDecompose:
         history = [thermal_distribution(15.0, n_max)] * 3
         with pytest.raises(ValueError):
             dual_thermal_decompose(history, eta=0.07)
-
-    def test_needs_window_or_eta(self):
-        history = [thermal_distribution(15.0, 300)] * 5
-        with pytest.raises(ValueError):
-            dual_thermal_decompose(history)
 
 
 class TestDataclasses:

@@ -183,13 +183,13 @@ class TestPumpingGraph:
     def test_monte_carlo_consistent(self):
         graph = build_pumping_graph()
         exact = steps_to_dark(graph).mean()
-        mc_mean, mc_stderr = monte_carlo_steps(graph, None, 20_000, seed=5)
+        mc_mean, mc_stderr = monte_carlo_steps(graph, 20_000, seed=5)
         assert abs(mc_mean - exact) < 3 * mc_stderr + 1e-9
 
     def test_monte_carlo_deterministic_per_seed(self):
         graph = build_pumping_graph()
-        a = monte_carlo_steps(graph, (8, 3), 5_000, seed=9)
-        b = monte_carlo_steps(graph, (8, 3), 5_000, seed=9)
+        a = monte_carlo_steps(graph, 5_000, seed=9)
+        b = monte_carlo_steps(graph, 5_000, seed=9)
         assert a == b
 
     def test_missing_repump_beam_is_detected(self):
