@@ -121,13 +121,28 @@ def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Populations after a pulse whose table is site_p[..., n, k] = P(n -> n - k).
 
     Leading axes of site_p and probs broadcast, so one call applies a stack
-    of tables, or one table to a stack of population vectors.
+    of tables, or one table to a stack of population vectors.  One table on
+    one vector is one bincount over _band_targets, which adds each row's
+    terms in ascending k, bit for bit the band loop that stacks take.
     """
+    if site_p.ndim == 2 and probs.ndim == 1:
+        weights = (site_p * probs[:, None]).ravel()
+        return np.bincount(_band_targets(*site_p.shape).ravel(), weights)[: len(probs)]
     out = np.zeros(np.broadcast(site_p[..., 0], probs).shape)
     n_top = probs.shape[-1]
     for k in range(site_p.shape[-1]):
         out[..., : n_top - k] += site_p[..., k:, k] * probs[..., k:]
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _band_targets(n_rows: int, n_bands: int) -> np.ndarray:
+    """Read-only target[n, k] = n - k, the row band k moves row n to; entries
+    with k > n point at the sentinel row n_rows, past the ladder."""
+    n, k = np.ogrid[:n_rows, :n_bands]
+    target = np.where(k <= n, n - k, n_rows)
+    target.setflags(write=False)
+    return target
 
 
 @functools.lru_cache(maxsize=8)

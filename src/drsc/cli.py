@@ -218,22 +218,24 @@ def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
     chain = cfg.scheme.build()
     n_max = cfg.transfer_matrix.n_max
     evolver = cached_evolver(chain, cfg.trap, n_max)
-    n_top = n_max + 1
     files: dict[str, str] = {}
     manifest_entries = []
     for idx, t in enumerate(cfg.transfer_matrix.times):
         site_p = evolver.site_probabilities(t)
-        dense = np.zeros((n_top, n_top))
-        for k in range(evolver.n_sites):
-            dense[np.arange(k, n_top), np.arange(n_top - k)] = site_p[k:, k]
         # bands past n_max are empty when the chain is longer than the ladder
         bands = [site_p[k:, k].tolist() for k in range(evolver.n_sites)]
         bands += [[]] * (chain.bandwidth - evolver.n_sites)
         name = f"transfer_matrix_{idx:02d}"
         meta = _meta(cfg, pulse_time=_fmt(t), bandwidth=chain.bandwidth)
-        body = "\n".join(",".join(map(repr, row.tolist())) for row in dense)
+        # dense row i holds W[i, j] = P(i -> j) = site_p[i, i - j], nonzero
+        # only for j in [lo, i]: its band reversed, between runs of "0.0"
+        lines = []
+        for i, row in enumerate(site_p.tolist()):
+            lo = max(0, i - evolver.n_sites + 1)
+            band = ",".join(map(repr, row[i - lo :: -1]))
+            lines.append("0.0," * lo + band + ",0.0" * (n_max - i))
         header = "\n".join(f"# {k}: {v}" for k, v in meta.items())
-        files[f"{name}.csv"] = f"{header}\n{body}\n"
+        files[f"{name}.csv"] = header + "\n" + "\n".join(lines) + "\n"
         files[f"{name}.json"] = _json(meta, {"n_max": n_max, "bandwidth": chain.bandwidth, "bands": bands})
         manifest_entries.append({"pulse_time": t, "csv": f"{name}.csv", "banded": f"{name}.json"})
     files["transfer_matrix_manifest.json"] = _json(

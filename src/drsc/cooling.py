@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import ChainEvolver, apply_table, cached_evolver
+from .chain_dynamics import ChainEvolver, _band_targets, apply_table, cached_evolver
 from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
@@ -206,30 +206,28 @@ def _mean_and_gradient(
     S_i.  The adjoint starts at lambda_L = (n - f) / sum(p_L) and steps back
     through the transposed bands, lambda_i[j] = sum_k S_i[j, k]
     lambda_{i+1}[j - k], so df/dt_i = sum_{j,k} dS_i[j, k]/dt p_i[j]
-    lambda_{i+1}[j - k] (the GRAPE construction).
+    lambda_{i+1}[j - k] (the GRAPE construction).  Both sums read
+    lambda_{i+1}[j - k] by one gather over _band_targets, whose sentinel
+    row holds lambda 0; a row bincount sums lambda_i in ascending k.
     """
-    inputs = []
-    tables = []
+    steps = []
     p = p0
     for t in times:
         site_p, d_site_p = evolver.site_probabilities_with_derivative(t)
-        inputs.append(p)
-        tables.append((site_p, d_site_p))
+        steps.append((p, site_p, d_site_p))
         p = apply_table(site_p, p)
     n = np.arange(len(p))
     total = p.sum()
     f = float(n @ p) / total
-    lam = (n - f) / total
-    grad = np.zeros(len(tables))
-    for i in range(len(tables) - 1, -1, -1):
-        site_p, d_site_p = tables[i]
-        p_i, lam_next = inputs[i], np.zeros_like(lam)
-        # band k moves population from j to j - k, as in apply_table
-        for k in range(site_p.shape[-1]):
-            shifted = lam[: len(lam) - k]
-            lam_next[k:] += site_p[k:, k] * shifted
-            grad[i] += (d_site_p[k:, k] * p_i[k:]) @ shifted
-        lam = lam_next
+    target = _band_targets(len(p), evolver.n_sites)
+    rows = np.repeat(n, evolver.n_sites)
+    lam = np.append((n - f) / total, 0.0)  # the trailing 0 is the sentinel's
+    grad = np.zeros(len(steps))
+    for i in range(len(steps) - 1, -1, -1):
+        p_i, site_p, d_site_p = steps[i]
+        lam_band = lam[target]
+        grad[i] = np.einsum("nk,nk,n->", d_site_p, lam_band, p_i)
+        lam = np.bincount(rows, (site_p * lam_band).ravel(), len(lam))
     return f, grad
 
 

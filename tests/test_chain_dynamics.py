@@ -35,6 +35,15 @@ def dense(site_p):
     return w
 
 
+def band_loop_apply(site_p, probs):
+    """Reference for one table on one vector, band by band; it reads only
+    the entries with k <= n."""
+    out = np.zeros_like(probs)
+    for k in range(site_p.shape[1]):
+        out[: len(probs) - k] += site_p[k:, k] * probs[k:]
+    return out
+
+
 def apply_pulses(dist, evolver, times):
     p = dist.probs
     for t in times:
@@ -336,3 +345,29 @@ class TestBatchedTables:
         for i, table in enumerate(stack):
             for j, start in enumerate(starts):
                 assert np.array_equal(out[i, j], apply_table(table, start))
+
+    @pytest.mark.parametrize(
+        "chain, n_max, t",
+        [(F7, 252, 0.37), (F8, 400, 0.61), (F8, 5, 0.8), (F7, 60, 0.0)],
+        ids=["F7", "F8", "short-ladder", "zero-time"],
+    )
+    def test_one_table_is_the_band_loop(self, chain, n_max, t):
+        ev = ChainEvolver(chain, TRAP, n_max)
+        table = ev.site_probabilities(t)
+        probs = thermal_distribution(3.0, n_max).probs
+        assert np.array_equal(apply_table(table, probs), band_loop_apply(table, probs))
+        if n_max == 5:
+            assert ev.n_sites == n_max + 1
+        if t == 0:
+            assert np.array_equal(apply_table(table, probs), probs)
+
+    def test_entries_past_the_ladder_bottom_are_ignored(self):
+        ev = ChainEvolver(F8, TRAP, 30)
+        table = ev.site_probabilities(0.45)
+        junk = table.copy()
+        n, k = np.indices(junk.shape)
+        junk[k > n] = 7.5 + k[k > n]
+        probs = thermal_distribution(3.0, 30).probs
+        out = apply_table(junk, probs)
+        assert np.array_equal(out, band_loop_apply(table, probs))
+        assert np.array_equal(out, apply_table(table, probs))

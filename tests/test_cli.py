@@ -147,9 +147,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "4ea700336607e0385df8e706da2f3cc7d099189eb45cebc5fd7fe3301dfa2721",
-            "cool_sequence.json": "6f0eeb1df38018d23af7513a2f93459ec2965a0d10231e98a7a219bc8f452a7b",
-            "cool_snapshots.csv": "00f49b943de0b41722da5612b70bbbaea3fc92cb23f8ee6d2319b641a38e1b90",
+            "cool_history.csv": "8f673ab151a03ee60ffbc93267d1cb05486275ea004523a6c76da8104f78b96f",
+            "cool_sequence.json": "b591de3342cdceaa236b0bf463a104b04cb3fd9faf75d8349535cd1c0fd759c1",
+            "cool_snapshots.csv": "9706a1a25fab58521ddaa0d612ac25f71b2c2339886dec942250b6d1cdad993e",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -158,9 +158,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "f88bff35bb4949814b28f0dfaaa8c63b03c7cf2af129636c28fb1381d1dbd6d0",
-            "cool_sequence.json": "1064c2b076eb4faf9958e2caf313283b8b4a4325cd47d7ed62ab582bf138b95b",
-            "cool_snapshots.csv": "ab9c428082b61c4c51248c2b2e95f436555f0593f3ffb738b2534ec2a7976ec6",
+            "cool_history.csv": "789fefc065bd66ae4f731c949efa41d9c8d8b5d7e31bb1d64f600cb926ab8944",
+            "cool_sequence.json": "23a0bbe5c15d4128a67ebdfcb7434420296d6d1bc50e57f620fdc8909f1c0a78",
+            "cool_snapshots.csv": "2f52bca83150afd6ac87a9ffe77a954508120aa61cd55104250393e16a3c9555",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -238,7 +238,7 @@ DIGEST_CASES = [
         {"strategy": {"n_pulses": 2}},
         {
             "optimize_sequence.json": "9e0f5cd3fe18ef5cf67c7c4ce43a3b782d56362b942e4ff3d29c9481670830e0",
-            "optimize_trace.csv": "ea4495333fed626ff8ab703ce9b1aca73e13d1690754d7a738bf7b1f00ba0850",
+            "optimize_trace.csv": "da2460deb6df1364614f27f8873873261146118abbe078ba1328a05a5a58bc56",
         },
     ),
 ]

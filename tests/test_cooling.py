@@ -119,6 +119,34 @@ LBFGSB_RUNS = {
 }
 
 
+def band_loop_mean_and_gradient(times, evolver, p0):
+    """Reference adjoint: the forward pass and the step back each loop over
+    the bands, one numpy call per band k."""
+    inputs, tables, p = [], [], p0
+    for t in times:
+        site_p, d_site_p = evolver.site_probabilities_with_derivative(t)
+        inputs.append(p)
+        tables.append((site_p, d_site_p))
+        after = np.zeros_like(p)
+        for k in range(site_p.shape[-1]):
+            after[: len(p) - k] += site_p[k:, k] * p[k:]
+        p = after
+    n = np.arange(len(p))
+    total = p.sum()
+    f = float(n @ p) / total
+    lam = (n - f) / total
+    grad = np.zeros(len(tables))
+    for i in range(len(tables) - 1, -1, -1):
+        site_p, d_site_p = tables[i]
+        p_i, lam_next = inputs[i], np.zeros_like(lam)
+        for k in range(site_p.shape[-1]):
+            shifted = lam[: len(lam) - k]
+            lam_next[k:] += site_p[k:, k] * shifted
+            grad[i] += (d_site_p[k:, k] * p_i[k:]) @ shifted
+        lam = lam_next
+    return f, grad
+
+
 @functools.cache
 def global_run(scheme, nbar, n_pulses):
     """optimize_global from the state `drsc cool` builds, once per case;
@@ -333,6 +361,24 @@ class TestOptimizeGlobal:
             ]
         )
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize(
+        "chain, init, times",
+        [
+            (F7, cli_thermal(6.08, F7), (0.15, 0.3, 0.5, 0.7, 0.2)),
+            (F8, cli_thermal(15.87, F8), (0.6, 0.4, 0.65, 0.3, 0.5)),
+            # the ladder is shorter than the chain: 6 of F8's 16 sites
+            (F8, thermal_distribution(2.0, 5), (0.4, 0.9, 0.25)),
+            (F7, cli_thermal(6.08, F7), (0.3, 0.0, 0.55, 0.0)),
+        ],
+        ids=["F7", "F8", "F8-n_max-5", "F7-zero-times"],
+    )
+    def test_gather_matches_the_band_loop(self, chain, init, times):
+        ev = ChainEvolver(chain, TRAP, init.n_max)
+        f, grad = _mean_and_gradient(np.array(times), ev, init.probs)
+        f_ref, grad_ref = band_loop_mean_and_gradient(times, ev, init.probs)
+        assert f == f_ref
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
 
     def test_f7_no_worse_than_nelder_mead_at_every_count(self):
         seq, objs = global_run("F7", 6.08, 10)
