@@ -93,8 +93,10 @@ def _initial_n_max(cfg: RunConfig, chain) -> int:
 
 
 def _probe_n_max(cfg: RunConfig) -> int:
-    # raised floor keeps the sideband ratio truncation bias well below 1e-6
-    return max(default_n_max(cfg.initial_nbar, cfg.coverage), 400)
+    # retaining all but 1e-12 of the thermal mass keeps the sideband ratio's
+    # truncation bias below 1e-12 relative (n_max 1119 at nbar 40)
+    nbar = cfg.initial_nbar
+    return max(default_n_max(nbar, cfg.coverage), default_n_max(nbar, 1 - 1e-12), 400)
 
 
 def _initial_state(cfg: RunConfig, chain):
@@ -267,7 +269,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
 
     history_rows = []
     for k, (nb, nsb) in enumerate(zip(report.nbar_history, report.nbar_sb_history)):
-        success = report.success_probability if (report.rdp_applied and k == len(report.nbar_history) - 1) else 1.0
+        success = report.success_probability if (cfg.rdp.enabled and k == len(report.nbar_history) - 1) else 1.0
         history_rows.append([k, nb, nsb, success])
     # formatted as _csv would, without a per-cell call over every row
     snapshot_lines = [
@@ -289,7 +291,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     except ValueError as exc:
         fit_payload = {"error": str(exc)}
 
-    meta = _meta(cfg, heating_on=report.heating_on, rdp_applied=report.rdp_applied)
+    meta = _meta(cfg, heating_on=cfg.heating.enabled, rdp_applied=cfg.rdp.enabled)
     return {
         "cool_history.csv": _csv(
             meta, ["pulse", "nbar", "nbar_sb", "success_probability"], history_rows

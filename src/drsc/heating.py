@@ -1,9 +1,10 @@
 """Motional heating propagation and the optical-pumping scattering walk.
 
 Heating is modeled as a diffusive nearest-neighbor random walk on the
-phonon ladder with up/down rates A(n+1) and A*n; optical pumping is an
-absorbing Markov chain over the 45 ground-manifold Zeeman sublevels with
-|7,0> as the dark state.
+phonon ladder with up/down rates A(n+1) and A*n: one unit generator
+scaled by a dose (rate times duration, in quanta), so intervals compose
+by adding doses.  Optical pumping is an absorbing Markov chain over the
+45 ground-manifold Zeeman sublevels with |7,0> as the dark state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ DEFAULT_CHANNEL_RATES = {
     "trap": 0.553,
 }
 
-# entries of exp(G t) p below 0 by at most this much are rounding; lower is a fault
+# entries of exp(dose * G1) p below 0 by at most this much are rounding; lower is a fault
 _NEGATIVE_TOLERANCE = 1e-12
 
 
@@ -42,26 +43,23 @@ def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def propagate_heating(
-    dist: PhononDistribution, rate: float, duration: float
-) -> PhononDistribution:
-    """Evolve a distribution under diffusive heating at `rate` quanta/s
-    for `duration` seconds.
+def propagate_heating(dist: PhononDistribution, dose: float) -> PhononDistribution:
+    """Evolve a distribution under diffusive heating of `dose` quanta: the
+    rate in quanta/s times the seconds it acts.
 
-    Applies the exact propagator exp(G t) with G = rate * G1 and G1 the
-    symmetric tridiagonal unit-rate generator, so one cached
-    eigendecomposition per n_max serves every rate and duration.
+    Applies the exact propagator exp(dose * G1), with G1 the symmetric
+    tridiagonal unit-rate generator, so one cached eigendecomposition per
+    n_max serves every dose, and heating intervals driven by any rates
+    compose by adding their doses.  A zero dose returns `dist` itself.
     Probability leaking past n_max shows up as tail loss.
     """
-    if rate < 0:
-        raise ValueError(f"heating rate must be >= 0, got {rate}")
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0 or rate == 0:
+    if dose < 0:
+        raise ValueError(f"heating dose must be >= 0, got {dose}")
+    if dose == 0:
         return dist
     lam, vecs = _unit_diffusion_eigensystem(dist.n_max)
-    p = vecs @ (np.exp(rate * duration * lam) * (vecs.T @ dist.probs))
-    # exp(G t) is entrywise >= 0; only rounding may dip below zero
+    p = vecs @ (np.exp(dose * lam) * (vecs.T @ dist.probs))
+    # exp(dose * G1) is entrywise >= 0; only rounding may dip below zero
     lowest = float(p.min())
     if lowest < -_NEGATIVE_TOLERANCE:
         raise FloatingPointError(
@@ -70,7 +68,7 @@ def propagate_heating(
     np.maximum(p, 0.0, out=p)
     if not p.sum() > 0:
         raise FloatingPointError(
-            f"heating at {rate:g} quanta/s for {duration:g} s left no population on "
+            f"a heating dose of {dose:g} quanta left no population on "
             f"n = 0..{dist.n_max}: the tail loss went from {dist.tail_loss:.3g} to 1"
         )
     return PhononDistribution(probs=p, n_max=dist.n_max)

@@ -150,9 +150,7 @@ class ProtocolReport:
     nbar_sb_history: tuple[float, ...]
     history: tuple[PhononDistribution, ...]
     success_probability: float
-    rdp_applied: bool
     t_clear: float | None
-    heating_on: bool
 
 
 def end_to_end_protocol(
@@ -168,36 +166,36 @@ def end_to_end_protocol(
 ) -> ProtocolReport:
     """Run the full cooling protocol and record n-bar both ways per pulse.
 
-    heating_rates maps channel names to quanta/s (None disables heating).
+    heating_rates maps channel names to quanta/s; None is all-zero rates.
     Each cycle is one Raman pulse (raman + trap channels heat for the
     pulse duration) followed by a repump interval (optical_pumping + trap
-    channels).  Index k of the histories is the state after k cycles; the
-    optional dark-preparation filter is applied after the last cycle and
-    any pre-probe delay, and their result is appended as one more entry.
+    channels); all channels scale one heating generator, so the cycle
+    heats by one summed dose, and a pre-probe delay by one trap dose.
+    Index k of the histories is the state after k cycles; the optional
+    dark-preparation filter is applied after the last cycle and any
+    pre-probe delay, and their result is appended as one more entry.
     """
     if timing is None:
         timing = PulseTiming()
-    heating_on = heating_rates is not None
-    if heating_on:
-        rates = dict(DEFAULT_CHANNEL_RATES, **heating_rates)
-        pulse_rate = rates["raman"] + rates["trap"]
-        repump_rate = rates["optical_pumping"] + rates["trap"]
+    if heating_rates is None:
+        heating_rates = dict.fromkeys(DEFAULT_CHANNEL_RATES, 0.0)
+    rates = dict(DEFAULT_CHANNEL_RATES, **heating_rates)
+    pulse_rate = rates["raman"] + rates["trap"]
+    repump_dose = (rates["optical_pumping"] + rates["trap"]) * timing.repump_seconds
 
     evolver = cached_evolver(chain, trap, init.n_max)
-    tables = {t: evolver.site_probabilities(t) for t in set(sequence.times)}
+    cycles = {
+        t: (evolver.site_probabilities(t), pulse_rate * (t * timing.t_f_seconds) + repump_dose)
+        for t in set(sequence.times)
+    }
     state = init
     snapshots = [state]
     for t in sequence.times:
-        state = PhononDistribution(
-            probs=apply_table(tables[t], state.probs), n_max=state.n_max
-        )
-        if heating_on:
-            state = propagate_heating(state, pulse_rate, t * timing.t_f_seconds)
-            state = propagate_heating(state, repump_rate, timing.repump_seconds)
+        table, dose = cycles[t]
+        pulsed = PhononDistribution(probs=apply_table(table, state.probs), n_max=state.n_max)
+        state = propagate_heating(pulsed, dose)
         snapshots.append(state)
-
-    if heating_on and timing.pre_probe_delay_seconds > 0:
-        state = propagate_heating(state, rates["trap"], timing.pre_probe_delay_seconds)
+    state = propagate_heating(state, rates["trap"] * timing.pre_probe_delay_seconds)
 
     success = 1.0
     used_t_clear = None
@@ -213,7 +211,5 @@ def end_to_end_protocol(
         nbar_sb_history=tuple(sideband_probe(s, trap, probe_time).nbar_sb for s in snapshots),
         history=tuple(snapshots),
         success_probability=success,
-        rdp_applied=rdp,
         t_clear=used_t_clear,
-        heating_on=heating_on,
     )

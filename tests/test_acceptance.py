@@ -250,12 +250,12 @@ def test_06_oracle_equivalence():
 def test_07_heating_propagator():
     rate = 5.58
     dist = thermal_distribution(1.0, 400)
-    heated = propagate_heating(dist, rate, 1.0)
+    heated = propagate_heating(dist, rate * 1.0)
     slope = mean_n(heated) - mean_n(dist)
     slope_ok = abs(slope - rate) / rate <= 0.01
 
     # per-bin comparison against a stiff integration of the rate equations
-    fine = propagate_heating(dist, rate, 1.0)
+    fine = propagate_heating(dist, rate * 1.0)
     i = np.arange(dist.n_max + 1, dtype=float)
 
     def rhs(_t, p):

@@ -59,6 +59,18 @@ class TestProbe:
         main(["probe", "--config", fast_cool_config, "--out", str(b)])
         assert (a / "probe.csv").read_bytes() == (b / "probe.csv").read_bytes()
 
+    def test_hot_thermal_state_reads_its_nbar(self, tmp_path):
+        # a truncation that drops 1e-4 of the mass at nbar 40 biased the
+        # sideband ratio by 5.7e-6 relative
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"initial_nbar": 40.0, "probe": {"times": [0.5, 1.0, 2.0]}})
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "probe.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row.split(",")[-1]) == pytest.approx(40.0, rel=1e-9)
+
 
 class TestTransferMatrix:
     def test_zero_time_is_identity(self, tmp_path):
@@ -158,9 +170,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "789fefc065bd66ae4f731c949efa41d9c8d8b5d7e31bb1d64f600cb926ab8944",
+            "cool_history.csv": "d2cf61c213009bcdfd6781b75a60ec863b7ed467950999c7eef272e814e34541",
             "cool_sequence.json": "23a0bbe5c15d4128a67ebdfcb7434420296d6d1bc50e57f620fdc8909f1c0a78",
-            "cool_snapshots.csv": "2f52bca83150afd6ac87a9ffe77a954508120aa61cd55104250393e16a3c9555",
+            "cool_snapshots.csv": "e7abecfc9308a389abaadf20dd99889c81d45b97f94506af948b0dddea030ca6",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -182,9 +194,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "9a625659923d74bb1b86285bfde22fa76ff7ee79221cacec04a9bdb86524b0b3",
+            "cool_history.csv": "3785584a58fbc2dc0ffd71f6cf0f1a5d95cc71a593ad6908bb1df70be4e171d3",
             "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "0e1340dc2c7c12a7de7755bea85065f93a3c57588d4e2c7f5b5e0855c2a3b8b1",
+            "cool_snapshots.csv": "03351113785a03bb1c81a0ba03f03fdf17927d144e3bec253da067fccb2475ba",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),

@@ -1,9 +1,12 @@
 """Config parsing: strict key checking, type validation, overrides, hashing."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drsc.config import (
     DEFAULT_SCATTER_RATES,
@@ -13,6 +16,7 @@ from drsc.config import (
     RunConfig,
     SchemeConfig,
 )
+from drsc.manifold import CouplingChain
 
 
 class TestDefaults:
@@ -261,3 +265,57 @@ class TestFromFile:
         cfg = RunConfig.from_file(str(p))
         assert cfg.scheme.kind == "F8"
         assert cfg.seed == 3
+
+
+# words the schema gives meaning to, so generated values reach past the type checks
+_SCHEMA_WORDS = (
+    "F7", "F8", "two_level", "custom", "fixed", "global_opt", "heuristic",
+    "pi", "sigma_plus", "sigma_minus", "sigma_pm", "pi_sigma_minus", "pi_sigma_plus",
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-3, max_value=10),
+        st.floats(),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.text(max_size=6),
+        st.sampled_from(_SCHEMA_WORDS),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _shaped_like(default):
+    """The default's own value, arbitrary JSON, or for a section, beam list
+    or rate map an object or list holding values shaped the same way."""
+    if is_dataclass(default):
+        keys = {f.name: _shaped_like(getattr(default, f.name)) for f in fields(default)}
+        shaped = st.fixed_dictionaries({}, optional=keys)
+    elif isinstance(default, dict):
+        shaped = st.fixed_dictionaries({}, optional=dict.fromkeys(default, _JSON))
+    elif isinstance(default, tuple) and default and is_dataclass(default[0]):
+        shaped = st.lists(_shaped_like(default[0]), max_size=3)
+    else:
+        shaped = st.just(list(default) if isinstance(default, tuple) else default)
+    return st.one_of(shaped, _JSON)
+
+
+class TestFromDictTotality:
+    @given(raw=_shaped_like(RunConfig()))
+    @settings(max_examples=100, deadline=None)
+    def test_parses_or_raises_config_error(self, raw):
+        # every JSON value ends as a usable config or a ConfigError (exit 2)
+        try:
+            cfg = RunConfig.from_dict(raw)
+        except ConfigError:
+            return
+        try:
+            assert isinstance(cfg.scheme.build(), CouplingChain)
+        except ConfigError:
+            pass
+        assert re.fullmatch("[0-9a-f]{64}", cfg.config_hash())

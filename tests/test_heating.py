@@ -46,7 +46,7 @@ class TestPropagateHeating:
         # d<n>/dt = A+ for a diffusive walk, within 1% over one second
         rate = 5.58
         dist = thermal_distribution(1.0, 400)
-        out = propagate_heating(dist, rate, 1.0)
+        out = propagate_heating(dist, rate * 1.0)
         gained = mean_n(out) - mean_n(dist)
         assert gained == pytest.approx(rate, rel=0.01)
 
@@ -57,7 +57,7 @@ class TestPropagateHeating:
     )
     def test_matches_radau_per_bin(self, rate, n_max, duration):
         dist = thermal_distribution(2.0, n_max)
-        out = propagate_heating(dist, rate, duration)
+        out = propagate_heating(dist, rate * duration)
         ref = rate_equation_reference(dist, rate, duration)
         assert np.max(np.abs(out.probs - ref)) <= 1e-9
 
@@ -65,8 +65,8 @@ class TestPropagateHeating:
         # 150 cycles of F8 from nbar 40 at n_max 400, delay included
         steps = []
 
-        def recorded(dist, rate, duration):
-            out = propagate_heating(dist, rate, duration)
+        def recorded(dist, dose):
+            out = propagate_heating(dist, dose)
             steps.append((float(dist.probs.sum()), out.probs))
             return out
 
@@ -79,7 +79,7 @@ class TestPropagateHeating:
             heating_rates=dict(DEFAULT_CHANNEL_RATES),
             timing=PulseTiming(pre_probe_delay_seconds=0.02),
         )
-        assert len(steps) == 2 * 150 + 1
+        assert len(steps) == 150 + 1
         for mass_in, probs in steps:
             assert probs.min() >= 0.0
             assert probs.sum() <= mass_in + 1e-13
@@ -98,35 +98,35 @@ class TestPropagateHeating:
                 timing=timing,
             )
         info = heating._unit_diffusion_eigensystem.cache_info()
-        # pulse, repump and idle rates differ; each n_max decomposes once
+        # every cycle's dose and the delay's share one decomposition per n_max
         assert info.misses == 2
-        assert info.hits == 2 * (2 * 3 + 1) - 2
+        assert info.hits == 2 * (3 + 1) - 2
 
     def test_large_negative_entry_raises(self, monkeypatch):
         lam, vecs = heating._unit_diffusion_eigensystem(50)
         # a generator run backward sharpens the state into large negatives
         monkeypatch.setattr(heating, "_unit_diffusion_eigensystem", lambda n_max: (-lam, vecs))
         with pytest.raises(FloatingPointError, match="heating propagator"):
-            propagate_heating(thermal_distribution(2.0, 50), 1.0, 0.1)
+            propagate_heating(thermal_distribution(2.0, 50), 1.0 * 0.1)
 
     def test_zero_duration_is_identity(self):
         dist = thermal_distribution(1.0, 50)
-        assert propagate_heating(dist, 5.0, 0.0) is dist
-        assert propagate_heating(dist, 0.0, 1.0) is dist
+        assert propagate_heating(dist, 5.0 * 0.0) is dist
+        assert propagate_heating(dist, 0.0 * 1.0) is dist
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
-            propagate_heating(thermal_distribution(1.0, 50), -1.0, 0.1)
+        with pytest.raises(ValueError, match="dose"):
+            propagate_heating(thermal_distribution(1.0, 50), -1.0 * 0.1)
 
     def test_leak_appears_as_tail_loss(self):
         dist = PhononDistribution(probs=np.r_[np.zeros(30), 1.0], n_max=30)
-        out = propagate_heating(dist, 2.0, 0.5)
+        out = propagate_heating(dist, 2.0 * 0.5)
         assert out.tail_loss > 0.0
 
     @pytest.mark.parametrize("rate, duration", [(5.58, 1e6), (1e300, 0.015)])
     def test_emptied_ladder_is_a_numerical_failure(self, rate, duration):
         with pytest.raises(FloatingPointError, match="tail loss"):
-            propagate_heating(thermal_distribution(1.0, 50), rate, duration)
+            propagate_heating(thermal_distribution(1.0, 50), rate * duration)
 
     @pytest.mark.parametrize("n_max", [252, 400])
     def test_matches_tridiagonal_eigensolver(self, n_max):
@@ -145,8 +145,22 @@ class TestPropagateHeating:
             dist = thermal_distribution(nbar, n_max)
             for rate, duration in intervals:
                 ref = vecs @ (np.exp(rate * duration * lam) * (vecs.T @ dist.probs))
-                out = propagate_heating(dist, rate, duration)
+                out = propagate_heating(dist, rate * duration)
                 assert np.max(np.abs(out.probs - np.maximum(ref, 0.0))) <= 1e-15
+
+    @pytest.mark.parametrize("n_max", [252, 400])
+    def test_doses_compose_by_adding(self, n_max):
+        # the default pulse (0.3 pi-times) and repump doses, applied in turn
+        # and as one summed dose
+        rates = DEFAULT_CHANNEL_RATES
+        timing = PulseTiming()
+        a = (rates["raman"] + rates["trap"]) * (0.3 * timing.t_f_seconds)
+        b = (rates["optical_pumping"] + rates["trap"]) * timing.repump_seconds
+        for nbar in (0.05, 6.08, 40.0):
+            dist = thermal_distribution(nbar, n_max)
+            twice = propagate_heating(propagate_heating(dist, a), b)
+            once = propagate_heating(dist, a + b)
+            assert np.max(np.abs(twice.probs - once.probs)) <= 1e-15
 
 
 class TestPumpingGraph:
