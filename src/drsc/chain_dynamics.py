@@ -62,6 +62,17 @@ class ChainEvolver:
         self.C[:, 0::2, :n_modes] = u * u[:, :1, :]
         self.C[:, 1::2, n_modes : n_modes + n_odd] = wt.transpose(0, 2, 1) * u[:, :1, :n_odd]
 
+    def rows(self, lo: int, hi: int) -> ChainEvolver:
+        """The evolver of start rows lo..hi-1 alone, on views of this one's
+        w and C: its row i is row lo + i here, bit for bit.  Population a
+        pulse moves below row lo leaves its ladder."""
+        if not 0 <= lo < hi <= self.n_max + 1:
+            raise ValueError(f"rows [{lo}, {hi}) are not within 0..{self.n_max}")
+        view = object.__new__(ChainEvolver)
+        view.n_max, view.n_sites = hi - lo - 1, self.n_sites
+        view.w, view.C = self.w[lo:hi], self.C[lo:hi]
+        return view
+
     def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
         """P[n, k] = probability that a start at phonon n ends k quanta lower.
 

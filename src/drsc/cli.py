@@ -83,13 +83,29 @@ def _json(meta: dict, payload: dict) -> str:
     return json.dumps({"metadata": meta, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _window_n_max(cfg: RunConfig, chain) -> int:
-    """Truncation covering the suppression window plus the pulse band."""
-    return asymptotic_window(cfg.trap.eta)[1] + len(chain.steps)
+def _banded_json(meta: dict, payload: dict, bands: list[list[float]]) -> str:
+    """_json(meta, {**payload, "bands": bands}), byte for byte, with the band
+    lists written by hand: indent sends json.dumps to its pure-Python
+    encoder, which takes twice as long.  A float is written by repr, as
+    json.dumps writes it; a non-finite one reads nan or inf, not NaN or
+    Infinity, and either spelling fails the finite-artifact check."""
+    lists = ",\n".join(
+        "    [\n      " + ",\n      ".join(map(repr, band)) + "\n    ]" if band else "    []"
+        for band in bands
+    )
+    # "bands" sorts first among the keys, so the first match is its own
+    text = _json(meta, {**payload, "bands": None})
+    return text.replace('"bands": null', '"bands": [\n' + lists + "\n  ]", 1)
 
 
-def _initial_n_max(cfg: RunConfig, chain) -> int:
-    return max(default_n_max(cfg.initial_nbar, cfg.coverage), _window_n_max(cfg, chain))
+def _window_n_max(cfg: RunConfig, n_steps: int) -> int:
+    """Truncation covering the suppression window plus the band of a chain
+    of n_steps steps."""
+    return asymptotic_window(cfg.trap.eta)[1] + n_steps
+
+
+def _initial_n_max(cfg: RunConfig, n_steps: int) -> int:
+    return max(default_n_max(cfg.initial_nbar, cfg.coverage), _window_n_max(cfg, n_steps))
 
 
 def _probe_n_max(cfg: RunConfig) -> int:
@@ -101,7 +117,7 @@ def _probe_n_max(cfg: RunConfig) -> int:
 
 def _initial_state(cfg: RunConfig, chain):
     """Thermal start truncated to cover the suppression window plus band."""
-    return thermal_distribution(cfg.initial_nbar, _initial_n_max(cfg, chain))
+    return thermal_distribution(cfg.initial_nbar, _initial_n_max(cfg, len(chain.steps)))
 
 
 # no single array a command allocates may exceed this; the largest in the
@@ -112,27 +128,38 @@ _ARRAY_BUDGET_BYTES = 2**28
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Estimated bytes of the largest array the command allocates: a dense
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
-    evolver's (n_max+1) K^2 pulse weights, or the probe's populations."""
+    evolver's (n_max+1) K^2 pulse weights, or the probe's populations.
 
-    def evolver(chain, n_max):
-        return (n_max + 1) * chain.bandwidth**2 * 8
+    Every size grows with the chain's length, so the commands that build
+    cfg.scheme are first sized at cfg.scheme.max_steps(): a custom chain
+    too long for the budget is refused before its walk, which takes
+    over a minute at f 3000.  Within the budget the exact chain is sized."""
 
-    if command == "transfer-matrix":
-        chain = cfg.scheme.build()
-        n_max = cfg.transfer_matrix.n_max
-        return max((n_max + 1) ** 2 * 8, evolver(chain, n_max))
-    if command in ("cool", "optimize"):
-        chain = cfg.scheme.build()
-        n_max = _initial_n_max(cfg, chain)
-        sizes = [evolver(chain, n_max)]
+    def evolver(n_steps, n_max):
+        return (n_max + 1) * (n_steps + 1) ** 2 * 8
+
+    def scheme_sizes(n_steps):
+        if command == "transfer-matrix":
+            n_max = cfg.transfer_matrix.n_max
+            return max((n_max + 1) ** 2 * 8, evolver(n_steps, n_max))
+        n_max = _initial_n_max(cfg, n_steps)
+        sizes = [evolver(n_steps, n_max)]
         if cfg.strategy.kind == "heuristic":
-            sizes.append(evolver(chain, default_n_max(cfg.strategy.final_nbar)))
+            sizes.append(evolver(n_steps, default_n_max(cfg.strategy.final_nbar)))
         if command == "cool" and cfg.heating.enabled:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)
+
+    if command in ("transfer-matrix", "cool", "optimize"):
+        bound = scheme_sizes(cfg.scheme.max_steps())
+        if bound > _ARRAY_BUDGET_BYTES:
+            return bound
+        return scheme_sizes(len(cfg.scheme.build().steps))
     if command == "table1":
         chains = [type(cfg.scheme).parse(name).build() for name in cfg.table1.schemes]
-        return max(evolver(chain, _window_n_max(cfg, chain)) for chain in chains)
+        return max(
+            evolver(len(chain.steps), _window_n_max(cfg, len(chain.steps))) for chain in chains
+        )
     if command == "probe":
         return (_probe_n_max(cfg) + 2) * 8
     return 0
@@ -159,7 +186,7 @@ def _output_bytes(command: str, cfg: RunConfig) -> int:
         lines = 8 * n_pulses
         if command == "cool":
             chain = cfg.scheme.build()
-            lines += (n_pulses + 2) * (_initial_n_max(cfg, chain) + 1)
+            lines += (n_pulses + 2) * (_initial_n_max(cfg, len(chain.steps)) + 1)
         return lines * _LINE_BYTES
     if command == "transfer-matrix":
         return len(cfg.transfer_matrix.times) * (cfg.transfer_matrix.n_max + 1) ** 2 * 4
@@ -238,7 +265,9 @@ def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
             lines.append("0.0," * lo + band + ",0.0" * (n_max - i))
         header = "\n".join(f"# {k}: {v}" for k, v in meta.items())
         files[f"{name}.csv"] = header + "\n" + "\n".join(lines) + "\n"
-        files[f"{name}.json"] = _json(meta, {"n_max": n_max, "bandwidth": chain.bandwidth, "bands": bands})
+        files[f"{name}.json"] = _banded_json(
+            meta, {"n_max": n_max, "bandwidth": chain.bandwidth}, bands
+        )
         manifest_entries.append({"pulse_time": t, "csv": f"{name}.csv", "banded": f"{name}.json"})
     files["transfer_matrix_manifest.json"] = _json(
         _meta(cfg),
@@ -315,7 +344,7 @@ def cmd_table1(cfg: RunConfig) -> dict[str, str]:
     rows = []
     for scheme_name in cfg.table1.schemes:
         chain = type(cfg.scheme).parse(scheme_name).build()
-        n_max = _window_n_max(cfg, chain)
+        n_max = _window_n_max(cfg, len(chain.steps))
         inits = [thermal_distribution(nbar, n_max) for nbar in cfg.table1.nbars]
         optima = optimize_fixed_pulses(chain, cfg.trap, inits)
         for nbar, (t_opt, a_opt) in zip(cfg.table1.nbars, optima):

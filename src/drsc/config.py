@@ -221,6 +221,15 @@ class SchemeConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid scheme: {exc}") from exc
 
+    def max_steps(self) -> int:
+        """An upper bound on len(build().steps) that needs no walk: a custom
+        chain moves m by one per step, from start_m toward the manifold
+        edge.  The exact walk takes over a minute at f 3000."""
+        if self.kind != "custom":
+            return len(self.build().steps)
+        d = -1 if self.polarization_pair == "pi_sigma_minus" else 1
+        return max(self.f - d * self.start_m, 0)
+
     def describe(self) -> dict:
         return asdict(self) if self.kind == "custom" else {"kind": self.kind}
 

@@ -21,9 +21,10 @@ from .motional import PhononDistribution, TrapParams, thermal_state
 _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
 _T_GRID_POINTS = 240
-# pulse times per grid kernel call: each (6, n_max+1, K, 2) temporary is
-# 0.62 MB at F8/n_max 400 (K = 16); longer chunks outgrow the cache and
-# measured slower
+# pulse times per grid kernel call: each (6, rows, K, 2) temporary is
+# 0.62 MB on optimize_global's full ladder at F8/n_max 400 (K = 16), and
+# 0.21 MB on the suppression search's 139 window rows; longer chunks
+# outgrow the cache and measured slower
 _GRID_CHUNK = 6
 _MIN_PULSE_TIME = 1e-6
 # dual_thermal_decompose refuses a window whose tail mass falls below this:
@@ -150,6 +151,10 @@ def _minimize_suppression(
     """Minimize the tail suppression a over the pulse time, for each start
     p0 in the rows of p0s; one (t, a) per start.
 
+    A pulse moves population only downward, by fewer than K = n_sites
+    quanta, so the window's populations after it read only rows
+    n_lo .. n_hi + K - 1: the search runs on those rows alone, through
+    evolver.rows, whose tables are the full ladder's rows bit for bit.
     One grid scan serves every start.  L-BFGS (t >= 1e-6) then refines
     log a from each start's lowest grid point, with the exact slope
     d(log a)/dt, the window mean of d(after)/dt / after.  log a is the
@@ -158,6 +163,9 @@ def _minimize_suppression(
     other starts.
     """
     n_lo, n_hi = window
+    top = n_hi + evolver.n_sites
+    evolver, p0s, window = evolver.rows(n_lo, top), p0s[:, n_lo:top], (0, n_hi - n_lo)
+    n_window = n_hi - n_lo + 1
     ts, vals = _grid_scan(evolver, p0s, lambda after, p0: _log_suppression(after, p0, window))
     results = []
     for p0, i in zip(p0s, np.argmin(vals, axis=0)):
@@ -165,7 +173,7 @@ def _minimize_suppression(
         def log_suppression_and_slope(t):
             site_p, d_site_p = evolver.site_probabilities_with_derivative(t[0])
             after = apply_table(site_p, p0)
-            slope = np.mean(apply_table(d_site_p, p0)[n_lo : n_hi + 1] / after[n_lo : n_hi + 1])
+            slope = np.mean(apply_table(d_site_p, p0)[:n_window] / after[:n_window])
             return _log_suppression(after, p0, window), np.array([slope])
 
         t, log_a, _, _ = _lbfgs(log_suppression_and_slope, ts[i : i + 1], _MIN_PULSE_TIME)

@@ -145,6 +145,12 @@ def build_pumping_graph(beams: tuple[Beam, ...] | None = None) -> PumpingGraph:
     states = tuple((f, m) for f in f_grounds for m in range(-f, f + 1))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
+    # (target index, probability) of one decay from each excited m: exact
+    # Fraction arithmetic, so made once per m and shared by its channels
+    decays = {
+        m_exc: [(index[s], float(b)) for s, b in decay_branching(m_exc, f_excited).items()]
+        for m_exc in range(-f_excited, f_excited + 1)
+    }
 
     matrix = np.zeros((n, n))
     for (f, m) in states:
@@ -164,8 +170,8 @@ def build_pumping_graph(beams: tuple[Beam, ...] | None = None) -> PumpingGraph:
             continue
         row = index[(f, m)]
         for m_exc, w in channels:
-            for (f2, m2), b in decay_branching(m_exc, f_excited).items():
-                matrix[row, index[(f2, m2)]] += (w / total) * float(b)
+            for col, b in decays[m_exc]:
+                matrix[row, col] += (w / total) * b
 
     if matrix[index[absorbing]].sum() > 0:
         raise ValueError(

@@ -371,3 +371,25 @@ class TestBatchedTables:
         out = apply_table(junk, probs)
         assert np.array_equal(out, band_loop_apply(table, probs))
         assert np.array_equal(out, apply_table(table, probs))
+
+    @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
+    def test_row_slice_is_the_full_tables_rows(self, chain, n_max):
+        ev = cached_evolver(chain, TRAP, n_max)
+        lo, hi = 122, 245 + ev.n_sites
+        part = ev.rows(lo, hi)
+        assert np.shares_memory(part.C, ev.C) and not part.C.flags.writeable
+        stack = part.site_probabilities(self.TIMES)
+        assert np.array_equal(stack, ev.site_probabilities(self.TIMES)[:, lo:hi])
+        p, dp = ev.site_probabilities_with_derivative(0.61)
+        q, dq = part.site_probabilities_with_derivative(0.61)
+        assert np.array_equal(q, p[lo:hi]) and np.array_equal(dq, dp[lo:hi])
+        # populations of rows lo..hi-K after a pulse read only rows below hi
+        probs = thermal_distribution(20.0, n_max).probs
+        top = hi - ev.n_sites + 1
+        full = apply_table(p, probs)[lo:top]
+        assert np.array_equal(apply_table(q, probs[lo:hi])[: top - lo], full)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 5), (5, 5), (0, 42)])
+    def test_row_slice_out_of_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="rows"):
+            cached_evolver(F7, TRAP, 40).rows(lo, hi)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from drsc import cli
-from drsc.chain_dynamics import cached_evolver
+from drsc.chain_dynamics import ChainEvolver, cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
 
@@ -98,6 +98,22 @@ class TestTransferMatrix:
         assert len(banded["bands"]) == banded["bandwidth"] == 8
         manifest = json.loads((out / "transfer_matrix_manifest.json").read_text())
         assert len(manifest["matrices"]) == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_band_entry_exits_3(self, tmp_path, monkeypatch, capsys, bad):
+        real = ChainEvolver.site_probabilities
+
+        def spoiled(self, t):
+            table = real(self, t).copy()
+            table[3, 1] = bad
+            return table
+
+        monkeypatch.setattr(ChainEvolver, "site_probabilities", spoiled)
+        cfg = write_config(tmp_path, {"transfer_matrix": {"times": [0.3], "n_max": 20}})
+        out = tmp_path / "out"
+        assert main(["transfer-matrix", "--config", cfg, "--out", str(out)]) == 3
+        assert "transfer_matrix_00.json" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCool:
@@ -234,6 +250,31 @@ DIGEST_CASES = [
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
         {"table1.csv": "5471cfc1c1e6b30046e45cf3ce8b86579448988dc7c821520b3bb1f11c459472"},
+    ),
+    (
+        "table1-f7-grid",
+        ["table1"],
+        {"table1": {"schemes": ["F7"], "nbars": [5.0, 20.0, 50.0]}},
+        {"table1.csv": "5af215249bdddbbdebce8c748587df01b4a91e4c3981bb5979e9125c367dbfa0"},
+    ),
+    (
+        "table1-f8-grid",
+        ["table1"],
+        {"table1": {"schemes": ["F8"], "nbars": [5.0, 20.0, 50.0]}},
+        {"table1.csv": "55f0430b6a523a635fbec69657d3355eac6024b178951cd323496077ce5d2910"},
+    ),
+    (
+        # the optimized pulse time at n_max 400, where the suppression
+        # search reads the window's rows plus the pulse reach above it
+        "cool-f8-fixed-hot",
+        ["cool", "--no-heating"],
+        {"scheme": "F8", "initial_nbar": 40.0, "strategy": {"kind": "fixed", "n_pulses": 5}},
+        {
+            "cool_history.csv": "2685343da38b7efb5a0eb89253e40192ddfb55941188811c830af0e16bb5cef9",
+            "cool_sequence.json": "e5c6060b4969d89e20fdc44b245435cd6752e5bfdfa402c613412c4951f5ec28",
+            "cool_snapshots.csv": "c958b85e1ea86814b810ca13c266fcbc7384ee3d22fb2462fb6b5a66a8c13012",
+            "cool_suppression_fit.json": "90456e1df7a5c6449a297fbd9c3649a168e0d972dcf207199e5aba76d43f8fa7",
+        },
     ),
     (
         "pumping",
@@ -464,6 +505,12 @@ class TestErrorPaths:
                 (command, {"trap": {"eta": eta}})
                 for eta in (1e-160, 1e-200)
                 for command in ("cool", "optimize", "table1")
+            ],
+            # a 3000-step chain, refused by the walk's length bound: the
+            # exact Clebsch-Gordan walk itself would run for minutes
+            *[
+                (command, {"scheme": {"f": 3000, "f_excited": 3000}})
+                for command in ("cool", "optimize", "transfer-matrix")
             ],
         ],
     )

@@ -170,6 +170,26 @@ class TestSchemes:
         with pytest.raises(ConfigError):
             SchemeConfig.parse("F9")
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "F7",
+            "F8",
+            "two_level",
+            {"f": 7, "f_excited": 7, "start_m": 0},
+            {"f": 7, "f_excited": 7, "start_m": 5},  # stops at the forbidden 1 -> 0 step
+            {"f": 8, "f_excited": 7, "polarization_pair": "pi_sigma_plus", "start_m": -8},
+            {"f": 9, "f_excited": 10, "polarization_pair": "pi_sigma_plus", "start_m": 2},
+            {"f": 4, "f_excited": 3, "start_m": -1},
+        ],
+    )
+    def test_max_steps_bounds_the_walk(self, raw):
+        cfg = SchemeConfig.parse(raw)
+        n_steps = len(cfg.build().steps)
+        assert n_steps <= cfg.max_steps()
+        if cfg.kind != "custom":
+            assert n_steps == cfg.max_steps()
+
 
 class TestOverrides:
     def test_env_seed_and_out(self, monkeypatch):

@@ -267,22 +267,26 @@ class TestSharedGridScan:
 
     def test_table1_f7_kernel_calls(self, monkeypatch):
         # one 240-point grid for all nine nbar cells, six pulse times per
-        # call, then each cell's L-BFGS, one scalar pulse time per call
+        # call, then each cell's L-BFGS, one scalar pulse time per call;
+        # every call computes only the window's rows and the pulse reach
+        # above them
         nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
         cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
         calls = []
         real_tables = ChainEvolver._tables
 
         def counting(self, t, derivative):
-            calls.append((derivative, np.shape(t)))
+            calls.append((derivative, np.shape(t), len(self.w)))
             return real_tables(self, t, derivative)
 
         monkeypatch.setattr(ChainEvolver, "_tables", counting)
         cmd_table1(cfg)
-        assert sum(not derivative for derivative, _ in calls) <= 40
-        refinement = [shape for derivative, shape in calls if derivative]
+        assert sum(not derivative for derivative, _, _ in calls) <= 40
+        refinement = [shape for derivative, shape, _ in calls if derivative]
         assert set(refinement) == {()}
         assert len(refinement) <= 72
+        n_lo, n_hi = asymptotic_window(TRAP.eta)
+        assert {rows for _, _, rows in calls} == {n_hi + F7.bandwidth - n_lo}
 
     def test_inits_must_share_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
