@@ -10,6 +10,7 @@ length quanta, never adds any.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -66,11 +67,8 @@ class ChainEvolver:
         """The evolver of start rows lo..hi-1 alone, on views of this one's
         w and C: its row i is row lo + i here, bit for bit.  Population a
         pulse moves below row lo leaves its ladder."""
-        if not 0 <= lo < hi <= self.n_max + 1:
-            raise ValueError(f"rows [{lo}, {hi}) are not within 0..{self.n_max}")
-        view = object.__new__(ChainEvolver)
-        view.n_max, view.n_sites = hi - lo - 1, self.n_sites
-        view.w, view.C = self.w[lo:hi], self.C[lo:hi]
+        view = copy.copy(self)
+        view.n_max, view.w, view.C = hi - lo - 1, self.w[lo:hi], self.C[lo:hi]
         return view
 
     def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:

@@ -130,15 +130,15 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
     evolver's (n_max+1) K^2 pulse weights, or the probe's populations.
 
-    Every size grows with the chain's length, so the commands that build
-    cfg.scheme are first sized at cfg.scheme.max_steps(): a custom chain
-    too long for the budget is refused before its walk, which takes
-    over a minute at f 3000.  Within the budget the exact chain is sized."""
+    The commands that build cfg.scheme are sized at its chain's length
+    bound, cfg.scheme.max_steps(): a custom chain too long for the budget
+    is refused without its walk, which takes over a minute at f 3000."""
 
     def evolver(n_steps, n_max):
         return (n_max + 1) * (n_steps + 1) ** 2 * 8
 
-    def scheme_sizes(n_steps):
+    if command in ("transfer-matrix", "cool", "optimize"):
+        n_steps = cfg.scheme.max_steps()
         if command == "transfer-matrix":
             n_max = cfg.transfer_matrix.n_max
             return max((n_max + 1) ** 2 * 8, evolver(n_steps, n_max))
@@ -149,12 +149,6 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
         if command == "cool" and cfg.heating.enabled:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)
-
-    if command in ("transfer-matrix", "cool", "optimize"):
-        bound = scheme_sizes(cfg.scheme.max_steps())
-        if bound > _ARRAY_BUDGET_BYTES:
-            return bound
-        return scheme_sizes(len(cfg.scheme.build().steps))
     if command == "table1":
         chains = [type(cfg.scheme).parse(name).build() for name in cfg.table1.schemes]
         return max(

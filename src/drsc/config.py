@@ -202,33 +202,38 @@ class SchemeConfig:
         _require_keys(raw, {f.name for f in fields(cls)} - {"kind"}, where)
         return _parse(cls(kind="custom"), raw, where)
 
-    def build(self) -> CouplingChain:
+    def _manifold(self) -> ManifoldScheme | None:
+        """The validated scheme build() walks; None for the two-level chain."""
         try:
             if self.kind == "F7":
-                scheme = f7_scheme()
-            elif self.kind == "F8":
-                scheme = f8_scheme()
-            elif self.kind == "two_level":
-                return two_level_chain()
-            else:
-                scheme = ManifoldScheme(
-                    f=self.f,
-                    f_excited=self.f_excited,
-                    polarization_pair=self.polarization_pair,
-                    start_m=self.start_m,
-                )
+                return f7_scheme()
+            if self.kind == "F8":
+                return f8_scheme()
+            if self.kind == "two_level":
+                return None
+            return ManifoldScheme(
+                f=self.f,
+                f_excited=self.f_excited,
+                polarization_pair=self.polarization_pair,
+                start_m=self.start_m,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid scheme: {exc}") from exc
+
+    def build(self) -> CouplingChain:
+        scheme = self._manifold()
+        if scheme is None:
+            return two_level_chain()
+        try:
             return build_coupling_chain(scheme)
         except ValueError as exc:
             raise ConfigError(f"invalid scheme: {exc}") from exc
 
     def max_steps(self) -> int:
-        """An upper bound on len(build().steps) that needs no walk: a custom
-        chain moves m by one per step, from start_m toward the manifold
-        edge.  The exact walk takes over a minute at f 3000."""
-        if self.kind != "custom":
-            return len(self.build().steps)
-        d = -1 if self.polarization_pair == "pi_sigma_minus" else 1
-        return max(self.f - d * self.start_m, 0)
+        """An upper bound on len(build().steps) that needs no walk, which
+        takes over a minute at f 3000."""
+        scheme = self._manifold()
+        return 1 if scheme is None else scheme.max_steps
 
     def describe(self) -> dict:
         return asdict(self) if self.kind == "custom" else {"kind": self.kind}

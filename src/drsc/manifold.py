@@ -92,6 +92,12 @@ class ManifoldScheme:
     def step_direction(self) -> int:
         return -1 if self.polarization_pair == "pi_sigma_minus" else +1
 
+    @property
+    def max_steps(self) -> int:
+        """Bound on the chain's length, known without walking it: the walk
+        moves m by step_direction per step and stops at the manifold edge."""
+        return self.f - self.step_direction * self.start_m
+
 
 @dataclass(frozen=True)
 class ChainStep:

@@ -388,8 +388,3 @@ class TestBatchedTables:
         top = hi - ev.n_sites + 1
         full = apply_table(p, probs)[lo:top]
         assert np.array_equal(apply_table(q, probs[lo:hi])[: top - lo], full)
-
-    @pytest.mark.parametrize("lo, hi", [(-1, 5), (5, 5), (0, 42)])
-    def test_row_slice_out_of_range_rejected(self, lo, hi):
-        with pytest.raises(ValueError, match="rows"):
-            cached_evolver(F7, TRAP, 40).rows(lo, hi)

@@ -171,24 +171,24 @@ class TestSchemes:
             SchemeConfig.parse("F9")
 
     @pytest.mark.parametrize(
-        "raw",
+        "raw, n_steps, bound",
         [
-            "F7",
-            "F8",
-            "two_level",
-            {"f": 7, "f_excited": 7, "start_m": 0},
-            {"f": 7, "f_excited": 7, "start_m": 5},  # stops at the forbidden 1 -> 0 step
-            {"f": 8, "f_excited": 7, "polarization_pair": "pi_sigma_plus", "start_m": -8},
-            {"f": 9, "f_excited": 10, "polarization_pair": "pi_sigma_plus", "start_m": 2},
-            {"f": 4, "f_excited": 3, "start_m": -1},
+            ("F7", 7, 7),
+            ("F8", 15, 16),  # stops before the forbidden 7 -> 8 step
+            ("two_level", 1, 1),
+            ({"f": 7, "f_excited": 7, "start_m": 5}, 4, 12),  # stops before 1 -> 0
+            ({"f": 9, "f_excited": 10, "polarization_pair": "pi_sigma_plus", "start_m": 2}, 7, 7),
+            ({"f": 4, "f_excited": 3, "start_m": -1}, 2, 3),
         ],
     )
-    def test_max_steps_bounds_the_walk(self, raw):
+    def test_max_steps_bounds_the_walk(self, raw, n_steps, bound):
         cfg = SchemeConfig.parse(raw)
-        n_steps = len(cfg.build().steps)
-        assert n_steps <= cfg.max_steps()
-        if cfg.kind != "custom":
-            assert n_steps == cfg.max_steps()
+        assert (len(cfg.build().steps), cfg.max_steps()) == (n_steps, bound)
+
+    def test_max_steps_of_an_invalid_scheme_names_its_fault(self):
+        cfg = SchemeConfig.parse({"f": 1, "start_m": -3000, "polarization_pair": "pi_sigma_plus"})
+        with pytest.raises(ConfigError, match=r"\|start_m\| = 3000 exceeds F = 1"):
+            cfg.max_steps()
 
 
 class TestOverrides:
