@@ -127,21 +127,46 @@ class ChainEvolver:
 
 
 def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Populations after a pulse whose table is site_p[..., n, k] = P(n -> n - k).
+    """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k):
+    one bincount over _band_targets, which adds each row's terms in
+    ascending k."""
+    weights = (site_p * probs[:, None]).ravel()
+    return np.bincount(_band_targets(*site_p.shape).ravel(), weights)[: len(probs)]
 
-    Leading axes of site_p and probs broadcast, so one call applies a stack
-    of tables, or one table to a stack of population vectors.  One table on
-    one vector is one bincount over _band_targets, which adds each row's
-    terms in ascending k, bit for bit the band loop that stacks take.
+
+def _pulsed_grid(evolver: ChainEvolver, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """after[i, s] = apply_table(evolver.site_probabilities(times[i]), starts[s])
+    up to rounding, for times > 0, with time the last axis of every product.
+
+    Row n's amplitudes at all times are one GEMM, C[n] [cos; sin](pi w[n] t),
+    and squared they give P[n, k, t].  Target row m then gathers
+    sum_k starts[s, m + k] P[m + k, k, t], a second GEMM per row between each
+    start's K-wide window of populations and the diagonal P[m + k, k, :];
+    both are zero-padded K - 1 rows past the top.  GEMM sums in its own
+    order, so values differ from the per-time path by rounding.  A time
+    whose phases are not finite raises FloatingPointError.
     """
-    if site_p.ndim == 2 and probs.ndim == 1:
-        weights = (site_p * probs[:, None]).ravel()
-        return np.bincount(_band_targets(*site_p.shape).ravel(), weights)[: len(probs)]
-    out = np.zeros(np.broadcast(site_p[..., 0], probs).shape)
-    n_top = probs.shape[-1]
-    for k in range(site_p.shape[-1]):
-        out[..., : n_top - k] += site_p[..., k:, k] * probs[..., k:]
-    return out
+    n_rows, n_sites = evolver.C.shape[:2]
+    n_modes = evolver.w.shape[1]
+    # the phases are written where their sines go, and overwritten by them
+    trig = np.empty((n_rows, 2 * n_modes, len(times)))
+    phase = trig[:, n_modes:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.pi * evolver.w[:, :, None], times, out=phase)
+    if not np.isfinite(phase).all():
+        raise FloatingPointError(f"pulse phase overflows at pulse time {times.max()}")
+    np.cos(phase, out=trig[:, :n_modes])
+    np.sin(phase, out=phase)
+    p = np.zeros((n_rows + n_sites - 1, n_sites, len(times)))
+    np.matmul(evolver.C, trig, out=p[:n_rows])
+    p *= p
+    row, band, col = p.strides
+    diagonals = np.lib.stride_tricks.as_strided(
+        p, (n_rows, n_sites, len(times)), (row, row + band, col), writeable=False
+    )
+    padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_sites, axis=1)
+    return (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
 
 
 @functools.lru_cache(maxsize=8)

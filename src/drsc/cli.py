@@ -83,14 +83,15 @@ def _json(meta: dict, payload: dict) -> str:
     return json.dumps({"metadata": meta, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _banded_json(meta: dict, payload: dict, bands: list[list[float]]) -> str:
-    """_json(meta, {**payload, "bands": bands}), byte for byte, with the band
-    lists written by hand: indent sends json.dumps to its pure-Python
-    encoder, which takes twice as long.  A float is written by repr, as
-    json.dumps writes it; a non-finite one reads nan or inf, not NaN or
-    Infinity, and either spelling fails the finite-artifact check."""
+def _banded_json(meta: dict, payload: dict, bands: list[list[str]]) -> str:
+    """_json(meta, {**payload, "bands": bands}), byte for byte, from bands
+    whose floats are already written by repr, as json.dumps writes them;
+    the lists are joined by hand because indent sends json.dumps to its
+    pure-Python encoder, which takes twice as long.  A non-finite float
+    reads nan or inf, not NaN or Infinity, and either spelling fails the
+    finite-artifact check."""
     lists = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(repr, band)) + "\n    ]" if band else "    []"
+        "    [\n      " + ",\n      ".join(band) + "\n    ]" if band else "    []"
         for band in bands
     )
     # "bands" sorts first among the keys, so the first match is its own
@@ -235,36 +236,44 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
     return seq, details
 
 
+def _transfer_matrix_texts(meta: dict, site_p: np.ndarray, bandwidth: int) -> tuple[str, str]:
+    """One pulse's table as a dense CSV, W[i, j] = P(i -> j), and as banded
+    JSON, bands[k][i - k] = P(i -> i - k), with every entry written once by
+    repr; the strings die with the call, so one matrix's are alive at a time."""
+    n_max, n_sites = site_p.shape[0] - 1, site_p.shape[1]
+    reprs = [list(map(repr, row)) for row in site_p.tolist()]
+    # bands[k] holds rows k.. of column k; bands past n_max are empty when
+    # the chain is longer than the ladder
+    bands = [column[k:] for k, column in enumerate(zip(*reprs))]
+    bands += [[]] * (bandwidth - n_sites)
+    # dense row i holds W[i, j] = site_p[i, i - j], nonzero only for j in
+    # [lo, i]: its band reversed, between runs of "0.0"
+    lines = [f"# {k}: {v}" for k, v in meta.items()]
+    for i, row in enumerate(reprs):
+        lo = max(0, i - n_sites + 1)
+        lines.append("0.0," * lo + ",".join(row[i - lo :: -1]) + ",0.0" * (n_max - i))
+    banded = _banded_json(meta, {"n_max": n_max, "bandwidth": bandwidth}, bands)
+    return "\n".join(lines) + "\n", banded
+
+
 def cmd_transfer_matrix(cfg: RunConfig) -> dict[str, str]:
-    """Each pulse as a dense matrix W[i, j] = P(i -> j) and as its bands,
-    bands[k][i - k] = P(i -> i - k), both read off the banded table."""
+    """Each pulse as a dense matrix and as its bands, both read off the
+    banded table."""
     chain = cfg.scheme.build()
     n_max = cfg.transfer_matrix.n_max
     evolver = cached_evolver(chain, cfg.trap, n_max)
     files: dict[str, str] = {}
     manifest_entries = []
+    base_meta = _meta(cfg)
     for idx, t in enumerate(cfg.transfer_matrix.times):
-        site_p = evolver.site_probabilities(t)
-        # bands past n_max are empty when the chain is longer than the ladder
-        bands = [site_p[k:, k].tolist() for k in range(evolver.n_sites)]
-        bands += [[]] * (chain.bandwidth - evolver.n_sites)
         name = f"transfer_matrix_{idx:02d}"
-        meta = _meta(cfg, pulse_time=_fmt(t), bandwidth=chain.bandwidth)
-        # dense row i holds W[i, j] = P(i -> j) = site_p[i, i - j], nonzero
-        # only for j in [lo, i]: its band reversed, between runs of "0.0"
-        lines = []
-        for i, row in enumerate(site_p.tolist()):
-            lo = max(0, i - evolver.n_sites + 1)
-            band = ",".join(map(repr, row[i - lo :: -1]))
-            lines.append("0.0," * lo + band + ",0.0" * (n_max - i))
-        header = "\n".join(f"# {k}: {v}" for k, v in meta.items())
-        files[f"{name}.csv"] = header + "\n" + "\n".join(lines) + "\n"
-        files[f"{name}.json"] = _banded_json(
-            meta, {"n_max": n_max, "bandwidth": chain.bandwidth}, bands
+        meta = {**base_meta, "pulse_time": _fmt(t), "bandwidth": chain.bandwidth}
+        files[f"{name}.csv"], files[f"{name}.json"] = _transfer_matrix_texts(
+            meta, evolver.site_probabilities(t), chain.bandwidth
         )
         manifest_entries.append({"pulse_time": t, "csv": f"{name}.csv", "banded": f"{name}.json"})
     files["transfer_matrix_manifest.json"] = _json(
-        _meta(cfg),
+        base_meta,
         {
             "n_max": n_max,
             "bandwidth": chain.bandwidth,

@@ -14,18 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import ChainEvolver, _band_targets, apply_table, cached_evolver
+from .chain_dynamics import ChainEvolver, _band_targets, _pulsed_grid, apply_table, cached_evolver
 from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
 _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
 _T_GRID_POINTS = 240
-# pulse times per grid kernel call: each (6, rows, K, 2) temporary is
-# 0.62 MB on optimize_global's full ladder at F8/n_max 400 (K = 16), and
-# 0.21 MB on the suppression search's 139 window rows; longer chunks
-# outgrow the cache and measured slower
-_GRID_CHUNK = 6
+# pulse times per grid kernel call: a scan's traced peak is then 0.72 MB
+# for table1's nine F8 starts on the 139 window rows (K = 16); 6 columns
+# measured twice as slow, and 24 doubles the peak for no measured gain
+_GRID_COLUMNS = 12
 _MIN_PULSE_TIME = 1e-6
 # dual_thermal_decompose refuses a window whose tail mass falls below this:
 # heating's absolute rounding over the default 124-entry window is ~2.7e-14
@@ -131,15 +130,16 @@ def _grid_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """objective(populations after one pulse, p0) on the pulse-time grid,
     for each start p0 in the rows of p0s: (ts, vals), vals[i, s] at ts[i]
-    from start s.  The tables are computed _GRID_CHUNK pulse times per
-    kernel call and applied to every start at once; objective takes
+    from start s.  _pulsed_grid pulses every start at _GRID_COLUMNS times
+    per call, as GEMMs whose rounding differs from the per-time tables';
+    the values only pick each search's start.  objective takes
     broadcasting leading axes and returns one value per population vector.
     """
     ts = np.linspace(_T_GRID_LO, _T_GRID_HI, _T_GRID_POINTS)
     vals = np.concatenate(
         [
-            objective(apply_table(evolver.site_probabilities(chunk)[:, None], p0s), p0s)
-            for chunk in np.split(ts, range(_GRID_CHUNK, len(ts), _GRID_CHUNK))
+            objective(_pulsed_grid(evolver, chunk, p0s), p0s)
+            for chunk in np.split(ts, range(_GRID_COLUMNS, len(ts), _GRID_COLUMNS))
         ]
     )
     return ts, vals

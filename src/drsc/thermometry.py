@@ -37,6 +37,23 @@ def _probe_ratios(n_max: int, eta: float) -> np.ndarray:
     return ratios
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_weights(n_max: int, eta: float, probe_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin^2(pi t R(n) / 2) for n = 0..n_max and the same with
+    R(n + 1): the red and blue excitation of each Fock state, shared by
+    every probe of that size and time.  Phases that are not finite raise
+    FloatingPointError."""
+    ratios = _probe_ratios(n_max, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * np.pi * probe_time * ratios
+    if not np.isfinite(phase).all():
+        raise FloatingPointError(f"sideband probe phase overflows at probe_time {probe_time}")
+    red, blue = np.sin(phase[: n_max + 1]) ** 2, np.sin(phase[1:]) ** 2
+    red.setflags(write=False)
+    blue.setflags(write=False)
+    return red, blue
+
+
 @dataclass(frozen=True)
 class SidebandProbeResult:
     """Red/blue sideband excitation at one probe time.
@@ -68,13 +85,7 @@ def sideband_probe(
     """
     if probe_time <= 0:
         raise ValueError(f"probe_time must be > 0, got {probe_time}")
-    ratios = _probe_ratios(dist.n_max, trap.eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = 0.5 * np.pi * probe_time * ratios
-    if not np.isfinite(phase).all():
-        raise FloatingPointError(f"sideband probe phase overflows at probe_time {probe_time}")
-    red_amp = np.sin(phase[: dist.n_max + 1]) ** 2
-    blue_amp = np.sin(phase[1:]) ** 2
+    red_amp, blue_amp = _probe_weights(dist.n_max, trap.eta, probe_time)
     p_red = float(dist.probs @ red_amp)
     p_blue = float(dist.probs @ blue_amp)
     if not (math.isfinite(p_red) and math.isfinite(p_blue)):

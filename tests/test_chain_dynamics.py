@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import ChainEvolver, apply_table, cached_evolver
+from drsc.chain_dynamics import ChainEvolver, _pulsed_grid, apply_table, cached_evolver
 from drsc.cli import cmd_transfer_matrix
 from drsc.config import RunConfig
+from drsc.cooling import _grid_scan, _log_suppression, asymptotic_window
 from drsc.manifold import (
     ChainStep,
     CouplingChain,
@@ -321,7 +322,7 @@ class TestRealKernel:
 
 
 class TestBatchedTables:
-    # 0 included, and a count that is no multiple of the optimizers' chunk
+    # 0 included, twice, and a time past the optimizers' grid
     TIMES = np.concatenate([[0.0], np.linspace(0.02, 1.2, 12), [0.0, 2.5]])
 
     @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
@@ -335,16 +336,6 @@ class TestBatchedTables:
     def test_negative_time_in_array_rejected(self):
         with pytest.raises(ValueError, match="pulse time"):
             ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, 0.0, -1e-9, 0.5]))
-
-    def test_apply_table_broadcasts_leading_axes(self):
-        ev = ChainEvolver(F8, TRAP, 60)
-        stack = ev.site_probabilities(self.TIMES)
-        starts = np.stack([thermal_distribution(nbar, 60).probs for nbar in (0.5, 4.0, 9.0)])
-        out = apply_table(stack[:, None], starts)
-        assert out.shape == (len(self.TIMES), 3, 61)
-        for i, table in enumerate(stack):
-            for j, start in enumerate(starts):
-                assert np.array_equal(out[i, j], apply_table(table, start))
 
     @pytest.mark.parametrize(
         "chain, n_max, t",
@@ -388,3 +379,81 @@ class TestBatchedTables:
         top = hi - ev.n_sites + 1
         full = apply_table(p, probs)[lo:top]
         assert np.array_equal(apply_table(q, probs[lo:hi])[: top - lo], full)
+
+
+GRID_CHAINS = pytest.mark.parametrize(
+    "chain",
+    [F7, F8, two_level_chain(), FIVE_SITES, CUT],
+    ids=["F7", "F8", "two-level", "five-sites", "zero-coupling"],
+)
+GRID_ETAS = pytest.mark.parametrize("eta", [0.05, 0.07, 0.1])
+ONE_AND_NINE = pytest.mark.parametrize("n_starts", [1, 9], ids=["one-start", "nine-starts"])
+
+
+def grid_starts(n_starts, n_max, nbar_lo):
+    """n_starts thermal populations from n-bar nbar_lo upward."""
+    nbars = nbar_lo * np.arange(1, n_starts + 1)
+    return np.stack([thermal_distribution(nbar, n_max).probs for nbar in nbars])
+
+
+def per_time_grid(evolver, times, starts):
+    """after[i, s]: one table per time, applied to one start at a time."""
+    tables = [evolver.site_probabilities(t) for t in times]
+    return np.array([[apply_table(table, start) for start in starts] for table in tables])
+
+
+class TestPulsedGrid:
+    """The grid kernel's GEMMs against the per-time tables and apply_table."""
+
+    @GRID_CHAINS
+    @GRID_ETAS
+    @ONE_AND_NINE
+    def test_populations_match_the_per_time_path(self, chain, eta, n_starts):
+        ev = ChainEvolver(chain, TrapParams(eta=eta), 90)
+        starts = grid_starts(n_starts, 90, 2.0)
+        # an odd column count, and times past the optimizers' grid
+        times = np.linspace(0.02, 2.5, 13)
+        after = _pulsed_grid(ev, times, starts)
+        assert after.shape == (len(times), n_starts, 91)
+        np.testing.assert_allclose(after, per_time_grid(ev, times, starts), rtol=0, atol=1e-14)
+
+    @GRID_CHAINS
+    @GRID_ETAS
+    @ONE_AND_NINE
+    def test_mean_n_argmins_match_the_per_time_path(self, chain, eta, n_starts):
+        # optimize_global's one-pulse <n> over the full ladder
+        ev = cached_evolver(chain, TrapParams(eta=eta), 60)
+        starts = grid_starts(n_starts, 60, 0.5)
+        n = np.arange(61)
+
+        def mean_n(after, _p0):
+            return (after @ n) / after.sum(axis=-1)
+
+        ts, vals = _grid_scan(ev, starts, mean_n)
+        ref = mean_n(per_time_grid(ev, ts, starts), starts)
+        assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
+
+    @GRID_CHAINS
+    @GRID_ETAS
+    @ONE_AND_NINE
+    def test_suppression_argmins_match_the_per_time_path(self, chain, eta, n_starts):
+        # the single-pulse search's log a, on the window's rows
+        n_lo, n_hi = asymptotic_window(eta)
+        ev = cached_evolver(chain, TrapParams(eta=eta), n_hi + chain.bandwidth)
+        top = n_hi + ev.n_sites
+        rows = ev.rows(n_lo, top)
+        starts = grid_starts(n_starts, ev.n_max, 5.0)[:, n_lo:top]
+        window = (0, n_hi - n_lo)
+
+        def log_a(after, p0):
+            return _log_suppression(after, p0, window)
+
+        ts, vals = _grid_scan(rows, starts, log_a)
+        ref = log_a(per_time_grid(rows, ts, starts), starts)
+        assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
+
+    def test_non_finite_phase_raises(self):
+        ev = ChainEvolver(F8, TRAP, 20)
+        starts = grid_starts(2, 20, 1.0)
+        with pytest.raises(FloatingPointError, match="pulse phase"):
+            _pulsed_grid(ev, np.array([0.3, 1e308]), starts)

@@ -266,27 +266,36 @@ class TestSharedGridScan:
         assert mean_after(t) <= f_ref + 1e-15
 
     def test_table1_f7_kernel_calls(self, monkeypatch):
-        # one 240-point grid for all nine nbar cells, six pulse times per
-        # call, then each cell's L-BFGS, one scalar pulse time per call;
-        # every call computes only the window's rows and the pulse reach
-        # above them
+        # one 240-point grid for all nine nbar cells, _GRID_COLUMNS pulse
+        # times per grid kernel call, then each cell's L-BFGS, one scalar
+        # pulse time per table; every call computes only the window's rows
+        # and the pulse reach above them
         nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
         cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
-        calls = []
-        real_tables = ChainEvolver._tables
+        grid_calls, table_calls = [], []
+        real_grid, real_tables = cooling._pulsed_grid, ChainEvolver._tables
 
-        def counting(self, t, derivative):
-            calls.append((derivative, np.shape(t), len(self.w)))
+        def counting_grid(evolver, times, starts):
+            grid_calls.append((len(times), len(evolver.w), len(starts)))
+            return real_grid(evolver, times, starts)
+
+        def counting_tables(self, t, derivative):
+            table_calls.append((derivative, np.shape(t), len(self.w)))
             return real_tables(self, t, derivative)
 
-        monkeypatch.setattr(ChainEvolver, "_tables", counting)
+        monkeypatch.setattr(cooling, "_pulsed_grid", counting_grid)
+        monkeypatch.setattr(ChainEvolver, "_tables", counting_tables)
         cmd_table1(cfg)
-        assert sum(not derivative for derivative, _, _ in calls) <= 40
-        refinement = [shape for derivative, shape, _ in calls if derivative]
+        n_lo, n_hi = asymptotic_window(TRAP.eta)
+        window_rows = n_hi + F7.bandwidth - n_lo
+        assert len(grid_calls) <= math.ceil(cooling._T_GRID_POINTS / cooling._GRID_COLUMNS)
+        assert sum(n_times for n_times, _, _ in grid_calls) == cooling._T_GRID_POINTS
+        assert {(rows, starts) for _, rows, starts in grid_calls} == {(window_rows, len(nbars))}
+        refinement = [shape for derivative, shape, _ in table_calls if derivative]
+        assert len(refinement) == len(table_calls)
         assert set(refinement) == {()}
         assert len(refinement) <= 72
-        n_lo, n_hi = asymptotic_window(TRAP.eta)
-        assert {rows for _, _, rows in calls} == {n_hi + F7.bandwidth - n_lo}
+        assert {rows for _, _, rows in table_calls} == {window_rows}
 
     def test_inits_must_share_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -295,7 +304,7 @@ class TestSharedGridScan:
             optimize_fixed_pulses(F7, TRAP, [])
 
     # evolvers are built before tracing, so the bound is on the search's own
-    # arrays, which the grid chunk length keeps small
+    # arrays, which the grid's column count keeps small
     def test_nine_nbar_scan_memory(self):
         inits = [thermal_distribution(nbar, 260) for nbar in (5, 10, 15, 20, 25, 30, 35, 40, 50)]
         cached_evolver(F8, TRAP, 260)

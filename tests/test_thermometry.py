@@ -21,6 +21,7 @@ from drsc.thermometry import (
     PulseTiming,
     SidebandProbeResult,
     _probe_ratios,
+    _probe_weights,
     default_t_clear,
     end_to_end_protocol,
     rdp_filter,
@@ -46,6 +47,11 @@ class TestSidebandProbe:
         assert table is _probe_ratios(30, TRAP.eta)
         with pytest.raises(ValueError):
             table[0] = 1.0
+        red, blue = _probe_weights(30, TRAP.eta, 0.7)
+        assert _probe_weights(30, TRAP.eta, 0.7)[0] is red
+        for weights in (red, blue):
+            with pytest.raises(ValueError):
+                weights[0] = 1.0
 
     @pytest.mark.parametrize("nbar", [0.1, 1.0, 6.08])
     def test_thermal_ratio_identity(self, nbar):
