@@ -81,12 +81,14 @@ def _number(positive=False, minimum=None, below=None):
     return check
 
 
-def _integer(minimum=None):
+def _integer(minimum=None, maximum=None):
     def check(value, where):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}, got {value}")
         return value
 
     return check
@@ -270,7 +272,8 @@ class PumpingConfig:
         _rates(DEFAULT_SCATTER_RATES), default_factory=lambda: dict(DEFAULT_SCATTER_RATES)
     )
     geometry: float = _checked(_number(minimum=0.0), default=1.0 / 3.0)
-    monte_carlo_trajectories: int = _checked(_integer(minimum=0), default=0)
+    # walker counts are int64
+    monte_carlo_trajectories: int = _checked(_integer(minimum=0, maximum=2**63 - 1), default=0)
 
 
 @dataclass(frozen=True)

@@ -200,13 +200,20 @@ def _check_reachable(graph: PumpingGraph) -> None:
         )
 
 
+def _transient_block(graph: PumpingGraph) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Indices of the transient states, the step matrix among them (Q) and
+    each one's probability of entering the dark state in one step (r)."""
+    idx_abs = graph.index(graph.absorbing)
+    transient = [i for i in range(len(graph.states)) if i != idx_abs]
+    q = graph.step_matrix[np.ix_(transient, transient)]
+    return transient, q, graph.step_matrix[transient, idx_abs]
+
+
 def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
     """Expected scattering events before reaching the dark state, from
     each sublevel in graph.states order (the dark state counting 0)."""
     _check_reachable(graph)
-    idx_abs = graph.index(graph.absorbing)
-    transient = [i for i in range(len(graph.states)) if i != idx_abs]
-    q = graph.step_matrix[np.ix_(transient, transient)]
+    transient, q, _ = _transient_block(graph)
     try:
         x = np.linalg.solve(np.eye(len(transient)) - q, np.ones(len(transient)))
     except np.linalg.LinAlgError as exc:
@@ -216,36 +223,56 @@ def steps_to_dark(graph: PumpingGraph) -> np.ndarray:
     return steps
 
 
+# scattering events the Monte Carlo advances per multinomial draw, and the
+# events after which walkers still transient raise (a multiple of _BLOCK)
+_BLOCK = 100
+_MAX_STEPS = 100_000
+
+
 def monte_carlo_steps(
     graph: PumpingGraph, n_trajectories: int, seed: int = 0
 ) -> tuple[float, float]:
     """Direct simulation of the scattering walk from a uniform start over
     the sublevels; returns (mean, stderr).
 
-    Trajectories are propagated as ensemble counts with multinomial draws,
-    which is statistically identical to walking them one by one.  Walkers
-    left after 100000 steps raise RuntimeError.
+    Walkers that start dark count 0 events.  The rest are kept as counts
+    over the transient sublevels and advanced _BLOCK = 100 events per
+    multinomial draw.  Over one block a walker in transient state i is
+    absorbed at its event s = 1..100 with probability (Q^(s-1) r)_i, or
+    ends it in transient state j with probability (Q^100)_ij; Q is the
+    step matrix among the transient states and r its column into the dark
+    state.  Walkers are independent, so this is the exact law of 100
+    single steps, and the estimator keeps its distribution.  Walkers left
+    after 100000 events raise RuntimeError; n_trajectories < 1 raises
+    ValueError.
     """
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
     _check_reachable(graph)
     rng = np.random.default_rng(seed)
-    n = len(graph.states)
-    idx_abs = graph.index(graph.absorbing)
-    base, extra = divmod(n_trajectories, n)
-    counts = np.full(n, base, dtype=np.int64)
-    counts[:extra] += 1
+    transient, q, r = _transient_block(graph)
+    # block law: column s-1 holds absorption at event s, then Q^_BLOCK
+    law = np.empty((len(transient), _BLOCK + len(transient)))
+    absorb = r
+    for s in range(_BLOCK):
+        law[:, s] = absorb
+        absorb = q @ absorb
+    law[:, _BLOCK:] = np.linalg.matrix_power(q, _BLOCK)
 
-    absorbed_at = [int(counts[idx_abs])]  # step 0
-    counts[idx_abs] = 0
-    for _ in range(100_000):
-        if counts.sum() == 0:
-            break
+    base, extra = divmod(n_trajectories, len(graph.states))
+    counts = np.full(len(graph.states), base, dtype=np.int64)
+    counts[:extra] += 1
+    absorbed_at = [int(counts[graph.index(graph.absorbing)])]  # step 0
+    counts = counts[transient]
+    for _ in range(_MAX_STEPS // _BLOCK):
         occupied = np.nonzero(counts)[0]
-        new = rng.multinomial(counts[occupied], graph.step_matrix[occupied]).sum(axis=0)
-        absorbed_at.append(int(new[idx_abs]))
-        new[idx_abs] = 0
-        counts = new
-    else:
-        raise RuntimeError("walkers not absorbed after 100000 steps")
+        if occupied.size == 0:
+            break
+        drawn = rng.multinomial(counts[occupied], law[occupied]).sum(axis=0)
+        absorbed_at.extend(drawn[:_BLOCK].tolist())
+        counts = drawn[_BLOCK:]
+    if counts.any():
+        raise RuntimeError(f"walkers not absorbed after {_MAX_STEPS} steps")
 
     k = np.arange(len(absorbed_at), dtype=float)
     w = np.array(absorbed_at, dtype=float)

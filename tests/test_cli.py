@@ -282,7 +282,7 @@ DIGEST_CASES = [
         {"pumping": {"monte_carlo_trajectories": 2000}},
         {
             "pumping_steps.csv": "b891c227ce858ef00ae7e3db2ccaf2a474b5abd0a859b47a5ccf09f885b15438",
-            "pumping_summary.json": "dd3f959c6dbb9257a10a67d638f99c9c5a7063e1ee2a61765da963def466a5b7",
+            "pumping_summary.json": "80863efbf00f8b471890588fe4880837f6be00f3f8228e661916d87c18b68233",
         },
     ),
     (
@@ -374,6 +374,16 @@ class TestPumping:
         assert summary["mean_steps_from_7_plus1"] == pytest.approx(41.46, abs=0.01)
         assert summary["monte_carlo"]["n_trajectories"] == 2000
         assert set(summary["recoil_heating_quanta_per_s"]) == {"raman", "optical_pumping"}
+
+    def test_trajectory_cap_runs(self, tmp_path):
+        n = 2**63 - 1
+        cfg = write_config(tmp_path, {"pumping": {"monte_carlo_trajectories": n}})
+        out = tmp_path / "out"
+        assert main(["pumping", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "pumping_summary.json").read_text())
+        mc = summary["monte_carlo"]
+        assert mc["n_trajectories"] == n
+        assert abs(mc["mean_steps"] - summary["uniform_mean_steps"]) < 4 * mc["stderr"]
 
     def test_unreachable_dark_state_exits_3(self, tmp_path):
         cfg = write_config(
@@ -512,6 +522,9 @@ class TestErrorPaths:
                 (command, {"scheme": {"f": 3000, "f_excited": 3000}})
                 for command in ("cool", "optimize", "transfer-matrix")
             ],
+            # walker counts past int64
+            ("pumping", {"pumping": {"monte_carlo_trajectories": 2**63}}),
+            ("pumping", {"pumping": {"monte_carlo_trajectories": 10**21}}),
         ],
     )
     def test_oversized_arrays_exit_2(self, tmp_path, monkeypatch, command, payload):

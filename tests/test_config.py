@@ -85,6 +85,11 @@ class TestTypeValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"seed": -1})
 
+    @pytest.mark.parametrize("n", [2**63, 10**21])
+    def test_trajectories_past_int64(self, n):
+        with pytest.raises(ConfigError, match="pumping.monte_carlo_trajectories must be <= "):
+            RunConfig.from_dict({"pumping": {"monte_carlo_trajectories": n}})
+
     def test_negative_probe_times(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"probe": {"times": [0.1, -0.2]}})

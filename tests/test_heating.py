@@ -11,6 +11,7 @@ from drsc.cooling import PulseSequence
 from drsc.heating import (
     DEFAULT_CHANNEL_RATES,
     Beam,
+    PumpingGraph,
     build_pumping_graph,
     default_beams,
     monte_carlo_steps,
@@ -205,6 +206,40 @@ class TestPumpingGraph:
         a = monte_carlo_steps(graph, 5_000, seed=9)
         b = monte_carlo_steps(graph, 5_000, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("n_trajectories", [0, -1])
+    def test_monte_carlo_rejects_an_empty_run(self, n_trajectories):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            monte_carlo_steps(build_pumping_graph(), n_trajectories)
+
+    def test_monte_carlo_law_across_blocks(self):
+        # both transient states enter the dark state with p = 0.02 per step,
+        # so absorption times are geometric (mean 50) and run many blocks long
+        p = 0.02
+        graph = PumpingGraph(
+            states=((0, 0), (0, 1), (0, 2)),
+            absorbing=(0, 2),
+            beams=(),
+            step_matrix=np.array([[0.5, 0.48, p], [0.7, 0.28, p], [0.0, 0.0, 0.0]]),
+        )
+        n = 1_000_000
+        moving = n - n // 3  # the dark state is last, so it gets no extra walker
+        mean = moving / n / p
+        var = moving / n * (2 - p) / p**2 - mean**2
+        mc_mean, mc_stderr = monte_carlo_steps(graph, n, seed=1)
+        assert abs(mc_mean - mean) < 4 * mc_stderr
+        assert mc_stderr == pytest.approx(np.sqrt(var / n), rel=0.02)
+
+    def test_monte_carlo_step_cap(self):
+        leak = 1e-6
+        graph = PumpingGraph(
+            states=((0, 0), (0, 1)),
+            absorbing=(0, 1),
+            beams=(),
+            step_matrix=np.array([[1 - leak, leak], [0.0, 0.0]]),
+        )
+        with pytest.raises(RuntimeError, match="walkers not absorbed after 100000 steps"):
+            monte_carlo_steps(graph, 1000)
 
     def test_missing_repump_beam_is_detected(self):
         # without the F=6 repump the F=6 manifold cannot reach the dark state
