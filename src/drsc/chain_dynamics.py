@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 
 import numpy as np
 
@@ -167,6 +168,85 @@ def _pulsed_grid(evolver: ChainEvolver, times: np.ndarray, starts: np.ndarray) -
     padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_sites, axis=1)
     return (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
+
+
+class _PulseTables:
+    """The tables P[i] = site_probabilities(times[i]) and dP[i]/dt of up
+    to max_pulses pulses, up to rounding, from one GEMM per ladder row into
+    buffers allocated once and overwritten by every call.
+
+    Row n's amplitudes and their time derivatives at all pulses are
+    CD[n] [cos; sin](pi t w[n]), with CD the stack of C over
+    D = [C_sin w, -C_cos w], so that d_amp = D [cos; sin] reads the same
+    trig as amp.  The phases (pi t) w (an outer product, whose one-term
+    sums are exact), P = amp^2 and dP/dt = (2 pi amp) d_amp are formed as
+    site_probabilities_with_derivative forms them; only the GEMM sums in
+    its own order, so values differ from its by rounding.  The phases,
+    trig and GEMM output have time as the last axis, each a contiguous
+    view of its buffer's first elements; P and dP/dt are stored
+    band-major, (pulses, K, rows), so that P[i].T is contiguous, and
+    returned as (pulses, rows, K) views.  Tables at t = 0 are the exact
+    identity with dP/dt = 0.  A negative time raises ValueError, a time
+    whose phases are not finite FloatingPointError.
+    """
+
+    def __init__(self, evolver: ChainEvolver, max_pulses: int):
+        n_rows, n_sites = evolver.C.shape[:2]
+        self._w, self._cd = evolver.w.reshape(-1, 1), _stacked_weights(evolver)
+        self._phase = np.empty(self._w.size * max_pulses)
+        self._trig = np.empty(2 * self._phase.size)
+        self._amps = np.empty(n_rows * 2 * n_sites * max_pulses)
+        self._p = np.empty((max_pulses, n_sites, n_rows))
+        self._dp = np.empty((max_pulses, n_sites, n_rows))
+
+    def __call__(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t_min = times.min()
+        if t_min < 0:
+            raise ValueError(f"pulse time must be >= 0, got {t_min}")
+        n_rows, two_sites, two_modes = self._cd.shape
+        n_pulses, n_modes, n_sites = len(times), two_modes // 2, two_sites // 2
+        phase = _leading(self._phase, len(self._w), n_pulses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self._w, (np.pi * times)[None], out=phase)
+        if not np.isfinite(phase).all():
+            raise FloatingPointError(f"pulse phase overflows at pulse time {times.max()}")
+        phase = phase.reshape(n_rows, n_modes, n_pulses)
+        trig = _leading(self._trig, n_rows, two_modes, n_pulses)
+        np.cos(phase, out=trig[:, :n_modes])
+        np.sin(phase, out=trig[:, n_modes:])
+        amps = _leading(self._amps, n_rows, two_sites, n_pulses)
+        amps = np.matmul(self._cd, trig, out=amps).transpose(2, 1, 0)
+        p, dp = self._p[:n_pulses], self._dp[:n_pulses]
+        np.square(amps[:, :n_sites], out=p)
+        np.multiply(amps[:, :n_sites], 2.0 * np.pi, out=dp)
+        dp *= amps[:, n_sites:]
+        p, dp = p.transpose(0, 2, 1), dp.transpose(0, 2, 1)
+        # all times > 0 is the common case; a NaN minimum could hide a zero
+        if not t_min > 0:
+            zero = times == 0
+            p[zero] = np.arange(n_sites) == 0
+            dp[zero] = 0.0
+        return p, dp
+
+
+def _leading(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The contiguous view of a flat buffer's first elements as shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _stacked_weights(evolver: ChainEvolver) -> np.ndarray:
+    """The read-only CD of _PulseTables, built once per evolver:
+    CD[n] = [[C_cos, C_sin], [C_sin w, -C_cos w]], of shape (rows, 2K, 2M)."""
+    c, w = evolver.C, evolver.w[:, None, :]
+    n_rows, n_sites, n_trig = c.shape
+    n_modes = n_trig // 2
+    cd = np.empty((n_rows, 2 * n_sites, n_trig))
+    cd[:, :n_sites] = c
+    np.multiply(c[:, :, n_modes:], w, out=cd[:, n_sites:, :n_modes])
+    np.multiply(c[:, :, :n_modes], -w, out=cd[:, n_sites:, n_modes:])
+    cd.setflags(write=False)
+    return cd
 
 
 @functools.lru_cache(maxsize=8)

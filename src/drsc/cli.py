@@ -129,7 +129,8 @@ _ARRAY_BUDGET_BYTES = 2**28
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Estimated bytes of the largest array the command allocates: a dense
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
-    evolver's (n_max+1) K^2 pulse weights, or the probe's populations.
+    evolver's (n_max+1) K^2 pulse weights, the global optimizer's
+    (n_max+1) 2K n_pulses batched amplitudes, or the probe's populations.
 
     The commands that build cfg.scheme are sized at its chain's length
     bound, cfg.scheme.max_steps(): a custom chain too long for the budget
@@ -138,6 +139,9 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     def evolver(n_steps, n_max):
         return (n_max + 1) * (n_steps + 1) ** 2 * 8
 
+    def batched(n_steps, n_max, n_pulses):
+        return (n_max + 1) * 2 * (n_steps + 1) * n_pulses * 8
+
     if command in ("transfer-matrix", "cool", "optimize"):
         n_steps = cfg.scheme.max_steps()
         if command == "transfer-matrix":
@@ -145,8 +149,13 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
             return max((n_max + 1) ** 2 * 8, evolver(n_steps, n_max))
         n_max = _initial_n_max(cfg, n_steps)
         sizes = [evolver(n_steps, n_max)]
-        if cfg.strategy.kind == "heuristic":
-            sizes.append(evolver(n_steps, default_n_max(cfg.strategy.final_nbar)))
+        strategy = cfg.strategy
+        if strategy.kind == "global_opt":
+            sizes.append(batched(n_steps, n_max, strategy.n_pulses))
+        elif strategy.kind == "heuristic":
+            final_n_max = default_n_max(strategy.final_nbar)
+            sizes.append(evolver(n_steps, final_n_max))
+            sizes.append(batched(n_steps, final_n_max, strategy.n_final))
         if command == "cool" and cfg.heating.enabled:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import ChainEvolver, _band_targets, _pulsed_grid, apply_table, cached_evolver
+from .chain_dynamics import (
+    ChainEvolver,
+    _band_targets,
+    _pulsed_grid,
+    _PulseTables,
+    apply_table,
+    cached_evolver,
+)
 from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
@@ -26,6 +33,9 @@ _T_GRID_POINTS = 240
 # measured twice as slow, and 24 doubles the peak for no measured gain
 _GRID_COLUMNS = 12
 _MIN_PULSE_TIME = 1e-6
+# optimize_global's objective stops at this <n>, far below what a
+# sideband probe resolves
+_MEAN_FLOOR = 1e-12
 # dual_thermal_decompose refuses a window whose tail mass falls below this:
 # heating's absolute rounding over the default 124-entry window is ~2.7e-14
 _MIN_TAIL_MASS = 1e-12
@@ -206,37 +216,62 @@ def optimize_fixed_pulse(
 
 
 def _mean_and_gradient(
-    times: np.ndarray, evolver: ChainEvolver, p0: np.ndarray
+    times: np.ndarray, evolver: ChainEvolver, p0: np.ndarray, work: _Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Final mean occupation f after the pulses, and df/dt for every pulse.
 
-    One forward pass keeps each pulse's input populations p_i and table
-    S_i.  The adjoint starts at lambda_L = (n - f) / sum(p_L) and steps back
-    through the transposed bands, lambda_i[j] = sum_k S_i[j, k]
-    lambda_{i+1}[j - k], so df/dt_i = sum_{j,k} dS_i[j, k]/dt p_i[j]
-    lambda_{i+1}[j - k] (the GRAPE construction).  Both sums read
-    lambda_{i+1}[j - k] by one gather over _band_targets, whose sentinel
-    row holds lambda 0; a row bincount sums lambda_i in ascending k.
+    One batched kernel call builds every pulse's table S_i and dS_i/dt
+    (_PulseTables: one GEMM per ladder row, whose sums round differently
+    from site_probabilities_with_derivative's, so f and df/dt differ from
+    a forward pass over the per-time tables by rounding).  The forward
+    pass keeps each pulse's input populations p_i.  The adjoint starts at
+    lambda_L = (n - f) / sum(p_L) and steps back through the transposed
+    bands, lambda_i[j] = sum_k S_i[j, k] lambda_{i+1}[j - k], so
+    df/dt_i = sum_{j,k} dS_i[j, k]/dt p_i[j] lambda_{i+1}[j - k] (the GRAPE
+    construction).  Both sums read lambda_{i+1}[j - k] by one gather over
+    _band_targets, whose sentinel row holds lambda 0; a row bincount sums
+    lambda_i in ascending k.  The gradient is one einsum over all pulses
+    after the adjoint loop.  work holds the buffers, for at least
+    len(times) pulses; without one, a new one is made.
     """
-    steps = []
-    p = p0
-    for t in times:
-        site_p, d_site_p = evolver.site_probabilities_with_derivative(t)
-        steps.append((p, site_p, d_site_p))
-        p = apply_table(site_p, p)
-    n = np.arange(len(p))
+    n_pulses, n_rows = len(times), len(p0)
+    if work is None:
+        work = _Workspace(evolver, n_pulses)
+    site_p, d_site_p = work.tables(times)
+    inputs, bands, weights = work.inputs[: n_pulses + 1], work.bands[:n_pulses], work.weights
+    inputs[0] = p0
+    for i in range(n_pulses):
+        np.multiply(site_p[i].T, inputs[i], out=weights)
+        inputs[i + 1] = np.bincount(work.target, weights.ravel())[:n_rows]
+    p = inputs[-1]
+    n = np.arange(n_rows)
     total = p.sum()
     f = float(n @ p) / total
-    target = _band_targets(len(p), evolver.n_sites)
-    rows = np.repeat(n, evolver.n_sites)
     lam = np.append((n - f) / total, 0.0)  # the trailing 0 is the sentinel's
-    grad = np.zeros(len(steps))
-    for i in range(len(steps) - 1, -1, -1):
-        p_i, site_p, d_site_p = steps[i]
-        lam_band = lam[target]
-        grad[i] = np.einsum("nk,nk,n->", d_site_p, lam_band, p_i)
-        lam = np.bincount(rows, (site_p * lam_band).ravel(), len(lam))
-    return f, grad
+    for i in range(n_pulses - 1, -1, -1):
+        lam.take(work.target, out=bands[i].reshape(-1))
+        np.multiply(site_p[i].T, bands[i], out=weights)
+        lam = np.bincount(work.rows, weights.ravel(), len(lam))
+    return f, np.einsum("ink,ikn,in->i", d_site_p, bands, inputs[:-1])
+
+
+class _Workspace:
+    """Buffers for objective evaluations of up to max_pulses pulses,
+    allocated once and reused by every evaluation: the batched kernel's,
+    the forward inputs, and the adjoint bands and weights.  Bands and
+    weights are band-major, (K, rows), so that each numpy call runs along
+    the ladder; target and rows are the flat band-major _band_targets and
+    row indices, over which a bincount sums in ascending k, as
+    apply_table's does."""
+
+    def __init__(self, evolver: ChainEvolver, max_pulses: int):
+        n_rows, n_sites = evolver.C.shape[:2]
+        self.tables = _PulseTables(evolver, max_pulses)
+        self.inputs = np.empty((max_pulses + 1, n_rows))
+        self.bands = np.empty((max_pulses, n_sites, n_rows))
+        self.weights = np.empty((n_sites, n_rows))
+        self.target = _band_targets(n_rows, n_sites).T.ravel()
+        self.rows = np.tile(np.arange(n_rows), n_sites)
 
 
 def _line_search(phi, f0, g0, stp):
@@ -335,14 +370,18 @@ def optimize_global(
 
     L-BFGS (t >= 1e-6) on log <n>, with the exact adjoint gradient
     divided by <n>, so the gradient tolerance means the same at every
-    depth of cooling.  One start per pulse count: k = 1 starts from the
-    pulse-time grid point with the lowest one-pulse <n>, every k > 1 from
-    the (k-1)-pulse optimum extended by its last duration.  Appending a
-    pulse cannot raise <n> and no step of the search raises its
-    objective, so the final mean occupation is non-increasing in pulse
-    count.  Each trace entry is (k, <n>); the returned sequence carries
-    the objective evaluations spent at each k.  Deterministic; no
-    randomness enters the search.
+    depth of cooling.  Below an absolute floor, <n> < 1e-12, the objective
+    is log 1e-12 with a zero gradient, which ends the search at that pulse
+    count instead of polishing <n> far below anything a sideband probe
+    resolves.  One start per pulse count: k = 1 starts from the pulse-time
+    grid point with the lowest one-pulse <n>, every k > 1 from the
+    (k-1)-pulse optimum extended by its last duration.  Appending a pulse
+    cannot raise <n>, no step of the search raises its objective, and a
+    search that starts below the floor does not move, so the final mean
+    occupation is non-increasing in pulse count.  Each trace entry is
+    (k, <n>), the true <n> even below the floor; the returned sequence
+    carries the objective evaluations spent at each k.  All pulse counts
+    share one _Workspace.  Deterministic; no randomness enters the search.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -353,11 +392,11 @@ def optimize_global(
     means: dict[bytes, float] = {}
 
     def log_mean_and_gradient(times: np.ndarray) -> tuple[float, np.ndarray]:
-        f, grad = _mean_and_gradient(times, evolver, p0)
+        f, grad = _mean_and_gradient(times, evolver, p0, work)
         means[times.tobytes()] = float(f)
-        # tiny keeps the log finite when no population is above the ground state
-        f_pos = f + np.finfo(float).tiny
-        return math.log(f_pos), grad / f_pos
+        if f < _MEAN_FLOOR:
+            return math.log(_MEAN_FLOOR), np.zeros_like(grad)
+        return math.log(f), grad / f
 
     # k = 1 starts at the grid time with the lowest one-pulse <n>
     n = np.arange(init.n_max + 1)
@@ -365,6 +404,7 @@ def optimize_global(
     x = np.array([ts[np.argmin(vals[:, 0])]])
     converged = True
     n_evals = []
+    work = _Workspace(evolver, n_pulses)
     for k in range(1, n_pulses + 1):
         x, _, evals, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
         converged = converged and ok

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import ChainEvolver, _pulsed_grid, apply_table, cached_evolver
+from drsc.chain_dynamics import (
+    ChainEvolver,
+    _PulseTables,
+    _pulsed_grid,
+    apply_table,
+    cached_evolver,
+)
 from drsc.cli import cmd_transfer_matrix
 from drsc.config import RunConfig
 from drsc.cooling import _grid_scan, _log_suppression, asymptotic_window
@@ -457,3 +463,48 @@ class TestPulsedGrid:
         starts = grid_starts(2, 20, 1.0)
         with pytest.raises(FloatingPointError, match="pulse phase"):
             _pulsed_grid(ev, np.array([0.3, 1e308]), starts)
+
+
+class TestPulseTables:
+    """The global optimizer's batched kernel against the per-time tables."""
+
+    # zeros and repeated times among the optimizers' times, and one past them
+    TIMES = np.array([0.61, 0.0, 0.17, 0.61, 1.2, 0.0, 2.5, 0.02, 0.17])
+
+    @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
+    def test_matches_the_scalar_tables(self, chain, n_max):
+        ev = cached_evolver(chain, TRAP, n_max)
+        p, dp = _PulseTables(ev, len(self.TIMES))(self.TIMES)
+        assert p.shape == dp.shape == (len(self.TIMES), n_max + 1, ev.n_sites)
+        for i, t in enumerate(self.TIMES):
+            p_ref, dp_ref = ev.site_probabilities_with_derivative(t)
+            np.testing.assert_allclose(p[i], p_ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dp[i], dp_ref, rtol=0, atol=1e-13 * np.max(np.abs(dp_ref)))
+            if t == 0:
+                assert np.array_equal(dense(p[i]), np.eye(n_max + 1))
+                assert not dp[i].any()
+
+    def test_buffers_are_reused_by_shorter_batches(self):
+        ev = ChainEvolver(F8, TRAP, 60)
+        tables = _PulseTables(ev, 5)
+        p5, dp5 = tables(np.linspace(0.1, 0.9, 5))
+        times = np.array([0.3, 0.0, 0.7])
+        p3, dp3 = tables(times)
+        assert np.shares_memory(p3, p5) and np.shares_memory(dp3, dp5)
+        fresh = _PulseTables(ev, 3)(times)
+        assert np.array_equal(p3, fresh[0]) and np.array_equal(dp3, fresh[1])
+
+    @pytest.mark.parametrize(
+        "t, error, match",
+        [
+            (-1e-9, ValueError, "pulse time"),
+            (1e308, FloatingPointError, "pulse phase"),
+            (np.inf, FloatingPointError, "pulse phase"),
+            (np.nan, FloatingPointError, "pulse phase"),
+        ],
+        ids=["negative", "overflow", "inf", "nan"],
+    )
+    def test_bad_times_raise(self, t, error, match):
+        tables = _PulseTables(ChainEvolver(F8, TRAP, 20), 3)
+        with pytest.raises(error, match=match):
+            tables(np.array([0.3, t, 0.0]))

@@ -1,13 +1,19 @@
 """End-to-end command-line behavior: exit codes, file outputs, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drsc import cli
 from drsc.chain_dynamics import ChainEvolver, cached_evolver
@@ -175,9 +181,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "8f673ab151a03ee60ffbc93267d1cb05486275ea004523a6c76da8104f78b96f",
-            "cool_sequence.json": "b591de3342cdceaa236b0bf463a104b04cb3fd9faf75d8349535cd1c0fd759c1",
-            "cool_snapshots.csv": "9706a1a25fab58521ddaa0d612ac25f71b2c2339886dec942250b6d1cdad993e",
+            "cool_history.csv": "6f5c584d2352f7b4c223a0e4eb9748820916dcb1eb2b8bea6d97457ecb3db39e",
+            "cool_sequence.json": "2f5a64041ea269c6573d99cd3dd3807dcee6318656ac7fa38a2260c6f8e07cd2",
+            "cool_snapshots.csv": "6f7cae93743b161f61f242598bf87379b9a68e981dbaa5e14295d671e46e611b",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -186,9 +192,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "d2cf61c213009bcdfd6781b75a60ec863b7ed467950999c7eef272e814e34541",
-            "cool_sequence.json": "23a0bbe5c15d4128a67ebdfcb7434420296d6d1bc50e57f620fdc8909f1c0a78",
-            "cool_snapshots.csv": "e7abecfc9308a389abaadf20dd99889c81d45b97f94506af948b0dddea030ca6",
+            "cool_history.csv": "c18053f22ec76365b1634346953268b83dd38abe76512d7a80c257fadcc005e1",
+            "cool_sequence.json": "968fcc0841d0c75d6e3e5aabb4df53723dfd4eba679cd73d0ba4232178537ff3",
+            "cool_snapshots.csv": "c71e4878bdd303544d3c6b562cd21bbc278c009c8d2909a94e1e329501bc95fa",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -290,8 +296,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "9e0f5cd3fe18ef5cf67c7c4ce43a3b782d56362b942e4ff3d29c9481670830e0",
-            "optimize_trace.csv": "da2460deb6df1364614f27f8873873261146118abbe078ba1328a05a5a58bc56",
+            "optimize_sequence.json": "8819d1714e561eca202b63feb2910bd96683c760e0ffeb497ed8e420ee07806b",
+            "optimize_trace.csv": "ea4495333fed626ff8ab703ce9b1aca73e13d1690754d7a738bf7b1f00ba0850",
         },
     ),
 ]
@@ -525,6 +531,12 @@ class TestErrorPaths:
             # walker counts past int64
             ("pumping", {"pumping": {"monte_carlo_trajectories": 2**63}}),
             ("pumping", {"pumping": {"monte_carlo_trajectories": 10**21}}),
+            # the global optimizer's batched amplitudes: 334 MB for 5000
+            # F8 pulses at n_max 260, 653 MB for a 50000-pulse final stage
+            # at n_max 50; each evolver alone fits
+            ("optimize", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
+            ("cool", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
+            ("optimize", {"scheme": "F8", "strategy": {"kind": "heuristic", "n_final": 50000}}),
         ],
     )
     def test_oversized_arrays_exit_2(self, tmp_path, monkeypatch, command, payload):
@@ -617,6 +629,99 @@ class TestErrorPaths:
             argv = ["probe", "--out", str(out_dir)]
         assert main(argv) == 2
         assert target.read_bytes() == b"keep me\n"
+
+
+# non-finite, negative and boundary values for any number in a fuzzed config
+_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e300])
+
+
+def _number_in(lo, hi):
+    # an edge value one time in three
+    return st.one_of(st.floats(lo, hi), st.floats(lo, hi), _EDGES)
+
+
+def _count_to(hi):
+    return st.one_of(st.integers(0, hi), st.integers(0, hi), st.sampled_from([-1, 2**63]))
+
+
+def _section(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+# small configs: nbar <= 5, at most 4 pulses, transfer-matrix n_max <= 40,
+# eta in [0.07, 0.5], each value possibly replaced by an edge value
+_SMALL_CONFIGS = _section(
+    scheme=st.sampled_from(["F7", "F8", "two_level"]),
+    trap=_section(eta=_number_in(0.07, 0.5)),
+    initial_nbar=_number_in(0.0, 5.0),
+    strategy=st.one_of(
+        _section(kind=st.just("global_opt"), n_pulses=_count_to(4)),
+        _section(kind=st.just("fixed"), n_pulses=_count_to(4), fixed_time=_number_in(0.0, 2.0)),
+        _section(kind=st.just("heuristic"), n_final=_count_to(4), final_nbar=_number_in(0.0, 5.0)),
+    ),
+    heating=_section(enabled=st.booleans()),
+    rdp=_section(enabled=st.booleans(), t_clear=_number_in(0.0, 2.0)),
+    probe_time=_number_in(0.0, 2.0),
+    transfer_matrix=_section(
+        n_max=_count_to(40), times=st.lists(_number_in(0.0, 2.0), min_size=1, max_size=3)
+    ),
+    table1=_section(
+        nbars=st.lists(_number_in(0.0, 5.0), min_size=1, max_size=2),
+        schemes=st.sampled_from([["F7"], ["F8"]]),
+    ),
+    probe=_section(times=st.lists(_number_in(0.0, 2.0), min_size=1, max_size=3)),
+    pumping=_section(monte_carlo_trajectories=_count_to(1000)),
+)
+
+
+def _non_finite_numbers(path):
+    """The numbers in one artifact that are not finite: every JSON number,
+    and every CSV cell or metadata value that parses as a float."""
+    with open(path) as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        values, numbers = [json.loads(text, parse_constant=float)], []
+        while values:
+            value = values.pop()
+            if isinstance(value, dict):
+                values.extend(value.values())
+            elif isinstance(value, list):
+                values.extend(value)
+            elif isinstance(value, float):
+                numbers.append(value)
+    else:
+        numbers = []
+        for line in text.splitlines():
+            for cell in [line.partition(": ")[2]] if line.startswith("# ") else line.split(","):
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    pass
+    return [x for x in numbers if not math.isfinite(x)]
+
+
+class TestCommandFuzz:
+    @given(command=st.sampled_from(sorted(cli._COMMANDS)), payload=_SMALL_CONFIGS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    # two numerical failures (exit 3), which the generated examples miss
+    @example(command="cool", payload={"strategy": {"kind": "fixed", "fixed_time": 1e300}})
+    @example(command="table1", payload={"trap": {"eta": 1e300}})
+    def test_exit_codes_and_artifacts(self, command, payload):
+        # exit 0 with only finite numbers written, or 2 or 3 with nothing written
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(payload, fh)
+            out = os.path.join(tmp, "out")
+            argv = [command, "--config", config, "--out", out, "--seed", "1"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3)
+            if code != 0:
+                assert not os.path.exists(out)
+                return
+            for name in os.listdir(out):
+                assert not _non_finite_numbers(os.path.join(out, name)), name
 
 
 class TestEnvironment:

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from drsc import cooling
-from drsc.chain_dynamics import ChainEvolver, cached_evolver
+from drsc.chain_dynamics import ChainEvolver, _PulseTables, apply_table, cached_evolver
 from drsc.cli import cmd_table1
 from drsc.config import RunConfig
 from drsc.cooling import (
@@ -121,10 +121,9 @@ LBFGSB_RUNS = {
 
 def band_loop_mean_and_gradient(times, evolver, p0):
     """Reference adjoint: the forward pass and the step back each loop over
-    the bands, one numpy call per band k."""
+    the bands, one numpy call per band k, on the batched kernel's tables."""
     inputs, tables, p = [], [], p0
-    for t in times:
-        site_p, d_site_p = evolver.site_probabilities_with_derivative(t)
+    for site_p, d_site_p in zip(*_PulseTables(evolver, len(times))(np.array(times))):
         inputs.append(p)
         tables.append((site_p, d_site_p))
         after = np.zeros_like(p)
@@ -358,10 +357,14 @@ class TestOptimizeGlobal:
         ev = ChainEvolver(chain, TRAP, init.n_max)
         x = np.array(times)
         f, grad = _mean_and_gradient(x, ev, init.probs)
-        p = init.probs
-        for t in x:
-            p = ev.apply_pulse(t, p)
-        assert f == float(np.arange(init.n_max + 1) @ p) / float(p.sum())
+        # f is the forward pass over the batched kernel's tables, bit for
+        # bit, and over the per-time tables up to the GEMM's rounding
+        n = np.arange(init.n_max + 1)
+        p, q = init.probs, init.probs
+        for t, table in zip(x, _PulseTables(ev, len(x))(x)[0]):
+            p, q = apply_table(table, p), ev.apply_pulse(t, q)
+        assert f == float(n @ p) / float(p.sum())
+        assert f == pytest.approx(float(n @ q) / float(q.sum()), rel=1e-14, abs=0)
         h = 1e-6
         fd = np.array(
             [
@@ -426,6 +429,41 @@ class TestOptimizeGlobal:
         for obj, ref in zip(objs, ref_objs, strict=True):
             assert obj <= ref * (1 + 1e-12)
         assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+    def test_floor_ends_deep_cooling(self):
+        # F8 from nbar 1: appending the sixth pulse takes <n> below the
+        # 1e-12 floor, so k = 6..25 each start below it and end after one
+        # evaluation; without the floor this run took 3051 evaluations
+        seq, objs = global_run("F8", 1.0, 25)
+        assert seq.converged is True
+        assert sum(seq.n_evals) == 117
+        assert seq.n_evals[5:] == (1,) * 20
+        assert objs[5] < 1e-12
+        # <n> above 1e-9, frozen from the search without the floor
+        unfloored = (
+            0.03731701723778873, 0.000491778958758679, 3.6954510343553283e-06,
+            1.4165231429598209e-08,
+        )
+        for obj, ref in zip(objs, unfloored):
+            assert obj == pytest.approx(ref, rel=1e-10, abs=0)
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+    def test_evaluations_reuse_one_workspace(self):
+        # F8 at n_max 400, 20 pulses: the tables and their derivatives are
+        # 2 MB, and an evaluation with the workspace allocates none of them
+        init = thermal_distribution(15.87, 400)
+        ev = cached_evolver(F8, TRAP, init.n_max)
+        times = np.linspace(0.1, 0.9, 20)
+        work = cooling._Workspace(ev, len(times))
+        first = _mean_and_gradient(times, ev, init.probs, work)
+        tracemalloc.start()
+        again = _mean_and_gradient(times, ev, init.probs, work)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+        assert peak < 0.2 * 2 * len(times) * (init.n_max + 1) * ev.n_sites * 8
+        fresh = _mean_and_gradient(times, ev, init.probs)
+        assert fresh[0] == first[0] and np.array_equal(fresh[1], first[1])
 
     def test_one_warm_start_per_pulse_count(self, monkeypatch):
         calls = []
