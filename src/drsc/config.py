@@ -66,7 +66,7 @@ def _is_finite_number(value) -> bool:
 # A check takes a JSON value and its dotted path, and returns the parsed
 # value or raises ConfigError.
 
-def _number(positive=False, minimum=None, below=None):
+def _number(positive=False, minimum=None, below=None, maximum=None):
     def check(value, where):
         if not _is_finite_number(value):
             raise ConfigError(f"{where} must be a finite number, got {value!r}")
@@ -76,9 +76,21 @@ def _number(positive=False, minimum=None, below=None):
             raise ConfigError(f"{where} must be >= {minimum}, got {value}")
         if below is not None and not value < below:
             raise ConfigError(f"{where} must be < {below}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{where} must be <= {maximum:g}, got {value}")
         return float(value)
 
     return check
+
+
+# Pulse times are in reference pi-times, and a pulse's phases are pi t w.
+# Over the asymptotic window the built-in chains' largest w is 28 at
+# eta 0.07 and 200 at eta 0.01 (F7), so at this bound a phase stays below
+# 6.3e8 rad, one ulp of which is 1.2e-7 rad.  From about 1e15 on, one ulp
+# passes a radian, and cos and sin of the phase carry no information about
+# the time (Goldberg, ACM Comput. Surv. 23, 5 (1991)).
+_MAX_PULSE_TIME = 1e6
+_pulse_time = _number(positive=True, maximum=_MAX_PULSE_TIME)
 
 
 def _integer(minimum=None, maximum=None):
@@ -245,7 +257,7 @@ class SchemeConfig:
 class StrategyConfig:
     kind: str = _checked(_choice("fixed", "global_opt", "heuristic"), default="global_opt")
     n_pulses: int = _checked(_integer(minimum=1), default=10)
-    fixed_time: float | None = _checked(_number(positive=True), default=None)
+    fixed_time: float | None = _checked(_pulse_time, default=None)
     tail_target: float = _checked(_number(positive=True), default=0.01)
     n_final: int = _checked(_integer(minimum=0), default=5)
     final_nbar: float = _checked(_number(positive=True), default=5.0)
@@ -262,7 +274,7 @@ class HeatingConfig:
 @dataclass(frozen=True)
 class RdpConfig:
     enabled: bool = False
-    t_clear: float | None = _checked(_number(positive=True), default=None)
+    t_clear: float | None = _checked(_pulse_time, default=None)
 
 
 @dataclass(frozen=True)
@@ -279,7 +291,7 @@ class PumpingConfig:
 @dataclass(frozen=True)
 class TransferMatrixConfig:
     times: tuple[float, ...] = _checked(
-        _list_of(_number(minimum=0.0)), default=(0.2, 0.4, 0.6, 0.8)
+        _list_of(_number(minimum=0.0, maximum=_MAX_PULSE_TIME)), default=(0.2, 0.4, 0.6, 0.8)
     )
     n_max: int = _checked(_integer(minimum=0), default=49)
 
@@ -295,7 +307,7 @@ class Table1Config:
 @dataclass(frozen=True)
 class ProbeConfig:
     times: tuple[float, ...] = _checked(
-        _list_of(_number(positive=True)),
+        _list_of(_pulse_time),
         default=tuple(round(0.1 * k, 10) for k in range(1, 31)),
     )
 
@@ -312,7 +324,7 @@ class RunConfig:
     heating: HeatingConfig = field(default_factory=HeatingConfig)
     timing: PulseTiming = field(default_factory=PulseTiming)
     rdp: RdpConfig = field(default_factory=RdpConfig)
-    probe_time: float = _checked(_number(positive=True), default=DEFAULT_PROBE_TIME)
+    probe_time: float = _checked(_pulse_time, default=DEFAULT_PROBE_TIME)
     transfer_matrix: TransferMatrixConfig = field(default_factory=TransferMatrixConfig)
     table1: Table1Config = field(default_factory=Table1Config)
     probe: ProbeConfig = field(default_factory=ProbeConfig)

@@ -28,6 +28,10 @@ from .motional import PhononDistribution, TrapParams, thermal_state
 _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
 _T_GRID_POINTS = 240
+# optimize_global's k = 1 seed grid: from F7, F8 and the two-level chain
+# at nbar 1 to 40, its L-BFGS ends within 1.4e-8 in t and 2.2e-16 in <n>
+# of where it ends from the 240-point grid
+_T_SEED_POINTS = 24
 # pulse times per grid kernel call: a scan's traced peak is then 0.72 MB
 # for table1's nine F8 starts on the 139 window rows (K = 16); 6 columns
 # measured twice as slow, and 24 doubles the peak for no measured gain
@@ -137,15 +141,17 @@ def _grid_scan(
     evolver: ChainEvolver,
     p0s: np.ndarray,
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_points: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """objective(populations after one pulse, p0) on the pulse-time grid,
-    for each start p0 in the rows of p0s: (ts, vals), vals[i, s] at ts[i]
-    from start s.  _pulsed_grid pulses every start at _GRID_COLUMNS times
-    per call, as GEMMs whose rounding differs from the per-time tables';
-    the values only pick each search's start.  objective takes
-    broadcasting leading axes and returns one value per population vector.
+    """objective(populations after one pulse, p0) at n_points pulse times
+    spaced evenly over [_T_GRID_LO, _T_GRID_HI], for each start p0 in the
+    rows of p0s: (ts, vals), vals[i, s] at ts[i] from start s.
+    _pulsed_grid pulses every start at _GRID_COLUMNS times per call, as
+    GEMMs whose rounding differs from the per-time tables'; the values
+    only pick each search's start.  objective takes broadcasting leading
+    axes and returns one value per population vector.
     """
-    ts = np.linspace(_T_GRID_LO, _T_GRID_HI, _T_GRID_POINTS)
+    ts = np.linspace(_T_GRID_LO, _T_GRID_HI, n_points)
     vals = np.concatenate(
         [
             objective(_pulsed_grid(evolver, chunk, p0s), p0s)
@@ -176,7 +182,9 @@ def _minimize_suppression(
     top = n_hi + evolver.n_sites
     evolver, p0s, window = evolver.rows(n_lo, top), p0s[:, n_lo:top], (0, n_hi - n_lo)
     n_window = n_hi - n_lo + 1
-    ts, vals = _grid_scan(evolver, p0s, lambda after, p0: _log_suppression(after, p0, window))
+    ts, vals = _grid_scan(
+        evolver, p0s, lambda after, p0: _log_suppression(after, p0, window), _T_GRID_POINTS
+    )
     results = []
     for p0, i in zip(p0s, np.argmin(vals, axis=0)):
 
@@ -373,15 +381,22 @@ def optimize_global(
     depth of cooling.  Below an absolute floor, <n> < 1e-12, the objective
     is log 1e-12 with a zero gradient, which ends the search at that pulse
     count instead of polishing <n> far below anything a sideband probe
-    resolves.  One start per pulse count: k = 1 starts from the pulse-time
-    grid point with the lowest one-pulse <n>, every k > 1 from the
-    (k-1)-pulse optimum extended by its last duration.  Appending a pulse
-    cannot raise <n>, no step of the search raises its objective, and a
-    search that starts below the floor does not move, so the final mean
-    occupation is non-increasing in pulse count.  Each trace entry is
-    (k, <n>), the true <n> even below the floor; the returned sequence
-    carries the objective evaluations spent at each k.  All pulse counts
-    share one _Workspace.  Deterministic; no randomness enters the search.
+    resolves.  One search per pulse count.  k = 1 starts from the lowest
+    point of a _T_SEED_POINTS-point pulse-time grid of one-pulse <n>.
+    k + 1 starts from the k-pulse optimum with its first duration repeated
+    at the front, which reaches the same optima in fewer evaluations than
+    a repeated last one, but may raise <n>: the start is evaluated first,
+    and kept only when its true <n> is at most the k-optimum's; otherwise
+    the search starts from the optimum extended by its last duration.  A
+    pulse moves population only downward, so that extension cannot raise
+    <n>.  Either start is then no higher than the k-optimum, no step of
+    the search raises its objective, and a search that starts below the
+    floor does not move, so the final true <n> is non-increasing in pulse
+    count, below the floor too.  The kept start's evaluation is the
+    search's first, through a one-entry memo.  Each trace entry is
+    (k, <n>), the true <n> even below the floor; n_evals[k - 1] counts the
+    kernel evaluations at k, its start's included.  All pulse counts share
+    one _Workspace.  Deterministic; no randomness enters the search.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -390,29 +405,45 @@ def optimize_global(
 
     # <n> of every evaluated point: the trace reports it, not exp(log <n>)
     means: dict[bytes, float] = {}
+    # the last evaluation's times.tobytes() and (f, gradient), which a kept
+    # start's probe hands to its search; kernel_evals counts the real ones
+    memo: tuple = (None, None)
+    kernel_evals = 0
 
     def log_mean_and_gradient(times: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal memo, kernel_evals
+        key = times.tobytes()
+        if key == memo[0]:
+            return memo[1]
         f, grad = _mean_and_gradient(times, evolver, p0, work)
-        means[times.tobytes()] = float(f)
+        kernel_evals += 1
+        means[key] = float(f)
         if f < _MEAN_FLOOR:
-            return math.log(_MEAN_FLOOR), np.zeros_like(grad)
-        return math.log(f), grad / f
+            memo = key, (math.log(_MEAN_FLOOR), np.zeros_like(grad))
+        else:
+            memo = key, (math.log(f), grad / f)
+        return memo[1]
 
-    # k = 1 starts at the grid time with the lowest one-pulse <n>
+    # k = 1 starts at the seed grid time with the lowest one-pulse <n>
     n = np.arange(init.n_max + 1)
-    ts, vals = _grid_scan(evolver, p0[None], lambda after, _p0: (after @ n) / after.sum(axis=-1))
+    ts, vals = _grid_scan(
+        evolver, p0[None], lambda after, _p0: (after @ n) / after.sum(axis=-1), _T_SEED_POINTS
+    )
     x = np.array([ts[np.argmin(vals[:, 0])]])
     converged = True
     n_evals = []
     work = _Workspace(evolver, n_pulses)
     for k in range(1, n_pulses + 1):
-        x, _, evals, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
+        x, _, _, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME)
         converged = converged and ok
-        n_evals.append(evals)
+        n_evals.append(kernel_evals - sum(n_evals))
+        mean = means[x.tobytes()]
         if trace is not None:
-            trace.append((k, means[x.tobytes()]))
+            trace.append((k, mean))
         if k < n_pulses:
-            x = np.append(x, x[-1])
+            start = np.insert(x, 0, x[0])
+            log_mean_and_gradient(start)
+            x = start if means[start.tobytes()] <= mean else np.append(x, x[-1])
     return PulseSequence(
         times=tuple(float(t) for t in x),
         strategy="global_opt",

@@ -17,7 +17,13 @@ from drsc.chain_dynamics import (
 )
 from drsc.cli import cmd_transfer_matrix
 from drsc.config import RunConfig
-from drsc.cooling import _grid_scan, _log_suppression, asymptotic_window
+from drsc.cooling import (
+    _T_GRID_POINTS,
+    _T_SEED_POINTS,
+    _grid_scan,
+    _log_suppression,
+    asymptotic_window,
+)
 from drsc.manifold import (
     ChainStep,
     CouplingChain,
@@ -427,7 +433,7 @@ class TestPulsedGrid:
     @GRID_ETAS
     @ONE_AND_NINE
     def test_mean_n_argmins_match_the_per_time_path(self, chain, eta, n_starts):
-        # optimize_global's one-pulse <n> over the full ladder
+        # optimize_global's one-pulse <n> over the full ladder, on its seed grid
         ev = cached_evolver(chain, TrapParams(eta=eta), 60)
         starts = grid_starts(n_starts, 60, 0.5)
         n = np.arange(61)
@@ -435,7 +441,7 @@ class TestPulsedGrid:
         def mean_n(after, _p0):
             return (after @ n) / after.sum(axis=-1)
 
-        ts, vals = _grid_scan(ev, starts, mean_n)
+        ts, vals = _grid_scan(ev, starts, mean_n, _T_SEED_POINTS)
         ref = mean_n(per_time_grid(ev, ts, starts), starts)
         assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
 
@@ -454,7 +460,7 @@ class TestPulsedGrid:
         def log_a(after, p0):
             return _log_suppression(after, p0, window)
 
-        ts, vals = _grid_scan(rows, starts, log_a)
+        ts, vals = _grid_scan(rows, starts, log_a, _T_GRID_POINTS)
         ref = log_a(per_time_grid(rows, ts, starts), starts)
         assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
 

@@ -181,9 +181,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "6f5c584d2352f7b4c223a0e4eb9748820916dcb1eb2b8bea6d97457ecb3db39e",
-            "cool_sequence.json": "2f5a64041ea269c6573d99cd3dd3807dcee6318656ac7fa38a2260c6f8e07cd2",
-            "cool_snapshots.csv": "6f7cae93743b161f61f242598bf87379b9a68e981dbaa5e14295d671e46e611b",
+            "cool_history.csv": "7f4952e8ceac89ab59d4253d1b9f924ca4f2860fbb6a8c1b739111821a5f9ca7",
+            "cool_sequence.json": "d6ebc540751d8f8da3917ad8fa7d03869089f68bf9f10f22c7c7feeec28ca5f6",
+            "cool_snapshots.csv": "60a83f422851328241685ed35245cb02af33452a4b83a8ad1b56f0bc255159c2",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -192,9 +192,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "c18053f22ec76365b1634346953268b83dd38abe76512d7a80c257fadcc005e1",
-            "cool_sequence.json": "968fcc0841d0c75d6e3e5aabb4df53723dfd4eba679cd73d0ba4232178537ff3",
-            "cool_snapshots.csv": "c71e4878bdd303544d3c6b562cd21bbc278c009c8d2909a94e1e329501bc95fa",
+            "cool_history.csv": "f8467648348b42071621bb59c81188395c0fa42c834a2ab5825e281f127df6f9",
+            "cool_sequence.json": "5e7211f9f4b09c25690fdd2fa4ffe650231428d387f8101b2304df48b5cbead7",
+            "cool_snapshots.csv": "4340a281af1e1552481b986b01ac56ee715fabb7ebbc7da45efaed68d8d52c61",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -216,9 +216,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "3785584a58fbc2dc0ffd71f6cf0f1a5d95cc71a593ad6908bb1df70be4e171d3",
-            "cool_sequence.json": "865e8f08f0eba12932d4a8dde56112706b2a2392b3d5a32a6faaadb1b9d5c083",
-            "cool_snapshots.csv": "03351113785a03bb1c81a0ba03f03fdf17927d144e3bec253da067fccb2475ba",
+            "cool_history.csv": "17a6b7effe5448f4b15739da2f9b1e662e8632a57dae627a50391d9ace374453",
+            "cool_sequence.json": "2aee490067ae31e829d2c8aba502229288a397698d2f3a9164b74eaed70a338c",
+            "cool_snapshots.csv": "4966c67c8a9ab8a27eacb2a255adce6e5cca1fb9d220a17e11cb02d2c0634ba7",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -296,8 +296,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "8819d1714e561eca202b63feb2910bd96683c760e0ffeb497ed8e420ee07806b",
-            "optimize_trace.csv": "ea4495333fed626ff8ab703ce9b1aca73e13d1690754d7a738bf7b1f00ba0850",
+            "optimize_sequence.json": "ce802a956db567c87316ea73c714e0852ecb85931e5996c5581685fafeb0f9cb",
+            "optimize_trace.csv": "1d99d6fc71970b08e82ec185d57a54b1e83c47d39a2c8327c18b02d9d0582538",
         },
     ),
 ]
@@ -460,36 +460,44 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    # a pulse time past 1e6 pi-times, whose phases' cos and sin would be
+    # noise (1e18, 1e300) or overflow (1e308), is refused before computing
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, key",
         [
-            ("probe", {"probe": {"times": [1e308]}}),
-            ("cool", {"probe_time": 1e308, "strategy": {"kind": "fixed", "fixed_time": 0.2}}),
-        ],
-    )
-    def test_overflowing_probe_exits_3(self, tmp_path, command, payload):
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 3
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command, payload",
-        [
-            ("transfer-matrix", {"transfer_matrix": {"n_max": 20, "times": [1e308]}}),
+            ("probe", {"probe": {"times": [1e18]}}, "probe.times[0]"),
+            ("probe", {"probe": {"times": [0.5, 1e308]}}, "probe.times[1]"),
+            (
+                "cool",
+                {"probe_time": 1e308, "strategy": {"kind": "fixed", "fixed_time": 0.2}},
+                "probe_time",
+            ),
+            (
+                "transfer-matrix",
+                {"transfer_matrix": {"n_max": 10, "times": [1e300]}},
+                "transfer_matrix.times[0]",
+            ),
+            (
+                "transfer-matrix",
+                {"transfer_matrix": {"n_max": 20, "times": [1e308]}},
+                "transfer_matrix.times[0]",
+            ),
             (
                 "cool",
                 {
-                    "rdp": {"enabled": True, "t_clear": 1e308},
+                    "rdp": {"enabled": True, "t_clear": 1e300},
                     "strategy": {"kind": "fixed", "fixed_time": 0.2},
                 },
+                "rdp.t_clear",
             ),
+            ("cool", {"strategy": {"kind": "fixed", "fixed_time": 1e300}}, "strategy.fixed_time"),
         ],
     )
-    def test_overflowing_pulse_exits_3(self, tmp_path, command, payload):
+    def test_pulse_time_past_the_phase_bound_exits_2(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{key} must be <= 1e+06" in capsys.readouterr().err
         assert not out.exists()
 
     # 1e155 overflows eta^2 in the asymptotic window, 1e100 the coupling ratios
@@ -648,28 +656,34 @@ def _section(**keys):
     return st.fixed_dictionaries({}, optional=keys)
 
 
+def _time_in(lo, hi):
+    # a pulse time, or one anywhere up to 1e300, mostly past the phase bound
+    return st.one_of(_number_in(lo, hi), st.floats(lo, 1e300))
+
+
 # small configs: nbar <= 5, at most 4 pulses, transfer-matrix n_max <= 40,
-# eta in [0.07, 0.5], each value possibly replaced by an edge value
+# eta in [0.07, 0.5], each value possibly replaced by an edge value, and
+# pulse times drawn up to 1e300
 _SMALL_CONFIGS = _section(
     scheme=st.sampled_from(["F7", "F8", "two_level"]),
     trap=_section(eta=_number_in(0.07, 0.5)),
     initial_nbar=_number_in(0.0, 5.0),
     strategy=st.one_of(
         _section(kind=st.just("global_opt"), n_pulses=_count_to(4)),
-        _section(kind=st.just("fixed"), n_pulses=_count_to(4), fixed_time=_number_in(0.0, 2.0)),
+        _section(kind=st.just("fixed"), n_pulses=_count_to(4), fixed_time=_time_in(0.0, 2.0)),
         _section(kind=st.just("heuristic"), n_final=_count_to(4), final_nbar=_number_in(0.0, 5.0)),
     ),
     heating=_section(enabled=st.booleans()),
-    rdp=_section(enabled=st.booleans(), t_clear=_number_in(0.0, 2.0)),
-    probe_time=_number_in(0.0, 2.0),
+    rdp=_section(enabled=st.booleans(), t_clear=_time_in(0.0, 2.0)),
+    probe_time=_time_in(0.0, 2.0),
     transfer_matrix=_section(
-        n_max=_count_to(40), times=st.lists(_number_in(0.0, 2.0), min_size=1, max_size=3)
+        n_max=_count_to(40), times=st.lists(_time_in(0.0, 2.0), min_size=1, max_size=3)
     ),
     table1=_section(
         nbars=st.lists(_number_in(0.0, 5.0), min_size=1, max_size=2),
         schemes=st.sampled_from([["F7"], ["F8"]]),
     ),
-    probe=_section(times=st.lists(_number_in(0.0, 2.0), min_size=1, max_size=3)),
+    probe=_section(times=st.lists(_time_in(0.0, 2.0), min_size=1, max_size=3)),
     pumping=_section(monte_carlo_trajectories=_count_to(1000)),
 )
 
@@ -703,7 +717,8 @@ def _non_finite_numbers(path):
 class TestCommandFuzz:
     @given(command=st.sampled_from(sorted(cli._COMMANDS)), payload=_SMALL_CONFIGS)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    # two numerical failures (exit 3), which the generated examples miss
+    # a pulse time past the phase bound (exit 2) and a numerical failure
+    # (exit 3), which the generated examples miss
     @example(command="cool", payload={"strategy": {"kind": "fixed", "fixed_time": 1e300}})
     @example(command="table1", payload={"trap": {"eta": 1e300}})
     def test_exit_codes_and_artifacts(self, command, payload):

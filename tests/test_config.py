@@ -1,6 +1,7 @@
 """Config parsing: strict key checking, type validation, overrides, hashing."""
 
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass, replace
 
@@ -93,6 +94,25 @@ class TestTypeValidation:
     def test_negative_probe_times(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"probe": {"times": [0.1, -0.2]}})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"strategy": {"fixed_time": "T"}}, "strategy.fixed_time"),
+            ({"rdp": {"t_clear": "T"}}, "rdp.t_clear"),
+            ({"transfer_matrix": {"times": [0.2, "T"]}}, "transfer_matrix.times[1]"),
+            ({"probe": {"times": ["T"]}}, "probe.times[0]"),
+            ({"probe_time": "T"}, "probe_time"),
+        ],
+    )
+    def test_pulse_times_end_at_the_phase_bound(self, section, key):
+        def with_time(t):
+            return json.loads(json.dumps(section).replace('"T"', repr(t)))
+
+        RunConfig.from_dict(with_time(1e6))
+        for t in (math.nextafter(1e6, math.inf), 1e18, 1e300):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be <= 1e\+06"):
+                RunConfig.from_dict(with_time(t))
 
     def test_unknown_table_scheme(self):
         with pytest.raises(ConfigError):

@@ -37,6 +37,7 @@ from drsc.motional import (
 
 F7 = build_coupling_chain(f7_scheme())
 F8 = build_coupling_chain(f8_scheme())
+CHAINS = {"F7": F7, "F8": F8, "two_level": two_level_chain()}
 TRAP = TrapParams(eta=0.07)
 WINDOW = asymptotic_window(0.07)
 
@@ -118,6 +119,23 @@ LBFGSB_RUNS = {
     ),
 }
 
+# optimize_global's one-pulse optimum (t, <n>) from the state `drsc cool`
+# builds, frozen from the search seeded by the 240-point grid
+ONE_PULSE_OPTIMA = {
+    ("F7", 1.0): (0.7922765659332878, 0.13192907699153814),
+    ("F7", 6.08): (0.5906392369022813, 3.4085914448189896),
+    ("F7", 15.87): (0.3814737533731862, 12.913510723825244),
+    ("F7", 40.0): (0.24468919499270964, 36.73657784449924),
+    ("F8", 1.0): (1.0721650201894992, 0.03731701723778873),
+    ("F8", 6.08): (1.2312218853565093, 1.6771502210104394),
+    ("F8", 15.87): (1.1695597939566438, 8.832835812485886),
+    ("F8", 40.0): (0.9525199163547751, 31.17571037468121),
+    ("two_level", 1.0): (0.7215925207674756, 0.590200489743261),
+    ("two_level", 6.08): (0.37257359190024947, 5.477793639985818),
+    ("two_level", 15.87): (0.24247131700498678, 15.217277694318176),
+    ("two_level", 40.0): (0.17039172169638675, 39.25864892893332),
+}
+
 
 def band_loop_mean_and_gradient(times, evolver, p0):
     """Reference adjoint: the forward pass and the step back each loop over
@@ -150,7 +168,7 @@ def band_loop_mean_and_gradient(times, evolver, p0):
 def global_run(scheme, nbar, n_pulses):
     """optimize_global from the state `drsc cool` builds, once per case;
     returns the sequence and <n> at every pulse count."""
-    chain = {"F7": F7, "F8": F8}[scheme]
+    chain = CHAINS[scheme]
     trace = []
     seq = optimize_global(chain, TRAP, cli_thermal(nbar, chain), n_pulses, trace=trace)
     assert [k for k, _ in trace] == list(range(1, n_pulses + 1))
@@ -431,12 +449,12 @@ class TestOptimizeGlobal:
         assert all(b <= a for a, b in zip(objs, objs[1:]))
 
     def test_floor_ends_deep_cooling(self):
-        # F8 from nbar 1: appending the sixth pulse takes <n> below the
-        # 1e-12 floor, so k = 6..25 each start below it and end after one
-        # evaluation; without the floor this run took 3051 evaluations
+        # F8 from nbar 1: the sixth pulse takes <n> below the 1e-12 floor,
+        # so k = 6..25 each start below it and end after one evaluation,
+        # their start's; without the floor this run took 3051 evaluations
         seq, objs = global_run("F8", 1.0, 25)
         assert seq.converged is True
-        assert sum(seq.n_evals) == 117
+        assert sum(seq.n_evals) == 128
         assert seq.n_evals[5:] == (1,) * 20
         assert objs[5] < 1e-12
         # <n> above 1e-9, frozen from the search without the floor
@@ -447,6 +465,23 @@ class TestOptimizeGlobal:
         for obj, ref in zip(objs, unfloored):
             assert obj == pytest.approx(ref, rel=1e-10, abs=0)
         assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+    def test_two_level_converges_near_the_floor(self):
+        # from a repeated last pulse this run ground on <n> ~ 1e-12 and
+        # ended unconverged after 5187 evaluations
+        seq, objs = global_run("two_level", 0.5, 25)
+        assert seq.converged is True
+        assert sum(seq.n_evals) <= 1200
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize(
+        "case", list(ONE_PULSE_OPTIMA), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_coarse_seed_keeps_the_one_pulse_optimum(self, case):
+        t_ref, mean_ref = ONE_PULSE_OPTIMA[case]
+        seq, objs = global_run(*case, 1)
+        assert seq.times[0] == pytest.approx(t_ref, rel=1e-6, abs=0)
+        assert objs[0] == pytest.approx(mean_ref, rel=1e-7, abs=0)
 
     def test_evaluations_reuse_one_workspace(self):
         # F8 at n_max 400, 20 pulses: the tables and their derivatives are
@@ -465,30 +500,71 @@ class TestOptimizeGlobal:
         fresh = _mean_and_gradient(times, ev, init.probs)
         assert fresh[0] == first[0] and np.array_equal(fresh[1], first[1])
 
-    def test_one_warm_start_per_pulse_count(self, monkeypatch):
-        calls = []
-        real_lbfgs = cooling._lbfgs
+    @staticmethod
+    def recorded_run(monkeypatch, chain, init, n_pulses, penalty=0.0):
+        """optimize_global with every L-BFGS start and optimum, and every
+        kernel evaluation, recorded; penalty is added to <n> at each
+        (k-1)-optimum's prepended start for k >= 3."""
+        searches, evaluated = [], []
+        real_lbfgs, real_mean = cooling._lbfgs, cooling._mean_and_gradient
 
-        def counting(fun, x0, *args, **kwargs):
-            x, f, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
-            calls.append((np.array(x0), x.copy()))
+        def recording_lbfgs(fun, x0, *args):
+            x, f, n_evals, converged = real_lbfgs(fun, x0, *args)
+            searches.append((np.array(x0), x.copy(), n_evals))
             return x, f, n_evals, converged
 
-        monkeypatch.setattr(cooling, "_lbfgs", counting)
-        init = thermal_state(1.0)
+        def recording_mean(times, *args):
+            f, grad = real_mean(times, *args)
+            prev = searches[-1][1] if searches else None
+            if len(times) >= 3 and np.array_equal(times, np.insert(prev, 0, prev[0])):
+                f += penalty
+            evaluated.append((times.copy(), f))
+            return f, grad
+
+        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        monkeypatch.setattr(cooling, "_mean_and_gradient", recording_mean)
         trace = []
-        seq = optimize_global(F7, TRAP, init, 4, trace=trace)
-        assert [len(x0) for x0, _ in calls] == [1, 2, 3, 4]
-        # k = 1 starts at the grid time with the lowest one-pulse <n>
+        seq = optimize_global(chain, TRAP, init, n_pulses, trace=trace)
+        return seq, [obj for _k, obj in trace], searches, evaluated
+
+    def test_start_rule(self, monkeypatch):
+        init = cli_thermal(6.08, F7)
+        seq, objs, searches, evaluated = self.recorded_run(monkeypatch, F7, init, 10)
+        assert [len(x0) for x0, _, _ in searches] == list(range(1, 11))
+        # k = 1 starts at the seed grid time with the lowest one-pulse <n>
         ev = ChainEvolver(F7, TRAP, init.n_max)
-        grid = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_GRID_POINTS)
+        grid = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_SEED_POINTS)
         n = np.arange(init.n_max + 1)
         means = [n @ p / p.sum() for p in (ev.apply_pulse(t, init.probs) for t in grid)]
-        np.testing.assert_array_equal(calls[0][0], [grid[np.argmin(means)]])
-        for (_, prev), (x0, _) in zip(calls, calls[1:]):
+        np.testing.assert_array_equal(searches[0][0], [grid[np.argmin(means)]])
+        # k > 1 starts from the (k-1)-optimum with its first time repeated
+        # in front when that start's true <n> is no higher, otherwise with
+        # its last time repeated at the end; the kept start's evaluation
+        # is the search's first, so every k's evaluations are its L-BFGS's
+        # plus the probe of a rejected start
+        probes = {times.tobytes(): f for times, f in evaluated}
+        fallbacks = []
+        for (_, prev, _), (x0, _, _), prev_obj in zip(searches, searches[1:], objs):
+            prepended = np.insert(prev, 0, prev[0])
+            fallbacks.append(probes[prepended.tobytes()] > prev_obj)
+            expected = np.append(prev, prev[-1]) if fallbacks[-1] else prepended
+            np.testing.assert_array_equal(x0, expected)
+        assert not any(fallbacks)
+        assert list(seq.n_evals) == [n_evals for _, _, n_evals in searches]
+        assert sum(seq.n_evals) == len(evaluated)
+        assert seq.times == tuple(searches[-1][1])
+
+    def test_rejected_prepended_start_falls_back(self, monkeypatch):
+        # every prepended start from k = 3 on reads 1 quantum higher: the
+        # search starts from the appended one, and its probe counts at k
+        init = thermal_state(1.0)
+        seq, objs, searches, evaluated = self.recorded_run(monkeypatch, F7, init, 5, penalty=1.0)
+        for (_, prev, _), (x0, _, _) in zip(searches[1:], searches[2:]):
             np.testing.assert_array_equal(x0, np.append(prev, prev[-1]))
-        assert seq.times == tuple(calls[-1][1])
-        assert len(seq.n_evals) == len(trace) == 4
+        assert list(seq.n_evals[2:]) == [n_evals + 1 for _, _, n_evals in searches[2:]]
+        assert sum(seq.n_evals) == len(evaluated)
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+        assert seq.converged
 
 
 def rosenbrock(x):
