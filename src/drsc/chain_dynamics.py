@@ -178,21 +178,25 @@ class _PulseTables:
     Row n's amplitudes and their time derivatives at all pulses are
     CD[n] [cos; sin](pi t w[n]), with CD the stack of C over
     D = [C_sin w, -C_cos w], so that d_amp = D [cos; sin] reads the same
-    trig as amp.  The phases (pi t) w (an outer product, whose one-term
-    sums are exact), P = amp^2 and dP/dt = (2 pi amp) d_amp are formed as
+    trig as amp.  The phases (pi t) w (a broadcast product), P = amp^2
+    and dP/dt = (2 pi amp) d_amp are formed as
     site_probabilities_with_derivative forms them; only the GEMM sums in
-    its own order, so values differ from its by rounding.  The phases,
-    trig and GEMM output have time as the last axis, each a contiguous
-    view of its buffer's first elements; P and dP/dt are stored
+    its own order, so values differ from its by rounding.  The phases and
+    trig have time as the last axis, each a contiguous view of its
+    buffer's first elements.  The GEMM writes each row's (2K, pulses)
+    block through a transposed view of a (2K, rows, pulses) buffer, the
+    same BLAS call as into a contiguous output; P and dP/dt are stored
     band-major, (pulses, K, rows), so that P[i].T is contiguous, and
     returned as (pulses, rows, K) views.  Tables at t = 0 are the exact
     identity with dP/dt = 0.  A negative time raises ValueError, a time
-    whose phases are not finite FloatingPointError.
+    whose largest phase is not finite FloatingPointError, before any
+    phase is formed.
     """
 
     def __init__(self, evolver: ChainEvolver, max_pulses: int):
         n_rows, n_sites = evolver.C.shape[:2]
         self._w, self._cd = evolver.w.reshape(-1, 1), _stacked_weights(evolver)
+        self._w_max = float(self._w.max())
         self._phase = np.empty(self._w.size * max_pulses)
         self._trig = np.empty(2 * self._phase.size)
         self._amps = np.empty(n_rows * 2 * n_sites * max_pulses)
@@ -203,19 +207,21 @@ class _PulseTables:
         t_min = times.min()
         if t_min < 0:
             raise ValueError(f"pulse time must be >= 0, got {t_min}")
+        # the largest phase, formed as below: the others are finite if it is
+        t_max = float(times.max())
+        if not math.isfinite(self._w_max * (math.pi * t_max)):
+            raise FloatingPointError(f"pulse phase overflows at pulse time {t_max}")
         n_rows, two_sites, two_modes = self._cd.shape
         n_pulses, n_modes, n_sites = len(times), two_modes // 2, two_sites // 2
         phase = _leading(self._phase, len(self._w), n_pulses)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self._w, (np.pi * times)[None], out=phase)
-        if not np.isfinite(phase).all():
-            raise FloatingPointError(f"pulse phase overflows at pulse time {times.max()}")
+        np.multiply(self._w, np.pi * times, out=phase)
         phase = phase.reshape(n_rows, n_modes, n_pulses)
         trig = _leading(self._trig, n_rows, two_modes, n_pulses)
         np.cos(phase, out=trig[:, :n_modes])
         np.sin(phase, out=trig[:, n_modes:])
-        amps = _leading(self._amps, n_rows, two_sites, n_pulses)
-        amps = np.matmul(self._cd, trig, out=amps).transpose(2, 1, 0)
+        amps = _leading(self._amps, two_sites, n_rows, n_pulses)
+        np.matmul(self._cd, trig, out=amps.transpose(1, 0, 2))
+        amps = amps.transpose(2, 0, 1)
         p, dp = self._p[:n_pulses], self._dp[:n_pulses]
         np.square(amps[:, :n_sites], out=p)
         np.multiply(amps[:, :n_sites], 2.0 * np.pi, out=dp)

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from decimal import Decimal
+from itertools import repeat
 
 import numpy as np
 
@@ -178,23 +179,39 @@ _LINE_BYTES = 32
 
 
 def _output_bytes(command: str, cfg: RunConfig) -> int:
-    """Estimated bytes of the text that grows with the config: cool's
-    snapshot rows, one per phonon number after each pulse; up to 8 lines
-    per pulse of pulse times, history, trace and evaluation counts; and
-    at least 4 bytes ("0.0,") per dense transfer-matrix entry.  The fixed
-    stage of a heuristic sequence is not counted: its length is known only
-    once its pulse time is optimized."""
+    """Estimated bytes of the text that grows with the config: that of
+    _sequence_bytes, and at least 4 bytes ("0.0,") per dense
+    transfer-matrix entry.  A heuristic sequence is sized by its final
+    stage alone, because its fixed stage's length is known only once its
+    pulse time is optimized; cool and optimize size it again when built."""
     if command in ("cool", "optimize"):
         strategy = cfg.strategy
         n_pulses = strategy.n_final if strategy.kind == "heuristic" else strategy.n_pulses
-        lines = 8 * n_pulses
-        if command == "cool":
-            chain = cfg.scheme.build()
-            lines += (n_pulses + 2) * (_initial_n_max(cfg, len(chain.steps)) + 1)
-        return lines * _LINE_BYTES
+        n_max = _initial_n_max(cfg, len(cfg.scheme.build().steps))
+        return _sequence_bytes(command, n_pulses, n_max)
     if command == "transfer-matrix":
         return len(cfg.transfer_matrix.times) * (cfg.transfer_matrix.n_max + 1) ** 2 * 4
     return 0
+
+
+def _sequence_bytes(command: str, n_pulses: int, n_max: int) -> int:
+    """Bytes of cool's and optimize's text for n_pulses pulses: up to 8
+    lines per pulse of pulse times, history, trace and evaluation counts,
+    and cool's snapshot rows, one per phonon number after each pulse."""
+    lines = 8 * n_pulses
+    if command == "cool":
+        lines += (n_pulses + 2) * (n_max + 1)
+    return lines * _LINE_BYTES
+
+
+def _check_output_bytes(command: str, size: int) -> None:
+    """ConfigError when size is over the output budget; the size is an
+    exact int beyond float's range, so it is formatted as a Decimal."""
+    if size > _OUTPUT_BUDGET_BYTES:
+        raise ConfigError(
+            f"{command} would write about {Decimal(size) / 2**20:.4g} MiB of text, "
+            f"over the {_OUTPUT_BUDGET_BYTES / 2**20:.4g} MiB budget"
+        )
 
 
 # what repr and json write for a nan or an infinity, as a whole word
@@ -296,6 +313,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     chain = cfg.scheme.build()
     init = _initial_state(cfg, chain)
     seq, details = _build_sequence(cfg, chain, init)
+    _check_output_bytes("cool", _sequence_bytes("cool", len(seq.times), init.n_max))
     report = end_to_end_protocol(
         chain,
         cfg.trap,
@@ -312,11 +330,13 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     for k, (nb, nsb) in enumerate(zip(report.nbar_history, report.nbar_sb_history)):
         success = report.success_probability if (cfg.rdp.enabled and k == len(report.nbar_history) - 1) else 1.0
         history_rows.append([k, nb, nsb, success])
-    # formatted as _csv would, without a per-cell call over every row
+    # formatted as _csv would: each pulse's rows joined at C level from its
+    # index, the ",n," middles built once, and the reprs; every state is on
+    # init's ladder
+    middles = [f",{n}," for n in range(init.n_max + 1)]
     snapshot_lines = [
-        f"{k},{n},{p!r}"
+        "\n".join(map("".join, zip(repeat(str(k)), middles, map(repr, dist.probs.tolist()))))
         for k, dist in enumerate(report.history)
-        for n, p in enumerate(dist.probs.tolist())
     ]
 
     fit_payload: dict
@@ -428,6 +448,7 @@ def cmd_optimize(cfg: RunConfig) -> dict[str, str]:
     chain = cfg.scheme.build()
     init = _initial_state(cfg, chain)
     seq, details = _build_sequence(cfg, chain, init)
+    _check_output_bytes("optimize", _sequence_bytes("optimize", len(seq.times), init.n_max))
     meta = _meta(cfg)
     files = {
         "optimize_sequence.json": _json(
@@ -513,12 +534,7 @@ def main(argv=None) -> int:
                 f"{args.command} would allocate an array of about {Decimal(size) / 2**20:.4g} MiB, "
                 f"over the {_ARRAY_BUDGET_BYTES / 2**20:.4g} MiB budget"
             )
-        size = _output_bytes(args.command, cfg)
-        if size > _OUTPUT_BUDGET_BYTES:
-            raise ConfigError(
-                f"{args.command} would write about {Decimal(size) / 2**20:.4g} MiB of text, "
-                f"over the {_OUTPUT_BUDGET_BYTES / 2**20:.4g} MiB budget"
-            )
+        _check_output_bytes(args.command, _output_bytes(args.command, cfg))
         files = _COMMANDS[args.command](cfg)
         non_finite = [name for name, content in files.items() if _has_non_finite(content)]
         if non_finite:

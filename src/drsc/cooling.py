@@ -13,10 +13,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .chain_dynamics import (
     ChainEvolver,
-    _band_targets,
     _pulsed_grid,
     _PulseTables,
     apply_table,
@@ -236,50 +236,63 @@ def _mean_and_gradient(
     lambda_L = (n - f) / sum(p_L) and steps back through the transposed
     bands, lambda_i[j] = sum_k S_i[j, k] lambda_{i+1}[j - k], so
     df/dt_i = sum_{j,k} dS_i[j, k]/dt p_i[j] lambda_{i+1}[j - k] (the GRAPE
-    construction).  Both sums read lambda_{i+1}[j - k] by one gather over
-    _band_targets, whose sentinel row holds lambda 0; a row bincount sums
-    lambda_i in ascending k.  The gradient is one einsum over all pulses
-    after the adjoint loop.  work holds the buffers, for at least
+    construction).  Both passes sum over the bands of a (K, rows) array
+    in ascending k, as apply_table does: the forward pass over the skew
+    view of S_i^T p_i, the adjoint over S_i^T times the window view of
+    lambda_{i+1}.  The gradient is one einsum over all pulses after the
+    adjoint loop, on a contiguous copy of the window views: einsum's
+    summation order follows its operands' strides, and on the views
+    themselves it rounds differently for some ladders (the two-level
+    chain, or 3000 rows).  work holds the buffers, for at least
     len(times) pulses; without one, a new one is made.
     """
     n_pulses, n_rows = len(times), len(p0)
     if work is None:
         work = _Workspace(evolver, n_pulses)
     site_p, d_site_p = work.tables(times)
-    inputs, bands, weights = work.inputs[: n_pulses + 1], work.bands[:n_pulses], work.weights
+    inputs, products = work.inputs[: n_pulses + 1], work.products
     inputs[0] = p0
     for i in range(n_pulses):
-        np.multiply(site_p[i].T, inputs[i], out=weights)
-        inputs[i + 1] = np.bincount(work.target, weights.ravel())[:n_rows]
+        np.multiply(site_p[i].T, inputs[i], out=products)
+        np.add.reduce(work.shifted, axis=0, out=inputs[i + 1])
     p = inputs[-1]
     n = np.arange(n_rows)
     total = p.sum()
     f = float(n @ p) / total
-    lam = np.append((n - f) / total, 0.0)  # the trailing 0 is the sentinel's
-    for i in range(n_pulses - 1, -1, -1):
-        lam.take(work.target, out=bands[i].reshape(-1))
-        np.multiply(site_p[i].T, bands[i], out=weights)
-        lam = np.bincount(work.rows, weights.ravel(), len(lam))
-    return f, np.einsum("ink,ikn,in->i", d_site_p, bands, inputs[:-1])
+    lams, bands = work.lams[:n_pulses, -n_rows:], work.bands[:n_pulses]
+    lams[-1] = (n - f) / total
+    for i in range(n_pulses - 1, 0, -1):
+        np.multiply(site_p[i].T, bands[i], out=products)
+        np.add.reduce(products, axis=0, out=lams[i - 1])
+    band_copy = work.band_copy[:n_pulses]
+    np.copyto(band_copy, bands)
+    return f, np.einsum("ink,ikn,in->i", d_site_p, band_copy, inputs[:-1])
 
 
 class _Workspace:
     """Buffers for objective evaluations of up to max_pulses pulses,
     allocated once and reused by every evaluation: the batched kernel's,
-    the forward inputs, and the adjoint bands and weights.  Bands and
-    weights are band-major, (K, rows), so that each numpy call runs along
-    the ladder; target and rows are the flat band-major _band_targets and
-    row indices, over which a bincount sums in ascending k, as
-    apply_table's does."""
+    the forward inputs, the band products, the adjoint lambdas and the
+    gradient's copy of their bands.
+
+    products is the (K, rows) band-major view of padded, which has K - 1
+    zero columns more; its skew view shifted[k, m] = padded[k, m + k] is
+    what band k moves into row m, zero past the ladder.  Row i of lams
+    holds lambda_{i+1} after K - 1 zeros, and bands[i, k, j] =
+    lambda_{i+1}[j - k], zero for k > j, is its reversed window view.
+    Nothing writes the pads."""
 
     def __init__(self, evolver: ChainEvolver, max_pulses: int):
         n_rows, n_sites = evolver.C.shape[:2]
         self.tables = _PulseTables(evolver, max_pulses)
         self.inputs = np.empty((max_pulses + 1, n_rows))
-        self.bands = np.empty((max_pulses, n_sites, n_rows))
-        self.weights = np.empty((n_sites, n_rows))
-        self.target = _band_targets(n_rows, n_sites).T.ravel()
-        self.rows = np.tile(np.arange(n_rows), n_sites)
+        self.padded = np.zeros((n_sites, n_rows + n_sites - 1))
+        self.products = self.padded[:, :n_rows]
+        row, col = self.padded.strides
+        self.shifted = as_strided(self.padded, (n_sites, n_rows), (row + col, col), writeable=False)
+        self.lams = np.zeros((max_pulses, n_rows + n_sites - 1))
+        self.bands = sliding_window_view(self.lams, n_rows, axis=1)[:, ::-1]
+        self.band_copy = np.empty((max_pulses, n_sites, n_rows))
 
 
 def _line_search(phi, f0, g0, stp):
@@ -335,11 +348,11 @@ def _lbfgs(fun, x, lower):
         d, alphas = -g, []
         for s, y, rho in reversed(pairs):
             alphas.append(rho * (s @ d))
-            d = d - alphas[-1] * y
+            d -= alphas[-1] * y
         if pairs:
-            d = d / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]))
+            d /= pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - rho * (y @ d)) * s
+            d += (alpha - rho * (y @ d)) * s
         # the first trial step is 1 (1/|d| on the first iteration), capped
         # at 1 and where the first variable would cross the bound
         falling = d < 0

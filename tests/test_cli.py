@@ -578,6 +578,25 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 1.0
         assert not out.exists()
 
+    # two-level at eta 0.07: the heuristic's 5-pulse final stage is sized
+    # at 1280 bytes of sequence text (optimize) and 56608 with snapshots
+    # (cool); its 31 fixed pulses more raise them to 9216 and 309568
+    @pytest.mark.parametrize("command, budget", [("optimize", 5000), ("cool", 100_000)])
+    def test_heuristic_fixed_stage_over_budget_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, budget
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the protocol ran")
+
+        payload = {"scheme": "two_level", "strategy": {"kind": "heuristic"}}
+        assert cli._output_bytes(command, RunConfig.from_dict(payload)) < budget
+        monkeypatch.setattr(cli, "_OUTPUT_BUDGET_BYTES", budget)
+        monkeypatch.setattr(cli, "end_to_end_protocol", never)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "MiB of text, over the" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload",
         [{"timing": {"repump_seconds": 1e6}}, {"heating": {"rates": {"trap": 1e300}}}],

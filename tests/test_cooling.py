@@ -137,6 +137,27 @@ ONE_PULSE_OPTIMA = {
 }
 
 
+# _mean_and_gradient's (f, df/dt) as float.hex at the times of
+# test_gradient_matches_central_differences, frozen from the passes that
+# gathered lambda over band-target indices and summed by bincount
+FROZEN_MEAN_AND_GRADIENT = {
+    "F7": (
+        "0x1.aebbf3e4074adp-1",
+        (
+            "-0x1.09f67d9f3e5b1p+1", "-0x1.d9c044be3e74cp+0", "0x1.842183b1f7545p-1",
+            "-0x1.ef7d914d442cep-3", "-0x1.21b448ce25964p+0",
+        ),
+    ),
+    "F8": (
+        "0x1.5fa8358f064e2p+1",
+        (
+            "-0x1.d36dc8af12429p+0", "-0x1.80d97431e0264p+1", "-0x1.3fb3d6bcacf84p+1",
+            "-0x1.7d188d385ea5fp+1", "-0x1.c534609a8a4a2p+1",
+        ),
+    ),
+}
+
+
 def band_loop_mean_and_gradient(times, evolver, p0):
     """Reference adjoint: the forward pass and the step back each loop over
     the bands, one numpy call per band k, on the batched kernel's tables."""
@@ -397,6 +418,18 @@ class TestOptimizeGlobal:
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize(
+        "scheme, nbar, times",
+        [("F7", 6.08, (0.15, 0.3, 0.5, 0.7, 0.2)), ("F8", 15.87, (0.6, 0.4, 0.65, 0.3, 0.5))],
+    )
+    def test_matches_the_frozen_bits(self, scheme, nbar, times):
+        chain = CHAINS[scheme]
+        init = cli_thermal(nbar, chain)
+        f, grad = _mean_and_gradient(
+            np.array(times), ChainEvolver(chain, TRAP, init.n_max), init.probs
+        )
+        assert (f.hex(), tuple(map(float.hex, grad))) == FROZEN_MEAN_AND_GRADIENT[scheme]
+
+    @pytest.mark.parametrize(
         "chain, init, times",
         [
             (F7, cli_thermal(6.08, F7), (0.15, 0.3, 0.5, 0.7, 0.2)),
@@ -499,6 +532,19 @@ class TestOptimizeGlobal:
         assert peak < 0.2 * 2 * len(times) * (init.n_max + 1) * ev.n_sites * 8
         fresh = _mean_and_gradient(times, ev, init.probs)
         assert fresh[0] == first[0] and np.array_equal(fresh[1], first[1])
+
+    def test_workspace_reused_at_fewer_pulses(self):
+        # stale tables, inputs and lambdas past a shorter batch change
+        # nothing, and no evaluation writes the zero pads
+        init = cli_thermal(6.08, F7)
+        ev = ChainEvolver(F7, TRAP, init.n_max)
+        work = cooling._Workspace(ev, 10)
+        for times in (np.linspace(0.05, 1.15, 10), [0.4, 0.0, 0.9], np.linspace(0.9, 0.1, 7)):
+            f, grad = _mean_and_gradient(np.array(times), ev, init.probs, work)
+            fresh = _mean_and_gradient(np.array(times), ev, init.probs)
+            assert f == fresh[0] and np.array_equal(grad, fresh[1])
+            assert not work.padded[:, init.n_max + 1 :].any()
+            assert not work.lams[:, : ev.n_sites - 1].any()
 
     @staticmethod
     def recorded_run(monkeypatch, chain, init, n_pulses, penalty=0.0):
