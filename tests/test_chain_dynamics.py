@@ -10,13 +10,14 @@ from scipy.integrate import solve_ivp
 
 from drsc.chain_dynamics import (
     ChainEvolver,
+    _cos_sin,
     _PulseTables,
     _pulsed_grid,
     apply_table,
     cached_evolver,
 )
 from drsc.cli import cmd_transfer_matrix
-from drsc.config import RunConfig
+from drsc.config import _MAX_PULSE_TIME, RunConfig
 from drsc.cooling import (
     _T_GRID_POINTS,
     _T_SEED_POINTS,
@@ -349,6 +350,11 @@ class TestBatchedTables:
         with pytest.raises(ValueError, match="pulse time"):
             ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, 0.0, -1e-9, 0.5]))
 
+    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+    def test_non_finite_phase_in_array_raises(self, t):
+        with pytest.raises(FloatingPointError, match="pulse phase"):
+            ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, t, 0.0]))
+
     @pytest.mark.parametrize(
         "chain, n_max, t",
         [(F7, 252, 0.37), (F8, 400, 0.61), (F8, 5, 0.8), (F7, 60, 0.0)],
@@ -464,11 +470,59 @@ class TestPulsedGrid:
         ref = log_a(per_time_grid(rows, ts, starts), starts)
         assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
 
-    def test_non_finite_phase_raises(self):
+    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+    def test_non_finite_phase_raises(self, t):
         ev = ChainEvolver(F8, TRAP, 20)
         starts = grid_starts(2, 20, 1.0)
         with pytest.raises(FloatingPointError, match="pulse phase"):
-            _pulsed_grid(ev, np.array([0.3, 1e308]), starts)
+            _pulsed_grid(ev, np.array([0.3, t]), starts)
+
+
+def tan_half_cos_sin(phases):
+    """_cos_sin of the phases, from contiguous scratch."""
+    cos, sin = np.empty_like(phases), np.empty_like(phases)
+    scratch = [np.empty_like(phases) for _ in range(2)]
+    _cos_sin(0.5 * phases, cos, sin, *scratch)
+    return cos, sin
+
+
+def neighbours(x):
+    """Each double of x and the doubles one ulp either side of it."""
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestCosSin:
+    """cos and sin from one tan of the half phase, against mpmath."""
+
+    # the pulse-time bound's phase at the built-in chains' largest mode
+    # frequency over the window, 200 at eta 0.01 (config's _MAX_PULSE_TIME)
+    PHASE_MAX = np.pi * _MAX_PULSE_TIME * 200
+
+    def test_matches_mpmath(self):
+        rng = np.random.default_rng(7)
+        k = np.concatenate([np.arange(60.0), rng.integers(0, 1e8, 60)])
+        phases = np.concatenate(
+            [
+                np.linspace(0.0, 80.0, 1601),
+                rng.uniform(0.0, 80.0, 1000),
+                np.geomspace(80.0, self.PHASE_MAX, 1000),
+                # half phases at and one ulp either side of tan's poles, where
+                # cos is -1, and of cos's zeros, where tan is +-1
+                2.0 * neighbours((k + 0.5) * np.pi),
+                2.0 * neighbours((k / 2 + 0.25) * np.pi),
+                neighbours(np.array([5e-324, 1e-300, 1e-160, 1e-20, 1e-8])),
+            ]
+        )
+        cos, sin = tan_half_cos_sin(phases)
+        with mpmath.workdps(40):
+            cos_ref = np.array([float(mpmath.cos(mpmath.mpf(x))) for x in phases])
+            sin_ref = np.array([float(mpmath.sin(mpmath.mpf(x))) for x in phases])
+        assert np.max(np.abs(cos - cos_ref)) <= 4.44e-16
+        assert np.max(np.abs(sin - sin_ref)) <= 4.44e-16
+
+    def test_zero_phase_is_exact(self):
+        cos, sin = tan_half_cos_sin(np.zeros(3))
+        assert np.array_equal(cos, np.ones(3)) and np.array_equal(sin, np.zeros(3))
 
 
 class TestPulseTables:

@@ -181,9 +181,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "7f4952e8ceac89ab59d4253d1b9f924ca4f2860fbb6a8c1b739111821a5f9ca7",
-            "cool_sequence.json": "d6ebc540751d8f8da3917ad8fa7d03869089f68bf9f10f22c7c7feeec28ca5f6",
-            "cool_snapshots.csv": "60a83f422851328241685ed35245cb02af33452a4b83a8ad1b56f0bc255159c2",
+            "cool_history.csv": "67e8414a7ee5139c2ce8b60d1f3e8fa91a43e2b657e72104d5b82cce5f09d896",
+            "cool_sequence.json": "ba21556bff90541aba8f052e050babdf252c7e981aeaa2df6abdb8ee8bb7981e",
+            "cool_snapshots.csv": "86f14d47a6e5a7fb075924e1808db9dbed35401303eeec98dc6fc2ea0238c501",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -192,9 +192,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "f8467648348b42071621bb59c81188395c0fa42c834a2ab5825e281f127df6f9",
-            "cool_sequence.json": "5e7211f9f4b09c25690fdd2fa4ffe650231428d387f8101b2304df48b5cbead7",
-            "cool_snapshots.csv": "4340a281af1e1552481b986b01ac56ee715fabb7ebbc7da45efaed68d8d52c61",
+            "cool_history.csv": "fc4b6abd0ab5e74761353f73138f05989993d5cd69c3ccdd647138f9b4fc8119",
+            "cool_sequence.json": "d67118aaf6387d9c84b9a9590d353fbd33859bf6c8de0d1cd67f86625bb9f90b",
+            "cool_snapshots.csv": "8e05f684ab018c85ef2c8c85eaf2c1c186bfdeb9a9bcc5d46c1f56c1e678d765",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -296,8 +296,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "ce802a956db567c87316ea73c714e0852ecb85931e5996c5581685fafeb0f9cb",
-            "optimize_trace.csv": "1d99d6fc71970b08e82ec185d57a54b1e83c47d39a2c8327c18b02d9d0582538",
+            "optimize_sequence.json": "dd7514bd85197911a1375317a1a555e964496671672fb265663b420886c0018c",
+            "optimize_trace.csv": "cf32f365d43e118b11ca4cefce4a90197ec7ef648de5294eeb854173a3da4708",
         },
     ),
 ]

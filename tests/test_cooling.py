@@ -138,9 +138,29 @@ ONE_PULSE_OPTIMA = {
 
 
 # _mean_and_gradient's (f, df/dt) as float.hex at the times of
-# test_gradient_matches_central_differences, frozen from the passes that
-# gathered lambda over band-target indices and summed by bincount
+# test_gradient_matches_central_differences, frozen from the kernel that
+# forms cos and sin from one tan of the half phase
 FROZEN_MEAN_AND_GRADIENT = {
+    "F7": (
+        "0x1.aebbf3e4074adp-1",
+        (
+            "-0x1.09f67d9f3e5b3p+1", "-0x1.d9c044be3e74ep+0", "0x1.842183b1f7546p-1",
+            "-0x1.ef7d914d442c6p-3", "-0x1.21b448ce2595ep+0",
+        ),
+    ),
+    "F8": (
+        "0x1.5fa8358f064e2p+1",
+        (
+            "-0x1.d36dc8af1242ap+0", "-0x1.80d97431e0268p+1", "-0x1.3fb3d6bcacf8bp+1",
+            "-0x1.7d188d385ea5bp+1", "-0x1.c534609a8a4a3p+1",
+        ),
+    ),
+}
+
+# the same, frozen from the kernel that called libm's cos and sin (and
+# from the passes that gathered lambda over band-target indices and summed
+# by bincount): the reference the tan kernel's rounding is held to
+LIBM_MEAN_AND_GRADIENT = {
     "F7": (
         "0x1.aebbf3e4074adp-1",
         (
@@ -428,6 +448,10 @@ class TestOptimizeGlobal:
             np.array(times), ChainEvolver(chain, TRAP, init.n_max), init.probs
         )
         assert (f.hex(), tuple(map(float.hex, grad))) == FROZEN_MEAN_AND_GRADIENT[scheme]
+        f_libm, grad_libm = LIBM_MEAN_AND_GRADIENT[scheme]
+        grad_libm = np.array([float.fromhex(g) for g in grad_libm])
+        assert f == float.fromhex(f_libm)
+        assert np.max(np.abs(grad - grad_libm)) <= 2e-15 * np.max(np.abs(grad_libm))
 
     @pytest.mark.parametrize(
         "chain, init, times",
