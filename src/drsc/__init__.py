@@ -10,7 +10,6 @@ from .cooling import (
     optimize_fixed_pulse,
     optimize_fixed_pulses,
     optimize_global,
-    suppression_factor,
 )
 from .heating import build_pumping_graph, propagate_heating
 from .manifold import CouplingChain, ManifoldScheme, build_coupling_chain, f7_scheme, f8_scheme
@@ -27,7 +26,6 @@ __all__ = [
     "optimize_fixed_pulse",
     "optimize_fixed_pulses",
     "optimize_global",
-    "suppression_factor",
     "build_pumping_graph",
     "propagate_heating",
     "CouplingChain",

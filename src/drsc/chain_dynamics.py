@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,8 +34,9 @@ class ChainEvolver:
     eigenvalues are the pairs +-sigma of the singular values of
     B = U S W^T (Jordan-Wielandt).  From the even start site 0, the
     amplitude on even site 2a is sum_j U_aj U_0j cos(pi sigma_j t), and on
-    odd site 2b + 1 it is -i sum_j W_bj U_0j sin(pi sigma_j t): one real
-    matvec per row, on ceil(K/2) mode frequencies.
+    odd site 2b + 1 it is -i sum_j W_bj U_0j sin(pi sigma_j t): real
+    weights on ceil(K/2) mode frequencies, which _PulseTables turns into
+    tables.
     """
 
     def __init__(self, chain: CouplingChain, trap: TrapParams, n_max: int):
@@ -72,58 +74,11 @@ class ChainEvolver:
         view.n_max, view.w, view.C = hi - lo - 1, self.w[lo:hi], self.C[lo:hi]
         return view
 
-    def site_probabilities(self, t: float | np.ndarray) -> np.ndarray:
-        """P[n, k] = probability that a start at phonon n ends k quanta lower.
-
-        For an array of pulse times the tables are stacked along leading
-        axes of the same shape, each bit for bit the table of its own
-        scalar call.
-        """
-        return self._tables(t, derivative=False)[0]
-
-    def site_probabilities_with_derivative(
-        self, t: float | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The tables P of site_probabilities(t), bit for bit, together with dP/dt."""
-        return self._tables(t, derivative=True)
-
-    def _tables(
-        self, t: float | np.ndarray, derivative: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """P and, if asked, dP/dt from real batched matvecs on cos and sin.
-
-        The site amplitude is amp = C [cos(pi w t); sin(pi w t)], so
-        P = amp^2 and dP/dt = 2 pi amp C [-w sin; w cos].  P is computed
-        the same way whether or not dP/dt is asked for, and the axes of t
-        lead the table axes; tables at t = 0 are the exact identity.  A
-        pulse time whose largest phase is not finite raises
-        FloatingPointError before any phase is formed.
-        """
-        t = np.asarray(t, dtype=float)
-        t_min = t.min(initial=np.inf)
-        if t_min < 0:
-            raise ValueError(f"pulse time must be >= 0, got {t_min}")
-        _check_phases(float(self.w.max()), t)
-        phase = np.pi * t[..., None, None] * self.w
-        cos, sin = np.cos(phase), np.sin(phase)
-        amp = (self.C @ np.concatenate([cos, sin], axis=-1)[..., None])[..., 0]
-        p = amp * amp
-        # all times > 0 is the common case; a NaN minimum could hide a zero
-        any_zero = not t_min > 0
-        if any_zero:
-            p[t == 0] = np.arange(self.n_sites) == 0
-        if not derivative:
-            return p, None
-        d_arg = np.concatenate([-self.w * sin, self.w * cos], axis=-1)
-        d_amp = (self.C @ d_arg[..., None])[..., 0]
-        dp = 2.0 * np.pi * amp * d_amp
-        if any_zero:
-            dp[t == 0] = 0.0
-        return p, dp
-
-    def apply_pulse(self, t: float, probs: np.ndarray) -> np.ndarray:
-        """Propagate a population vector through one pulse of duration t."""
-        return apply_table(self.site_probabilities(t), probs)
+    def site_probabilities(self, t: float) -> np.ndarray:
+        """P[n, k] = probability that a start at phonon n ends k quanta lower
+        after one pulse of duration t: _PulseTables' one-time table, in a
+        C-contiguous array of its own."""
+        return _PulseTables(self, 1, derivative=False)(np.array([t], dtype=float))[0][0]
 
 
 def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -134,110 +89,117 @@ def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.bincount(_band_targets(*site_p.shape).ravel(), weights)[: len(probs)]
 
 
-def _pulsed_grid(evolver: ChainEvolver, times: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """after[i, s] = apply_table(evolver.site_probabilities(times[i]), starts[s])
-    up to rounding, for times > 0, with time the last axis of every product.
-
-    Row n's amplitudes at all times are one GEMM, C[n] [cos; sin](pi w[n] t),
-    and squared they give P[n, k, t]; cos and sin come from one tan of the
-    half phases w (0.5 (pi t)) (_cos_sin, within 2.2e-16 of the exact ones).
-    Target row m then gathers sum_k starts[s, m + k] P[m + k, k, t], a
-    second GEMM per row between each start's K-wide window of populations
-    and the diagonal P[m + k, k, :]; both are zero-padded K - 1 rows past
-    the top.  The tan identity and the GEMM's summation order make values
-    differ from the per-time path by rounding.  A time whose largest phase
-    is not finite raises FloatingPointError before any phase is formed.
-    """
-    n_rows, n_sites = evolver.C.shape[:2]
-    n_modes = evolver.w.shape[1]
-    _check_phases(float(evolver.w.max()), times)
-    half = evolver.w[:, :, None] * (0.5 * (np.pi * times))
-    trig = np.empty((n_rows, 2 * n_modes, len(times)))
-    _cos_sin(half, trig[:, :n_modes], trig[:, n_modes:], np.empty_like(half), np.empty_like(half))
-    p = np.zeros((n_rows + n_sites - 1, n_sites, len(times)))
-    np.matmul(evolver.C, trig, out=p[:n_rows])
-    p *= p
-    row, band, col = p.strides
-    diagonals = np.lib.stride_tricks.as_strided(
-        p, (n_rows, n_sites, len(times)), (row, row + band, col), writeable=False
-    )
-    padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_sites, axis=1)
-    return (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
-
-
 class _PulseTables:
-    """The tables P[i] = site_probabilities(times[i]) and dP[i]/dt of up
-    to max_pulses pulses, up to rounding, from one GEMM per ladder row into
-    buffers allocated once and overwritten by every call.
+    """The pulse kernel: the tables P[i] = P(n -> n - k) at up to
+    max_pulses pulse times, and with derivative their dP[i]/dt, from one
+    GEMM per ladder row into buffers allocated once and overwritten by
+    every call.
 
-    Row n's amplitudes and their time derivatives at all pulses are
-    CD[n] [cos; sin](pi t w[n]), with CD the stack of C over
+    Row n's amplitudes at all pulses are C[n] [cos; sin](pi t w[n]), and
+    P = amp^2.  With derivative the GEMM runs over CD, the stack of C over
     D = [C_sin w, -C_cos w], so that d_amp = D [cos; sin] reads the same
-    trig as amp.  cos and sin come from u = tan of the half phases
-    w (0.5 (pi t)) as (1 - u)(1 + u) / (1 + u^2) and 2u / (1 + u^2)
-    (_cos_sin, within 2.2e-16 of the exact ones); P = amp^2 and
-    dP/dt = (2 pi amp) d_amp are formed as
-    site_probabilities_with_derivative forms them.  The tan identity and
-    the GEMM's summation order make values differ from its by rounding.
-    The half phases, their two scratch arrays and trig have time as the
-    last axis, each a contiguous view of its buffer's first elements.
-    The GEMM writes each row's (2K, pulses) block through a transposed
-    view of a (2K, rows, pulses) buffer, the same BLAS call as into a
-    contiguous output; P and dP/dt are stored band-major, (pulses, K,
-    rows), so that P[i].T is contiguous, and returned as (pulses, rows,
-    K) views.  Tables at t = 0 are the exact
-    identity with dP/dt = 0.  A negative time raises ValueError, a time
-    whose largest phase is not finite FloatingPointError, before any
-    phase is formed.
+    trig as amp, and dP/dt = (2 pi amp) d_amp.  cos and sin come from
+    u = tan of the half phases w (0.5 (pi t)) as (1 - u)(1 + u) / (1 + u^2)
+    and 2u / (1 + u^2) (_cos_sin, within 2.2e-16 of the exact ones).  The
+    GEMM's summation order depends on the batch size, so one time's table
+    differs between batch sizes by rounding.  The half phases, their two
+    scratch arrays and trig have time as the last axis, each a contiguous
+    view of its buffer's first elements.  Every GEMM output has unit
+    stride along pulses, which keeps the BLAS call: with derivative, each
+    row's (2K, pulses) block goes through a transposed view of a
+    (2K, rows, pulses) buffer, and P and dP/dt are stored band-major,
+    (pulses, K, rows), so that P[i].T is contiguous; without, P is
+    squared in place in the (rows, K, pulses) amplitudes, so that a
+    one-time table is C-contiguous.  Both return (pulses, rows, K) views.
+    Tables at t = 0 are the exact identity with dP/dt = 0.  A negative
+    time raises ValueError, a time whose largest phase is not finite
+    FloatingPointError, before any phase is formed.
     """
 
-    def __init__(self, evolver: ChainEvolver, max_pulses: int):
-        n_rows, n_sites = evolver.C.shape[:2]
-        self._w, self._cd = evolver.w.reshape(-1, 1), _stacked_weights(evolver)
-        self._w_max = float(self._w.max())
-        self._half, self._u, self._v = (np.empty(self._w.size * max_pulses) for _ in range(3))
+    def __init__(self, evolver: ChainEvolver, max_pulses: int, derivative: bool = True):
+        c, w = evolver.C, evolver.w
+        n_rows, n_sites, n_trig = c.shape
+        self._n_rows, self._n_sites, self._max_pulses = n_rows, n_sites, max_pulses
+        self._w, self._w_max = w.reshape(-1, 1), float(w.max())
+        self._half, self._u, self._v = (np.empty(w.size * max_pulses) for _ in range(3))
         self._trig = np.empty(2 * self._half.size)
+        if not derivative:
+            self._weights, self._dp = c, None
+            # room for grid's K - 1 zero rows past the top
+            self._amps = np.empty((n_rows + n_sites - 1) * n_sites * max_pulses)
+            return
+        n_modes = n_trig // 2
+        self._weights = np.empty((n_rows, 2 * n_sites, n_trig))
+        self._weights[:, :n_sites] = c
+        np.multiply(c[:, :, n_modes:], w[:, None], out=self._weights[:, n_sites:, :n_modes])
+        np.multiply(c[:, :, :n_modes], -w[:, None], out=self._weights[:, n_sites:, n_modes:])
         self._amps = np.empty(n_rows * 2 * n_sites * max_pulses)
         self._p = np.empty((max_pulses, n_sites, n_rows))
         self._dp = np.empty((max_pulses, n_sites, n_rows))
 
-    def __call__(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t_min = times.min()
-        if t_min < 0:
-            raise ValueError(f"pulse time must be >= 0, got {t_min}")
-        _check_phases(self._w_max, times)
-        n_rows, two_sites, two_modes = self._cd.shape
-        n_pulses, n_modes, n_sites = len(times), two_modes // 2, two_sites // 2
-        half, u, v = (
-            _leading(buffer, n_rows, n_modes, n_pulses) for buffer in (self._half, self._u, self._v)
-        )
-        np.multiply(self._w, 0.5 * (np.pi * times), out=half.reshape(-1, n_pulses))
-        trig = _leading(self._trig, n_rows, two_modes, n_pulses)
-        _cos_sin(half, trig[:, :n_modes], trig[:, n_modes:], u, v)
-        amps = _leading(self._amps, two_sites, n_rows, n_pulses)
-        np.matmul(self._cd, trig, out=amps.transpose(1, 0, 2))
+    def __call__(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(P, dP/dt) at every time; dP/dt is None without derivative."""
+        n_rows, n_sites, n_pulses = self._n_rows, self._n_sites, len(times)
+        if self._dp is None:
+            p = _leading(self._amps, n_rows, n_sites, n_pulses)
+            self._amplitudes(times, p)
+            p *= p
+            return p.transpose(2, 0, 1), None
+        amps = _leading(self._amps, 2 * n_sites, n_rows, n_pulses)
+        self._amplitudes(times, amps.transpose(1, 0, 2))
         amps = amps.transpose(2, 0, 1)
         p, dp = self._p[:n_pulses], self._dp[:n_pulses]
         np.square(amps[:, :n_sites], out=p)
         np.multiply(amps[:, :n_sites], 2.0 * np.pi, out=dp)
         dp *= amps[:, n_sites:]
-        p, dp = p.transpose(0, 2, 1), dp.transpose(0, 2, 1)
-        # all times > 0 is the common case; a NaN minimum could hide a zero
+        return p.transpose(0, 2, 1), dp.transpose(0, 2, 1)
+
+    def grid(self, times: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
+        """after[i, s] = apply_table(P(times[i]), starts[s]) up to rounding,
+        for a kernel without derivative, yielded for max_pulses times at a
+        time.  Target row m gathers sum_k starts[s, m + k] P[m + k, k, t],
+        one GEMM per row between each start's K-wide window of populations
+        and the diagonal P[m + k, k, :]; both are zero-padded K - 1 rows
+        past the top."""
+        n_rows, n_sites = self._n_rows, self._n_sites
+        padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n_sites, axis=1)
+        for lo in range(0, len(times), self._max_pulses):
+            chunk = times[lo : lo + self._max_pulses]
+            p = _leading(self._amps, n_rows + n_sites - 1, n_sites, len(chunk))
+            self._amplitudes(chunk, p[:n_rows])
+            p[n_rows:] = 0.0
+            p *= p
+            row, band, col = p.strides
+            diagonals = np.lib.stride_tricks.as_strided(
+                p, (n_rows, n_sites, len(chunk)), (row, row + band, col), writeable=False
+            )
+            yield (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
+
+    def _amplitudes(self, times: np.ndarray, out: np.ndarray) -> None:
+        """out[n, :, i] = the kernel's weights of row n times its trig at
+        times[i], exactly site 0 alone at t = 0; out is (rows, sites,
+        pulses) with unit stride along pulses."""
+        t_min, t_max = times.min(), float(times.max())
+        if t_min < 0:
+            raise ValueError(f"pulse time must be >= 0, got {t_min}")
+        # the largest phase in Python floats: when it is finite, so is every
+        # other phase, and a NaN time fails the test too
+        if not math.isfinite(self._w_max * (math.pi * t_max)):
+            raise FloatingPointError(f"pulse phase overflows at pulse time {t_max}")
+        n_rows, n_pulses, n_modes = self._n_rows, len(times), self._weights.shape[2] // 2
+        half, u, v = (
+            _leading(buffer, n_rows, n_modes, n_pulses) for buffer in (self._half, self._u, self._v)
+        )
+        np.multiply(self._w, 0.5 * (np.pi * times), out=half.reshape(-1, n_pulses))
+        trig = _leading(self._trig, n_rows, 2 * n_modes, n_pulses)
+        _cos_sin(half, trig[:, :n_modes], trig[:, n_modes:], u, v)
+        np.matmul(self._weights, trig, out=out)
+        # all times > 0 is the common case; a NaN would have raised above
         if not t_min > 0:
             zero = times == 0
-            p[zero] = np.arange(n_sites) == 0
-            dp[zero] = 0.0
-        return p, dp
-
-
-def _check_phases(w_max: float, times: np.ndarray) -> None:
-    """Raise FloatingPointError unless the largest phase w_max (pi t_max),
-    in Python floats, is finite: every other phase is then finite too, so
-    the check runs before any phase is formed."""
-    t_max = float(times.max(initial=0.0))
-    if not math.isfinite(w_max * (math.pi * t_max)):
-        raise FloatingPointError(f"pulse phase overflows at pulse time {t_max}")
+            out[:, :, zero] = 0.0
+            out[:, 0, zero] = 1.0
 
 
 def _cos_sin(
@@ -268,21 +230,6 @@ def _cos_sin(
 def _leading(buffer: np.ndarray, *shape: int) -> np.ndarray:
     """The contiguous view of a flat buffer's first elements as shape."""
     return buffer[: math.prod(shape)].reshape(shape)
-
-
-@functools.lru_cache(maxsize=8)
-def _stacked_weights(evolver: ChainEvolver) -> np.ndarray:
-    """The read-only CD of _PulseTables, built once per evolver:
-    CD[n] = [[C_cos, C_sin], [C_sin w, -C_cos w]], of shape (rows, 2K, 2M)."""
-    c, w = evolver.C, evolver.w[:, None, :]
-    n_rows, n_sites, n_trig = c.shape
-    n_modes = n_trig // 2
-    cd = np.empty((n_rows, 2 * n_sites, n_trig))
-    cd[:, :n_sites] = c
-    np.multiply(c[:, :, n_modes:], w, out=cd[:, n_sites:, :n_modes])
-    np.multiply(c[:, :, :n_modes], -w, out=cd[:, n_sites:, n_modes:])
-    cd.setflags(write=False)
-    return cd
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .chain_dynamics import (
-    ChainEvolver,
-    _pulsed_grid,
-    _PulseTables,
-    apply_table,
-    cached_evolver,
-)
+from .chain_dynamics import ChainEvolver, _PulseTables, apply_table, cached_evolver
 from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
@@ -32,9 +26,10 @@ _T_GRID_POINTS = 240
 # at nbar 1 to 40, its L-BFGS ends within 1.4e-8 in t and 2.2e-16 in <n>
 # of where it ends from the 240-point grid
 _T_SEED_POINTS = 24
-# pulse times per grid kernel call: a scan's traced peak is then 0.72 MB
-# for table1's nine F8 starts on the 139 window rows (K = 16); 6 columns
-# measured twice as slow, and 24 doubles the peak for no measured gain
+# pulse times per grid chunk: a scan's traced peak is then 1.16 MB, the
+# kernel's buffers and the objective's temporaries, for table1's nine F8
+# starts on the 139 window rows (K = 16); 6 columns measured twice as
+# slow, and 24 doubles the peak for no measured gain
 _GRID_COLUMNS = 12
 _MIN_PULSE_TIME = 1e-6
 # optimize_global's objective stops at this <n>, far below what a
@@ -119,24 +114,6 @@ def _log_suppression(after: np.ndarray, p0: np.ndarray, window: tuple[int, int])
     return np.mean(np.log(after[..., n_lo : n_hi + 1] / p0[..., n_lo : n_hi + 1]), axis=-1)
 
 
-def suppression_factor(
-    chain: CouplingChain,
-    trap: TrapParams,
-    t: float,
-    init: PhononDistribution,
-) -> float:
-    """Per-pulse geometric tail suppression a.
-
-    a is the geometric mean over the asymptotic window of the per-bin
-    population ratio after one pulse of duration t; the initial
-    distribution must be truncated high enough to cover the window plus
-    the pulse band.
-    """
-    window = _checked_window(trap.eta, init, len(chain.steps))
-    evolver = cached_evolver(chain, trap, init.n_max)
-    return float(np.exp(_log_suppression(evolver.apply_pulse(t, init.probs), init.probs, window)))
-
-
 def _grid_scan(
     evolver: ChainEvolver,
     p0s: np.ndarray,
@@ -145,20 +122,15 @@ def _grid_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """objective(populations after one pulse, p0) at n_points pulse times
     spaced evenly over [_T_GRID_LO, _T_GRID_HI], for each start p0 in the
-    rows of p0s: (ts, vals), vals[i, s] at ts[i] from start s.
-    _pulsed_grid pulses every start at _GRID_COLUMNS times per call, as
-    GEMMs whose rounding differs from the per-time tables'; the values
-    only pick each search's start.  objective takes broadcasting leading
-    axes and returns one value per population vector.
+    rows of p0s: (ts, vals), vals[i, s] at ts[i] from start s.  One
+    _PulseTables' grid pulses every start at _GRID_COLUMNS times at a time;
+    its rounding differs from the one-time tables', and the values only
+    pick each search's start.  objective takes broadcasting leading axes
+    and returns one value per population vector.
     """
     ts = np.linspace(_T_GRID_LO, _T_GRID_HI, n_points)
-    vals = np.concatenate(
-        [
-            objective(_pulsed_grid(evolver, chunk, p0s), p0s)
-            for chunk in np.split(ts, range(_GRID_COLUMNS, len(ts), _GRID_COLUMNS))
-        ]
-    )
-    return ts, vals
+    grid = _PulseTables(evolver, _GRID_COLUMNS, derivative=False).grid(ts, p0s)
+    return ts, np.concatenate([objective(after, p0s) for after in grid])
 
 
 def _minimize_suppression(
@@ -173,10 +145,12 @@ def _minimize_suppression(
     evolver.rows, whose tables are the full ladder's rows bit for bit.
     One grid scan serves every start.  L-BFGS (t >= 1e-6) then refines
     log a from each start's lowest grid point, with the exact slope
-    d(log a)/dt, the window mean of d(after)/dt / after.  log a is the
-    mean that _log_suppression takes, so a is bit for bit
-    suppression_factor(t), and a start's result does not depend on the
-    other starts.
+    d(log a)/dt, the window mean of d(after)/dt / after, on one-time
+    tables from one _PulseTables shared by every start.  log a is the
+    mean that _log_suppression takes over apply_table's populations, and
+    the kernel's P does not depend on its derivative or on the row range,
+    so a is bit for bit the full ladder's a from site_probabilities(t),
+    and a start's result does not depend on the other starts.
     """
     n_lo, n_hi = window
     top = n_hi + evolver.n_sites
@@ -185,11 +159,12 @@ def _minimize_suppression(
     ts, vals = _grid_scan(
         evolver, p0s, lambda after, p0: _log_suppression(after, p0, window), _T_GRID_POINTS
     )
+    tables = _PulseTables(evolver, 1)
     results = []
     for p0, i in zip(p0s, np.argmin(vals, axis=0)):
 
         def log_suppression_and_slope(t):
-            site_p, d_site_p = evolver.site_probabilities_with_derivative(t[0])
+            (site_p,), (d_site_p,) = tables(t)
             after = apply_table(site_p, p0)
             slope = np.mean(apply_table(d_site_p, p0)[:n_window] / after[:n_window])
             return _log_suppression(after, p0, window), np.array([slope])
@@ -229,9 +204,9 @@ def _mean_and_gradient(
     """Final mean occupation f after the pulses, and df/dt for every pulse.
 
     One batched kernel call builds every pulse's table S_i and dS_i/dt
-    (_PulseTables: one GEMM per ladder row, whose sums round differently
-    from site_probabilities_with_derivative's, so f and df/dt differ from
-    a forward pass over the per-time tables by rounding).  The forward
+    (_PulseTables: one GEMM per ladder row, whose sums depend on the
+    batch, so f and df/dt differ from a forward pass over one-time tables
+    by rounding).  The forward
     pass keeps each pulse's input populations p_i.  The adjoint starts at
     lambda_L = (n - f) / sum(p_L) and steps back through the transposed
     bands, lambda_i[j] = sum_k S_i[j, k] lambda_{i+1}[j - k], so

@@ -12,7 +12,6 @@ from drsc.chain_dynamics import (
     ChainEvolver,
     _cos_sin,
     _PulseTables,
-    _pulsed_grid,
     apply_table,
     cached_evolver,
 )
@@ -58,10 +57,15 @@ def band_loop_apply(site_p, probs):
     return out
 
 
+def apply_pulse(evolver, t, probs):
+    """Populations after one pulse of duration t."""
+    return apply_table(evolver.site_probabilities(t), probs)
+
+
 def apply_pulses(dist, evolver, times):
     p = dist.probs
     for t in times:
-        p = evolver.apply_pulse(t, p)
+        p = apply_pulse(evolver, t, p)
     return p
 
 
@@ -204,8 +208,8 @@ class TestApplySequence:
         n0 = 20
         start = np.zeros(n0 + 1)
         start[n0] = 1.0
-        row7 = ChainEvolver(F7, TRAP, n0).apply_pulse(0.169, start)
-        row8 = ChainEvolver(F8, TRAP, n0).apply_pulse(0.644, start)
+        row7 = apply_pulse(ChainEvolver(F7, TRAP, n0), 0.169, start)
+        row8 = apply_pulse(ChainEvolver(F8, TRAP, n0), 0.644, start)
         n = np.arange(n0 + 1)
         assert n @ row8 < n @ row7
 
@@ -214,7 +218,7 @@ class TestApplySequence:
         dist = thermal_distribution(2.0, 30)
         ev = ChainEvolver(F7, TRAP, 30)
         np.testing.assert_array_equal(apply_pulses(dist, ev, []), dist.probs)
-        np.testing.assert_array_equal(ev.apply_pulse(0.0, dist.probs), dist.probs)
+        np.testing.assert_array_equal(apply_pulse(ev, 0.0, dist.probs), dist.probs)
 
     def test_mass_is_conserved(self):
         dist = thermal_distribution(8.0, 100)
@@ -277,22 +281,33 @@ CUT = CouplingChain(
 )
 
 
+def kernel_tables(evolver, times, derivative=True):
+    """P and dP/dt (None without derivative) of one _PulseTables batch."""
+    return _PulseTables(evolver, len(times), derivative)(np.asarray(times, dtype=float))
+
+
 class TestRealKernel:
+    """The one-time tables and the kernel's derivative against the
+    independent complex-exponential and mpmath references."""
+
     TIMES = np.linspace(0.0, 2.5, 20)
 
+    @pytest.mark.parametrize("n_pulses", [1, 12])
     @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
-    def test_both_tables_agree_bit_for_bit(self, chain):
+    def test_both_tables_agree_bit_for_bit(self, chain, n_pulses):
+        # P from the GEMM over C alone and over C stacked on D
         ev = ChainEvolver(chain, TRAP, 120)
-        for t in self.TIMES:
-            p, _ = ev.site_probabilities_with_derivative(t)
-            assert np.array_equal(ev.site_probabilities(t), p)
+        for i in range(0, len(self.TIMES) - n_pulses + 1, n_pulses):
+            times = self.TIMES[i : i + n_pulses]
+            p, _ = kernel_tables(ev, times, derivative=False)
+            assert np.array_equal(kernel_tables(ev, times)[0], p)
 
     @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
     def test_matches_complex_reference(self, chain):
         ev = ChainEvolver(chain, TRAP, 120)
         for t in self.TIMES:
             p_ref, dp_ref = einsum_reference(ev, t)
-            p, dp = ev.site_probabilities_with_derivative(t)
+            (p,), (dp,) = kernel_tables(ev, [t])
             np.testing.assert_allclose(ev.site_probabilities(t), p_ref, rtol=0, atol=1e-14)
             np.testing.assert_allclose(p, p_ref, rtol=0, atol=1e-14)
             # dP/dt carries a factor pi w, and its rounding with it
@@ -302,8 +317,8 @@ class TestRealKernel:
     def test_derivative_matches_central_differences(self, chain):
         ev = ChainEvolver(chain, TRAP, 120)
         h = 1e-6
-        for t in self.TIMES[1:]:
-            _, dp = ev.site_probabilities_with_derivative(t)
+        _, dps = kernel_tables(ev, self.TIMES[1:])
+        for t, dp in zip(self.TIMES[1:], dps):
             fd = (ev.site_probabilities(t + h) - ev.site_probabilities(t - h)) / (2 * h)
             assert np.max(np.abs(dp - fd)) <= 1e-7 * np.max(np.abs(dp))
 
@@ -314,7 +329,9 @@ class TestRealKernel:
         rows = list(range(0, 121, 3))
         ref = mpmath_rows(chain, 120, rows, times)
         ev = ChainEvolver(chain, TRAP, 120)
-        np.testing.assert_allclose(ev.site_probabilities(times)[:, rows], ref, rtol=0, atol=2e-14)
+        one_time = np.stack([ev.site_probabilities(t) for t in times])
+        np.testing.assert_allclose(one_time[:, rows], ref, rtol=0, atol=2e-14)
+        np.testing.assert_allclose(kernel_tables(ev, times)[0][:, rows], ref, rtol=0, atol=2e-14)
 
     @pytest.mark.parametrize(
         "chain",
@@ -323,37 +340,34 @@ class TestRealKernel:
     )
     def test_odd_and_degenerate_chains(self, chain):
         times = [0.0, 0.3, 1.1, 2.5]
-        site_p = ChainEvolver(chain, TRAP, 40).site_probabilities(times)
+        ev = ChainEvolver(chain, TRAP, 40)
         ref = mpmath_rows(chain, 40, range(41), times)
-        np.testing.assert_allclose(site_p, ref, rtol=0, atol=2e-14)
-        np.testing.assert_allclose(site_p.sum(axis=-1), 1.0, rtol=0, atol=1e-13)
+        for site_p in (np.stack([ev.site_probabilities(t) for t in times]), kernel_tables(ev, times)[0]):
+            np.testing.assert_allclose(site_p, ref, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(site_p.sum(axis=-1), 1.0, rtol=0, atol=1e-13)
 
     def test_zero_time_derivative_vanishes(self):
-        p, dp = ChainEvolver(F8, TRAP, 25).site_probabilities_with_derivative(0.0)
+        (p,), (dp,) = kernel_tables(ChainEvolver(F8, TRAP, 25), [0.0])
         assert np.array_equal(dense(p), np.eye(26))
         assert not dp.any()
 
 
 class TestBatchedTables:
-    # 0 included, twice, and a time past the optimizers' grid
-    TIMES = np.concatenate([[0.0], np.linspace(0.02, 1.2, 12), [0.0, 2.5]])
+    # a batch of 12: 0 included, twice, and a time past the optimizers' grid
+    TIMES = np.concatenate([[0.0], np.linspace(0.02, 1.2, 9), [0.0, 2.5]])
 
     @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
-    def test_stack_is_the_scalar_tables(self, chain, n_max):
+    def test_batch_is_the_one_time_tables_to_rounding(self, chain, n_max):
+        # the GEMM's summation order depends on the batch: F8 reaches 2 ulp
+        # of 1 (at t = 0.02), F7 1 ulp
         ev = cached_evolver(chain, TRAP, n_max)
-        stack = ev.site_probabilities(self.TIMES)
-        assert stack.shape == (len(self.TIMES), n_max + 1, ev.n_sites)
-        assert np.array_equal(stack, np.stack([ev.site_probabilities(t) for t in self.TIMES]))
-        assert np.array_equal(dense(stack[0]), np.eye(n_max + 1))
-
-    def test_negative_time_in_array_rejected(self):
-        with pytest.raises(ValueError, match="pulse time"):
-            ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, 0.0, -1e-9, 0.5]))
-
-    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan], ids=["overflow", "inf", "nan"])
-    def test_non_finite_phase_in_array_raises(self, t):
-        with pytest.raises(FloatingPointError, match="pulse phase"):
-            ChainEvolver(F7, TRAP, 10).site_probabilities(np.array([0.3, t, 0.0]))
+        one_time = np.stack([ev.site_probabilities(t) for t in self.TIMES])
+        assert one_time.shape == (len(self.TIMES), n_max + 1, ev.n_sites)
+        for derivative in (False, True):
+            batch, _ = kernel_tables(ev, self.TIMES, derivative)
+            assert np.max(np.abs(batch - one_time)) <= 2 * np.finfo(float).eps
+            for table in (batch[0], batch[-2], one_time[0]):
+                assert np.array_equal(dense(table), np.eye(n_max + 1))
 
     @pytest.mark.parametrize(
         "chain, n_max, t",
@@ -387,11 +401,12 @@ class TestBatchedTables:
         lo, hi = 122, 245 + ev.n_sites
         part = ev.rows(lo, hi)
         assert np.shares_memory(part.C, ev.C) and not part.C.flags.writeable
-        stack = part.site_probabilities(self.TIMES)
-        assert np.array_equal(stack, ev.site_probabilities(self.TIMES)[:, lo:hi])
-        p, dp = ev.site_probabilities_with_derivative(0.61)
-        q, dq = part.site_probabilities_with_derivative(0.61)
+        stack, _ = kernel_tables(part, self.TIMES, derivative=False)
+        assert np.array_equal(stack, kernel_tables(ev, self.TIMES, derivative=False)[0][:, lo:hi])
+        (p,), (dp,) = kernel_tables(ev, [0.61])
+        (q,), (dq,) = kernel_tables(part, [0.61])
         assert np.array_equal(q, p[lo:hi]) and np.array_equal(dq, dp[lo:hi])
+        assert np.array_equal(part.site_probabilities(0.61), ev.site_probabilities(0.61)[lo:hi])
         # populations of rows lo..hi-K after a pulse read only rows below hi
         probs = thermal_distribution(20.0, n_max).probs
         top = hi - ev.n_sites + 1
@@ -421,7 +436,7 @@ def per_time_grid(evolver, times, starts):
 
 
 class TestPulsedGrid:
-    """The grid kernel's GEMMs against the per-time tables and apply_table."""
+    """The kernel's grid gather against the one-time tables and apply_table."""
 
     @GRID_CHAINS
     @GRID_ETAS
@@ -431,7 +446,7 @@ class TestPulsedGrid:
         starts = grid_starts(n_starts, 90, 2.0)
         # an odd column count, and times past the optimizers' grid
         times = np.linspace(0.02, 2.5, 13)
-        after = _pulsed_grid(ev, times, starts)
+        (after,) = _PulseTables(ev, len(times), derivative=False).grid(times, starts)
         assert after.shape == (len(times), n_starts, 91)
         np.testing.assert_allclose(after, per_time_grid(ev, times, starts), rtol=0, atol=1e-14)
 
@@ -469,13 +484,6 @@ class TestPulsedGrid:
         ts, vals = _grid_scan(rows, starts, log_a, _T_GRID_POINTS)
         ref = log_a(per_time_grid(rows, ts, starts), starts)
         assert np.array_equal(np.argmin(vals, axis=0), np.argmin(ref, axis=0))
-
-    @pytest.mark.parametrize("t", [1e308, np.inf, np.nan], ids=["overflow", "inf", "nan"])
-    def test_non_finite_phase_raises(self, t):
-        ev = ChainEvolver(F8, TRAP, 20)
-        starts = grid_starts(2, 20, 1.0)
-        with pytest.raises(FloatingPointError, match="pulse phase"):
-            _pulsed_grid(ev, np.array([0.3, t]), starts)
 
 
 def tan_half_cos_sin(phases):
@@ -526,19 +534,19 @@ class TestCosSin:
 
 
 class TestPulseTables:
-    """The global optimizer's batched kernel against the per-time tables."""
+    """The batched kernel with derivative against the complex reference."""
 
     # zeros and repeated times among the optimizers' times, and one past them
     TIMES = np.array([0.61, 0.0, 0.17, 0.61, 1.2, 0.0, 2.5, 0.02, 0.17])
 
     @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
-    def test_matches_the_scalar_tables(self, chain, n_max):
+    def test_matches_complex_reference(self, chain, n_max):
         ev = cached_evolver(chain, TRAP, n_max)
-        p, dp = _PulseTables(ev, len(self.TIMES))(self.TIMES)
+        p, dp = kernel_tables(ev, self.TIMES)
         assert p.shape == dp.shape == (len(self.TIMES), n_max + 1, ev.n_sites)
         for i, t in enumerate(self.TIMES):
-            p_ref, dp_ref = ev.site_probabilities_with_derivative(t)
-            np.testing.assert_allclose(p[i], p_ref, rtol=0, atol=1e-15)
+            p_ref, dp_ref = einsum_reference(ev, t)
+            np.testing.assert_allclose(p[i], p_ref, rtol=0, atol=1e-14)
             np.testing.assert_allclose(dp[i], dp_ref, rtol=0, atol=1e-13 * np.max(np.abs(dp_ref)))
             if t == 0:
                 assert np.array_equal(dense(p[i]), np.eye(n_max + 1))
@@ -554,17 +562,32 @@ class TestPulseTables:
         fresh = _PulseTables(ev, 3)(times)
         assert np.array_equal(p3, fresh[0]) and np.array_equal(dp3, fresh[1])
 
-    @pytest.mark.parametrize(
-        "t, error, match",
-        [
-            (-1e-9, ValueError, "pulse time"),
-            (1e308, FloatingPointError, "pulse phase"),
-            (np.inf, FloatingPointError, "pulse phase"),
-            (np.nan, FloatingPointError, "pulse phase"),
-        ],
-        ids=["negative", "overflow", "inf", "nan"],
-    )
-    def test_bad_times_raise(self, t, error, match):
-        tables = _PulseTables(ChainEvolver(F8, TRAP, 20), 3)
-        with pytest.raises(error, match=match):
-            tables(np.array([0.3, t, 0.0]))
+
+EV20 = ChainEvolver(F8, TRAP, 20)
+
+
+@pytest.mark.parametrize(
+    "t, error, match",
+    [
+        (-1e-9, ValueError, "pulse time"),
+        (1e308, FloatingPointError, "pulse phase"),
+        (np.inf, FloatingPointError, "pulse phase"),
+        (np.nan, FloatingPointError, "pulse phase"),
+    ],
+    ids=["negative", "overflow", "inf", "nan"],
+)
+@pytest.mark.parametrize(
+    "tables_at",
+    [
+        EV20.site_probabilities,
+        lambda t: kernel_tables(EV20, [0.3, t, 0.0], derivative=False),
+        lambda t: kernel_tables(EV20, [0.3, t, 0.0]),
+        lambda t: list(
+            _PulseTables(EV20, 2, derivative=False).grid(np.array([0.3, t]), grid_starts(2, 20, 1.0))
+        ),
+    ],
+    ids=["one-time", "tables", "derivative", "grid"],
+)
+def test_bad_pulse_time_raises(tables_at, t, error, match):
+    with pytest.raises(error, match=match):
+        tables_at(t)

@@ -181,9 +181,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "67e8414a7ee5139c2ce8b60d1f3e8fa91a43e2b657e72104d5b82cce5f09d896",
+            "cool_history.csv": "c54a0a3c54880f1e4d75cab2468c53019d1693543d67da96e726f79df5548941",
             "cool_sequence.json": "ba21556bff90541aba8f052e050babdf252c7e981aeaa2df6abdb8ee8bb7981e",
-            "cool_snapshots.csv": "86f14d47a6e5a7fb075924e1808db9dbed35401303eeec98dc6fc2ea0238c501",
+            "cool_snapshots.csv": "44e17c19238b1ad4ea5e59790dbb4d401b08520c578aa63bf9a46f88540a891e",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -192,9 +192,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "fc4b6abd0ab5e74761353f73138f05989993d5cd69c3ccdd647138f9b4fc8119",
+            "cool_history.csv": "5fd989f663b10cdb60b46b5eb5b614b5920583c20597a6c666bb93227822a62f",
             "cool_sequence.json": "d67118aaf6387d9c84b9a9590d353fbd33859bf6c8de0d1cd67f86625bb9f90b",
-            "cool_snapshots.csv": "8e05f684ab018c85ef2c8c85eaf2c1c186bfdeb9a9bcc5d46c1f56c1e678d765",
+            "cool_snapshots.csv": "26000cc853fae0faa5f9042c10acf3ac06371bb654bced6845c0a217c914c362",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -216,9 +216,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "17a6b7effe5448f4b15739da2f9b1e662e8632a57dae627a50391d9ace374453",
+            "cool_history.csv": "c98db37c99286af6898fd0557e7d257df414d660cbcf34141625215f7a0e1d59",
             "cool_sequence.json": "2aee490067ae31e829d2c8aba502229288a397698d2f3a9164b74eaed70a338c",
-            "cool_snapshots.csv": "4966c67c8a9ab8a27eacb2a255adce6e5cca1fb9d220a17e11cb02d2c0634ba7",
+            "cool_snapshots.csv": "70c56053207eecc7a80b6c88af58934add39cf16a86184987e2d5944b49f7ccf",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -230,8 +230,8 @@ DIGEST_CASES = [
         {
             "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
             "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
-            "transfer_matrix_01.csv": "256588c04986d132fcde2fa17e80724315ddc8fda33e269675eec4384d9438b3",
-            "transfer_matrix_01.json": "29213f9b548cdbe20a473d0313afee77f8e0eb4b4214da7d46516f9cd2108631",
+            "transfer_matrix_01.csv": "b10fe04f607e87582b1ada4e0bc67746655ccacf3a1de556e883947a2869d132",
+            "transfer_matrix_01.json": "8ca1f767895f182fd6323997a2deec45fa10206b124caa9982f696afe5409650",
             "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
         },
     ),
@@ -240,8 +240,8 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
         {
-            "transfer_matrix_00.csv": "a5f7659ea30877073450bd4e582d65f0d15706f495eb03405d8e8f0f223a9f5c",
-            "transfer_matrix_00.json": "c909e4125b73b1c81adf6c3c399e6eb91a37c95e54ca0fb0377c888414872577",
+            "transfer_matrix_00.csv": "0e28700edd97851c2a3c361cb4f02a14cb58068d319599ac84a339831d5aa302",
+            "transfer_matrix_00.json": "0469381e0f4db162f8a1696eb7b25809154bd254060ee3c814bef9bc9dd0e1c8",
             "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
         },
     ),
@@ -261,13 +261,13 @@ DIGEST_CASES = [
         "table1-f7-grid",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "5af215249bdddbbdebce8c748587df01b4a91e4c3981bb5979e9125c367dbfa0"},
+        {"table1.csv": "7ac2c966cec5aea8c59b1f378dcd3d4a8af33e2ab30b04af9742b24691cf7e1a"},
     ),
     (
         "table1-f8-grid",
         ["table1"],
         {"table1": {"schemes": ["F8"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "55f0430b6a523a635fbec69657d3355eac6024b178951cd323496077ce5d2910"},
+        {"table1.csv": "c49d9581ad0616aaf2b179f0372e93f1d2a47f338a8e31230aa40bac828ba64b"},
     ),
     (
         # the optimized pulse time at n_max 400, where the suppression
@@ -276,9 +276,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         {"scheme": "F8", "initial_nbar": 40.0, "strategy": {"kind": "fixed", "n_pulses": 5}},
         {
-            "cool_history.csv": "2685343da38b7efb5a0eb89253e40192ddfb55941188811c830af0e16bb5cef9",
-            "cool_sequence.json": "e5c6060b4969d89e20fdc44b245435cd6752e5bfdfa402c613412c4951f5ec28",
-            "cool_snapshots.csv": "c958b85e1ea86814b810ca13c266fcbc7384ee3d22fb2462fb6b5a66a8c13012",
+            "cool_history.csv": "fb918fbf4550880cb1602f937f81438744cdffa6dae2051138dda2d78c1f7d65",
+            "cool_sequence.json": "0183523a9f613eefbd3a80f72ed43f7a8176a173dc0e7f5807a0fad2c047ffa2",
+            "cool_snapshots.csv": "ebaf7a8344406cc1ce5c8946af6e67475fab770969216e4feb82c501bdb3d5d9",
             "cool_suppression_fit.json": "90456e1df7a5c6449a297fbd9c3649a168e0d972dcf207199e5aba76d43f8fa7",
         },
     ),

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from drsc import cooling
+from drsc import chain_dynamics, cooling
 from drsc.chain_dynamics import ChainEvolver, _PulseTables, apply_table, cached_evolver
 from drsc.cli import cmd_table1
 from drsc.config import RunConfig
 from drsc.cooling import (
     PulseSequence,
     SuppressionFit,
+    _log_suppression,
     _mean_and_gradient,
     asymptotic_window,
     dual_thermal_decompose,
@@ -23,7 +24,6 @@ from drsc.cooling import (
     optimize_fixed_pulse,
     optimize_fixed_pulses,
     optimize_global,
-    suppression_factor,
 )
 from drsc.manifold import build_coupling_chain, f7_scheme, f8_scheme, two_level_chain
 from drsc.motional import (
@@ -44,6 +44,18 @@ WINDOW = asymptotic_window(0.07)
 
 def deep_thermal(nbar, chain):
     return thermal_distribution(nbar, WINDOW[1] + len(chain.steps))
+
+
+def apply_pulse(evolver, t, probs):
+    """Populations after one pulse of duration t."""
+    return apply_table(evolver.site_probabilities(t), probs)
+
+
+def suppression(chain, t, init):
+    """The tail suppression a of one pulse of duration t on init's full
+    ladder: the window mean of the per-bin log ratios, exponentiated."""
+    after = apply_pulse(cached_evolver(chain, TRAP, init.n_max), t, init.probs)
+    return float(np.exp(_log_suppression(after, init.probs, WINDOW)))
 
 
 def cli_thermal(nbar, chain):
@@ -229,22 +241,22 @@ class TestAsymptoticWindow:
 class TestSuppressionFactor:
     def test_zero_time_gives_unity(self):
         init = deep_thermal(15.0, F7)
-        assert suppression_factor(F7, TRAP, 0.0, init) == pytest.approx(1.0, abs=1e-12)
+        assert suppression(F7, 0.0, init) == pytest.approx(1.0, abs=1e-12)
 
     def test_pulse_suppresses_tail(self):
         init = deep_thermal(15.0, F7)
-        a = suppression_factor(F7, TRAP, 0.17, init)
+        a = suppression(F7, 0.17, init)
         assert 0.0 < a < 1.0
 
     def test_window_needs_headroom(self):
         # n_max must cover the window plus the chain reach
-        with pytest.raises(ValueError):
-            suppression_factor(F7, TRAP, 0.17, thermal_state(6.08))
+        with pytest.raises(ValueError, match="exceeds n_max"):
+            optimize_fixed_pulse(F7, TRAP, thermal_state(6.08))
 
     def test_window_rejects_zero_entries(self):
         init = thermal_distribution(0.0, WINDOW[1] + len(F7.steps))
-        with pytest.raises(ValueError):
-            suppression_factor(F7, TRAP, 0.17, init)
+        with pytest.raises(ValueError, match="zero-probability"):
+            optimize_fixed_pulse(F7, TRAP, init)
 
 
 class TestOptimizeFixedPulse:
@@ -299,15 +311,11 @@ class TestSharedGridScan:
     @pytest.mark.parametrize("chain", [F7, F8], ids=["F7", "F8"])
     def test_matches_brent_oracle(self, chain):
         init = deep_thermal(20.0, chain)
-
-        def suppression(t):
-            return suppression_factor(chain, TRAP, t, init)
-
-        t_ref, a_ref = grid_loop_then_brent(suppression)
+        t_ref, a_ref = grid_loop_then_brent(lambda t: suppression(chain, t, init))
         t, a = optimize_fixed_pulse(chain, TRAP, init)
         assert abs(t - t_ref) <= 1e-8
         assert a <= a_ref + 1e-15
-        assert a == suppression(t)
+        assert a == suppression(chain, t, init)
 
     def test_mean_n_seed_matches_brent_oracle(self):
         init = thermal_state(1.0)
@@ -315,7 +323,7 @@ class TestSharedGridScan:
         n = np.arange(init.n_max + 1)
 
         def mean_after(t):
-            p = ev.apply_pulse(t, init.probs)
+            p = apply_pulse(ev, t, init.probs)
             return float(n @ p) / p.sum()
 
         t_ref, f_ref = grid_loop_then_brent(mean_after)
@@ -324,36 +332,45 @@ class TestSharedGridScan:
         assert mean_after(t) <= f_ref + 1e-15
 
     def test_table1_f7_kernel_calls(self, monkeypatch):
-        # one 240-point grid for all nine nbar cells, _GRID_COLUMNS pulse
-        # times per grid kernel call, then each cell's L-BFGS, one scalar
-        # pulse time per table; every call computes only the window's rows
-        # and the pulse reach above them
+        # two kernels: one 240-point grid for all nine nbar cells,
+        # _GRID_COLUMNS pulse times per chunk, and one for every cell's
+        # L-BFGS, one pulse time per table; both compute only the window's
+        # rows and the pulse reach above them
         nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
         cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
-        grid_calls, table_calls = [], []
-        real_grid, real_tables = cooling._pulsed_grid, ChainEvolver._tables
+        kernels = []
 
-        def counting_grid(evolver, times, starts):
-            grid_calls.append((len(times), len(evolver.w), len(starts)))
-            return real_grid(evolver, times, starts)
+        class CountingTables(_PulseTables):
+            def __init__(self, evolver, max_pulses, derivative=True):
+                super().__init__(evolver, max_pulses, derivative)
+                self.rows, self.derivative = len(evolver.w), derivative
+                self.grid_chunks, self.table_calls = [], []
+                kernels.append(self)
 
-        def counting_tables(self, t, derivative):
-            table_calls.append((derivative, np.shape(t), len(self.w)))
-            return real_tables(self, t, derivative)
+            def grid(self, times, starts):
+                for after in super().grid(times, starts):
+                    self.grid_chunks.append(after.shape[:2])
+                    yield after
 
-        monkeypatch.setattr(cooling, "_pulsed_grid", counting_grid)
-        monkeypatch.setattr(ChainEvolver, "_tables", counting_tables)
+            def __call__(self, times):
+                self.table_calls.append(len(times))
+                return super().__call__(times)
+
+        monkeypatch.setattr(chain_dynamics, "_PulseTables", CountingTables)
+        monkeypatch.setattr(cooling, "_PulseTables", CountingTables)
         cmd_table1(cfg)
         n_lo, n_hi = asymptotic_window(TRAP.eta)
         window_rows = n_hi + F7.bandwidth - n_lo
-        assert len(grid_calls) <= math.ceil(cooling._T_GRID_POINTS / cooling._GRID_COLUMNS)
-        assert sum(n_times for n_times, _, _ in grid_calls) == cooling._T_GRID_POINTS
-        assert {(rows, starts) for _, rows, starts in grid_calls} == {(window_rows, len(nbars))}
-        refinement = [shape for derivative, shape, _ in table_calls if derivative]
-        assert len(refinement) == len(table_calls)
-        assert set(refinement) == {()}
-        assert len(refinement) <= 72
-        assert {rows for _, _, rows in table_calls} == {window_rows}
+        grid, refine = kernels
+        assert (grid.derivative, refine.derivative) == (False, True)
+        assert grid.rows == refine.rows == window_rows
+        assert not grid.table_calls and not refine.grid_chunks
+        assert len(grid.grid_chunks) <= math.ceil(cooling._T_GRID_POINTS / cooling._GRID_COLUMNS)
+        assert max(n_times for n_times, _ in grid.grid_chunks) <= cooling._GRID_COLUMNS
+        assert sum(n_times for n_times, _ in grid.grid_chunks) == cooling._T_GRID_POINTS
+        assert {starts for _, starts in grid.grid_chunks} == {len(nbars)}
+        assert set(refine.table_calls) == {1}
+        assert len(refine.table_calls) <= 72
 
     def test_inits_must_share_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -388,7 +405,7 @@ class TestOptimizeGlobal:
         init = thermal_state(0.5)
         seq = optimize_global(F7, TRAP, init, 1)
         ev = ChainEvolver(F7, TRAP, init.n_max)
-        out = ev.apply_pulse(seq.times[0], init.probs)
+        out = apply_pulse(ev, seq.times[0], init.probs)
         n = np.arange(init.n_max + 1)
         assert n @ out < mean_n(init) * init.probs.sum()
 
@@ -417,11 +434,11 @@ class TestOptimizeGlobal:
         x = np.array(times)
         f, grad = _mean_and_gradient(x, ev, init.probs)
         # f is the forward pass over the batched kernel's tables, bit for
-        # bit, and over the per-time tables up to the GEMM's rounding
+        # bit, and over the one-time tables up to the GEMM's rounding
         n = np.arange(init.n_max + 1)
         p, q = init.probs, init.probs
         for t, table in zip(x, _PulseTables(ev, len(x))(x)[0]):
-            p, q = apply_table(table, p), ev.apply_pulse(t, q)
+            p, q = apply_table(table, p), apply_pulse(ev, t, q)
         assert f == float(n @ p) / float(p.sum())
         assert f == pytest.approx(float(n @ q) / float(q.sum()), rel=1e-14, abs=0)
         h = 1e-6
@@ -605,7 +622,7 @@ class TestOptimizeGlobal:
         ev = ChainEvolver(F7, TRAP, init.n_max)
         grid = np.linspace(cooling._T_GRID_LO, cooling._T_GRID_HI, cooling._T_SEED_POINTS)
         n = np.arange(init.n_max + 1)
-        means = [n @ p / p.sum() for p in (ev.apply_pulse(t, init.probs) for t in grid)]
+        means = [n @ p / p.sum() for p in (apply_pulse(ev, t, init.probs) for t in grid)]
         np.testing.assert_array_equal(searches[0][0], [grid[np.argmin(means)]])
         # k > 1 starts from the (k-1)-optimum with its first time repeated
         # in front when that start's true <n> is no higher, otherwise with
@@ -728,7 +745,7 @@ class TestDualThermalDecompose:
         history = [init]
         p = init.probs
         for _ in range(10):
-            p = ev.apply_pulse(t_opt, p)
+            p = apply_pulse(ev, t_opt, p)
             history.append(PhononDistribution(probs=p, n_max=init.n_max))
         fit = dual_thermal_decompose(history, eta=0.07)
         assert fit.a == pytest.approx(a_opt, rel=0.05)
