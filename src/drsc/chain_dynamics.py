@@ -91,32 +91,45 @@ def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 class _PulseTables:
     """The pulse kernel: the tables P[i] = P(n -> n - k) at up to
-    max_pulses pulse times, and with derivative their dP[i]/dt, from one
+    max_pulses pulse times, with derivative their dP[i]/dt, and with
+    curvature, from its order-2 call, their d^2P[i]/dt^2 too, from one
     GEMM per ladder row into buffers allocated once and overwritten by
     every call.
 
     Row n's amplitudes at all pulses are C[n] [cos; sin](pi t w[n]), and
-    P = amp^2.  With derivative the GEMM runs over CD, the stack of C over
+    P = amp^2.  With derivative the weights stack C over
     D = [C_sin w, -C_cos w], so that d_amp = D [cos; sin] reads the same
-    trig as amp, and dP/dt = (2 pi amp) d_amp.  cos and sin come from
-    u = tan of the half phases w (0.5 (pi t)) as (1 - u)(1 + u) / (1 + u^2)
-    and 2u / (1 + u^2) (_cos_sin, within 2.2e-16 of the exact ones).  The
-    GEMM's summation order depends on the batch size, so one time's table
-    differs between batch sizes by rounding.  The half phases, their two
-    scratch arrays and trig have time as the last axis, each a contiguous
-    view of its buffer's first elements.  Every GEMM output has unit
-    stride along pulses, which keeps the BLAS call: with derivative, each
-    row's (2K, pulses) block goes through a transposed view of a
-    (2K, rows, pulses) buffer, and P and dP/dt are stored band-major,
-    (pulses, K, rows), so that P[i].T is contiguous; without, P is
-    squared in place in the (rows, K, pulses) amplitudes, so that a
-    one-time table is C-contiguous.  Both return (pulses, rows, K) views.
-    Tables at t = 0 are the exact identity with dP/dt = 0.  A negative
-    time raises ValueError, a time whose largest phase is not finite
-    FloatingPointError, before any phase is formed.
+    trig as amp, and dP/dt = (2 pi amp) d_amp.  With curvature they also
+    stack E = -w^2 C below, and the order-2 call's GEMM runs over all
+    three blocks: d^2P/dt^2 = 2 pi^2 (d_amp^2 + amp e_amp), with
+    e_amp = E [cos; sin].  Its P and dP/dt come from the larger GEMM and
+    may differ from the plain call's by rounding; the plain call reads C
+    and D alone and keeps its bits.  cos and sin come from u = tan of the half phases w (0.5 (pi t))
+    as (1 - u)(1 + u) / (1 + u^2) and 2u / (1 + u^2) (_cos_sin, within
+    2.2e-16 of the exact ones).  The GEMM's summation order depends on the
+    batch size, so one time's table differs between batch sizes by
+    rounding.  The half phases, their two scratch arrays and trig have
+    time as the last axis, each a contiguous view of its buffer's first
+    elements.  Every GEMM output has unit stride along pulses, which keeps
+    the BLAS call: with derivative, each row's (2K or 3K, pulses) block
+    goes through a transposed view of one (3K, rows, pulses) buffer, and
+    P, dP/dt and d^2P/dt^2 are stored band-major, (pulses, K, rows), so
+    that P[i].T is contiguous; without, P is squared in place in the
+    (rows, K, pulses) amplitudes, so that a one-time table is
+    C-contiguous.  All return (pulses, rows, K) views.  Tables at t = 0
+    are the exact identity with dP/dt = 0, and d^2P/dt^2 there is the true
+    2 pi^2 ((D [1; 0])^2 + delta_0 (E [1; 0])), non-zero on site 0 and the
+    odd sites.  A negative time raises ValueError, a time whose largest
+    phase is not finite FloatingPointError, before any phase is formed.
     """
 
-    def __init__(self, evolver: ChainEvolver, max_pulses: int, derivative: bool = True):
+    def __init__(
+        self,
+        evolver: ChainEvolver,
+        max_pulses: int,
+        derivative: bool = True,
+        curvature: bool = False,
+    ):
         c, w = evolver.C, evolver.w
         n_rows, n_sites, n_trig = c.shape
         self._n_rows, self._n_sites, self._max_pulses = n_rows, n_sites, max_pulses
@@ -128,31 +141,47 @@ class _PulseTables:
             # room for grid's K - 1 zero rows past the top
             self._amps = np.empty((n_rows + n_sites - 1) * n_sites * max_pulses)
             return
-        n_modes = n_trig // 2
-        self._weights = np.empty((n_rows, 2 * n_sites, n_trig))
+        n_modes, n_blocks = n_trig // 2, 3 if curvature else 2
+        self._weights = np.empty((n_rows, n_blocks * n_sites, n_trig))
         self._weights[:, :n_sites] = c
-        np.multiply(c[:, :, n_modes:], w[:, None], out=self._weights[:, n_sites:, :n_modes])
-        np.multiply(c[:, :, :n_modes], -w[:, None], out=self._weights[:, n_sites:, n_modes:])
-        self._amps = np.empty(n_rows * 2 * n_sites * max_pulses)
+        d = self._weights[:, n_sites : 2 * n_sites]
+        np.multiply(c[:, :, n_modes:], w[:, None], out=d[:, :, :n_modes])
+        np.multiply(c[:, :, :n_modes], -w[:, None], out=d[:, :, n_modes:])
+        if curvature:
+            w2 = np.concatenate([w, w], axis=1)[:, None]
+            np.multiply(c, -(w2 * w2), out=self._weights[:, 2 * n_sites :])
+        self._amps = np.empty(n_rows * n_blocks * n_sites * max_pulses)
         self._p = np.empty((max_pulses, n_sites, n_rows))
         self._dp = np.empty((max_pulses, n_sites, n_rows))
+        self._d2p = np.empty((max_pulses, n_sites, n_rows)) if curvature else None
 
-    def __call__(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(P, dP/dt) at every time; dP/dt is None without derivative."""
+    def __call__(self, times: np.ndarray, curvature: bool = False) -> tuple:
+        """(P, dP/dt) at every time; dP/dt is None without derivative.  With
+        curvature, the order-2 call of a kernel built with it,
+        (P, dP/dt, d^2P/dt^2)."""
         n_rows, n_sites, n_pulses = self._n_rows, self._n_sites, len(times)
         if self._dp is None:
             p = _leading(self._amps, n_rows, n_sites, n_pulses)
             self._amplitudes(times, p)
             p *= p
             return p.transpose(2, 0, 1), None
-        amps = _leading(self._amps, 2 * n_sites, n_rows, n_pulses)
-        self._amplitudes(times, amps.transpose(1, 0, 2))
+        n_blocks = 3 if curvature else 2
+        amps = _leading(self._amps, n_blocks * n_sites, n_rows, n_pulses)
+        self._amplitudes(times, amps.transpose(1, 0, 2), curvature)
         amps = amps.transpose(2, 0, 1)
+        amp, d_amp = amps[:, :n_sites], amps[:, n_sites : 2 * n_sites]
         p, dp = self._p[:n_pulses], self._dp[:n_pulses]
-        np.square(amps[:, :n_sites], out=p)
-        np.multiply(amps[:, :n_sites], 2.0 * np.pi, out=dp)
-        dp *= amps[:, n_sites:]
-        return p.transpose(0, 2, 1), dp.transpose(0, 2, 1)
+        np.square(amp, out=p)
+        np.multiply(amp, 2.0 * np.pi, out=dp)
+        dp *= d_amp
+        if not curvature:
+            return p.transpose(0, 2, 1), dp.transpose(0, 2, 1)
+        d2p, e_amp = self._d2p[:n_pulses], amps[:, 2 * n_sites :]
+        e_amp *= amp
+        np.square(d_amp, out=d2p)
+        d2p += e_amp
+        d2p *= 2.0 * np.pi**2
+        return p.transpose(0, 2, 1), dp.transpose(0, 2, 1), d2p.transpose(0, 2, 1)
 
     def grid(self, times: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
         """after[i, s] = apply_table(P(times[i]), starts[s]) up to rounding,
@@ -176,10 +205,13 @@ class _PulseTables:
             )
             yield (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
 
-    def _amplitudes(self, times: np.ndarray, out: np.ndarray) -> None:
-        """out[n, :, i] = the kernel's weights of row n times its trig at
-        times[i], exactly site 0 alone at t = 0; out is (rows, sites,
-        pulses) with unit stride along pulses."""
+    def _amplitudes(self, times: np.ndarray, out: np.ndarray, curvature: bool = False) -> None:
+        """out[n, :, i] = the first out.shape[1] rows of the kernel's weights
+        of row n times its trig at times[i]; out is (rows, sites, pulses)
+        with unit stride along pulses.  At t = 0 the amplitudes are exactly
+        site 0 alone and the rest of out zero, except that a curvature call
+        keeps its D and E blocks, whose products with the exact trig (1, 0)
+        there are the true values."""
         t_min, t_max = times.min(), float(times.max())
         if t_min < 0:
             raise ValueError(f"pulse time must be >= 0, got {t_min}")
@@ -194,11 +226,11 @@ class _PulseTables:
         np.multiply(self._w, 0.5 * (np.pi * times), out=half.reshape(-1, n_pulses))
         trig = _leading(self._trig, n_rows, 2 * n_modes, n_pulses)
         _cos_sin(half, trig[:, :n_modes], trig[:, n_modes:], u, v)
-        np.matmul(self._weights, trig, out=out)
+        np.matmul(self._weights[:, : out.shape[1]], trig, out=out)
         # all times > 0 is the common case; a NaN would have raised above
         if not t_min > 0:
             zero = times == 0
-            out[:, :, zero] = 0.0
+            out[:, : self._n_sites if curvature else out.shape[1], zero] = 0.0
             out[:, 0, zero] = 1.0
 
 

@@ -130,8 +130,10 @@ _ARRAY_BUDGET_BYTES = 2**28
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Estimated bytes of the largest array the command allocates: a dense
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
-    evolver's (n_max+1) K^2 pulse weights, the global optimizer's
-    (n_max+1) 2K n_pulses batched amplitudes, or the probe's populations.
+    evolver's (n_max+1) K^2 pulse weights, the global optimizer's kernel
+    (its (n_max+1) 3K (K+1) weights, or its (n_max+1) 3K n_pulses batched
+    amplitudes counted with the (n_max+1) K n_pulses of d^2P/dt^2), or the
+    probe's populations.
 
     The commands that build cfg.scheme are sized at its chain's length
     bound, cfg.scheme.max_steps(): a custom chain too long for the budget
@@ -141,7 +143,8 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
         return (n_max + 1) * (n_steps + 1) ** 2 * 8
 
     def batched(n_steps, n_max, n_pulses):
-        return (n_max + 1) * 2 * (n_steps + 1) * n_pulses * 8
+        n_sites = n_steps + 1
+        return (n_max + 1) * n_sites * max(3 * (n_sites + 1), 4 * n_pulses) * 8
 
     if command in ("transfer-matrix", "cool", "optimize"):
         n_steps = cfg.scheme.max_steps()

@@ -1,6 +1,7 @@
 """Pulse evolution against an independent ODE integration and a 30-digit
 row exponential, plus the structural invariants of the banded pulse table."""
 
+import hashlib
 import json
 
 import mpmath
@@ -350,6 +351,59 @@ class TestRealKernel:
         (p,), (dp,) = kernel_tables(ChainEvolver(F8, TRAP, 25), [0.0])
         assert np.array_equal(dense(p), np.eye(26))
         assert not dp.any()
+
+    @pytest.mark.parametrize("chain", [F7, F8, two_level_chain()], ids=["F7", "F8", "two-level"])
+    def test_curvature_matches_central_differences(self, chain):
+        # d^2P/dt^2 of the order-2 call against dP/dt of one-time calls,
+        # from the optimizers' lower bound on
+        ev = ChainEvolver(chain, TRAP, 120)
+        times = np.concatenate([[1e-6, 3e-6], self.TIMES[1:]])
+        _, _, d2ps = _PulseTables(ev, len(times), curvature=True)(times, curvature=True)
+        h = 1e-6
+        for t, d2p in zip(times, d2ps):
+            fd = (kernel_tables(ev, [t + h])[1][0] - kernel_tables(ev, [t - h])[1][0]) / (2 * h)
+            assert np.max(np.abs(d2p - fd)) <= 1e-7 * np.max(np.abs(d2p))
+
+    @pytest.mark.parametrize("chain", [F7, F8, two_level_chain()], ids=["F7", "F8", "two-level"])
+    def test_zero_time_curvature_is_the_true_one(self, chain):
+        # P is the identity and dP/dt = 0 there, but d^2P/dt^2 is not: site 0
+        # loses what the odd sites gain, against a forward difference of dP/dt
+        ev = ChainEvolver(chain, TRAP, 40)
+        (p,), (dp,), (d2p,) = _PulseTables(ev, 1, curvature=True)(np.zeros(1), curvature=True)
+        assert np.array_equal(dense(p), np.eye(41))
+        assert not dp.any()
+        assert d2p[1:, 0].max() < 0 and d2p[1:, 1].min() > 0
+        np.testing.assert_allclose(d2p.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+        h = 1e-5
+        fd = kernel_tables(ev, [h])[1][0] / h
+        assert np.max(np.abs(d2p - fd)) <= 1e-6 * np.max(np.abs(d2p))
+
+
+# sha256 of the order-0 and order-1 tables, frozen from the kernel before it
+# had an order-2 call, whose weights held C and D alone: order 0's P, then
+# order 1's P and dP/dt, at TestBatchedTables.TIMES and then at its fifth
+# time alone, n_max 120
+PLAIN_TABLE_DIGESTS = {
+    "F7": "df33e823bf3b1728a20d376628b4c20efb3af4298c132d2e1aab42bf4ab24e90",
+    "F8": "11ef26b18b05564a85e8318a1e667f232f93e131db82cfbc8f9378fcffd12ae3",
+    "two_level": "95884ace34a3f0d02b48613087ad349d5a6b8c988b2998fc85b3ec1eb7543f9a",
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_TABLE_DIGESTS))
+@pytest.mark.parametrize("curvature", [False, True], ids=["plain", "curvature-kernel"])
+def test_plain_calls_keep_their_bits(name, curvature):
+    # a kernel built with curvature answers the plain call from its first
+    # two weight blocks, bit for bit
+    chain = {"F7": F7, "F8": F8, "two_level": two_level_chain()}[name]
+    ev = ChainEvolver(chain, TRAP, 120)
+    digest = hashlib.sha256()
+    for times in (TestBatchedTables.TIMES, TestBatchedTables.TIMES[4:5]):
+        p, _ = _PulseTables(ev, len(times), derivative=False)(times)
+        digest.update(p.tobytes())
+        for table in _PulseTables(ev, len(times), curvature=curvature)(times):
+            digest.update(table.tobytes())
+    assert digest.hexdigest() == PLAIN_TABLE_DIGESTS[name]
 
 
 class TestBatchedTables:

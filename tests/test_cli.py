@@ -11,14 +11,16 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drsc import cli
+from drsc import cli, cooling
 from drsc.chain_dynamics import ChainEvolver, cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
+from drsc.motional import thermal_state
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,9 +183,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "c54a0a3c54880f1e4d75cab2468c53019d1693543d67da96e726f79df5548941",
-            "cool_sequence.json": "ba21556bff90541aba8f052e050babdf252c7e981aeaa2df6abdb8ee8bb7981e",
-            "cool_snapshots.csv": "44e17c19238b1ad4ea5e59790dbb4d401b08520c578aa63bf9a46f88540a891e",
+            "cool_history.csv": "9df4a896e747b68b7e1b65dd79938825d6d08329eaa01daf4e0a945e45ff3839",
+            "cool_sequence.json": "a4b0c1f9d8da920eaea60c569afc6f9d681e86cd35a7c3315f20dc36ae053726",
+            "cool_snapshots.csv": "8705010ce6e5792a978ad02e5284c6c1674111c6573ae0185253c10544bf85e4",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -192,9 +194,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "5fd989f663b10cdb60b46b5eb5b614b5920583c20597a6c666bb93227822a62f",
-            "cool_sequence.json": "d67118aaf6387d9c84b9a9590d353fbd33859bf6c8de0d1cd67f86625bb9f90b",
-            "cool_snapshots.csv": "26000cc853fae0faa5f9042c10acf3ac06371bb654bced6845c0a217c914c362",
+            "cool_history.csv": "2fd2577dfcc0cefe84ace8a959a6479b7bb19937c7a0a3a187e49d7147202714",
+            "cool_sequence.json": "a513ab2977a91052322aa8aabe5998a11ca187e911919e184b4b87e55bed1d7e",
+            "cool_snapshots.csv": "eef1a665d864ff8148d8bc2b06d8c921e707f956da43503a4674711627d89b7a",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -216,9 +218,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "c98db37c99286af6898fd0557e7d257df414d660cbcf34141625215f7a0e1d59",
-            "cool_sequence.json": "2aee490067ae31e829d2c8aba502229288a397698d2f3a9164b74eaed70a338c",
-            "cool_snapshots.csv": "70c56053207eecc7a80b6c88af58934add39cf16a86184987e2d5944b49f7ccf",
+            "cool_history.csv": "3d67e6020f2fbab0ecdc486e74fa45e30aba43d37efbf3e90ec9a8084d63507f",
+            "cool_sequence.json": "5871fa117cfde6e7411194290bc0827fe40a6e989dfbb5a572f897601054cf46",
+            "cool_snapshots.csv": "84c7ced6e65fc27252bdee62e283beb45c23e2ada1a60cbbe11355ae410f72c3",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -296,8 +298,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "dd7514bd85197911a1375317a1a555e964496671672fb265663b420886c0018c",
-            "optimize_trace.csv": "cf32f365d43e118b11ca4cefce4a90197ec7ef648de5294eeb854173a3da4708",
+            "optimize_sequence.json": "8fbe1a0e5291a5726e02cfc05205179c69f59e1f5592a328f19a590bc88005b4",
+            "optimize_trace.csv": "fc944ee915b2e647748bfeb437e7b68b8851a7f196cd8d592ca7426aebf8f5fd",
         },
     ),
 ]
@@ -539,9 +541,9 @@ class TestErrorPaths:
             # walker counts past int64
             ("pumping", {"pumping": {"monte_carlo_trajectories": 2**63}}),
             ("pumping", {"pumping": {"monte_carlo_trajectories": 10**21}}),
-            # the global optimizer's batched amplitudes: 334 MB for 5000
-            # F8 pulses at n_max 260, 653 MB for a 50000-pulse final stage
-            # at n_max 50; each evolver alone fits
+            # the global optimizer's batched amplitudes with d^2P/dt^2: 668 MB
+            # for 5000 F8 pulses at n_max 260, 1306 MB for a 50000-pulse
+            # final stage at n_max 50; each evolver alone fits
             ("optimize", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("cool", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("optimize", {"scheme": "F8", "strategy": {"kind": "heuristic", "n_final": 50000}}),
@@ -558,6 +560,36 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert time.perf_counter() - start < 1.0
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["F7", "F8", "two_level"])
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"kind": "global_opt", "n_pulses": 1},
+            {"kind": "global_opt", "n_pulses": 4},
+            {"kind": "global_opt", "n_pulses": 25},
+            {"kind": "heuristic", "n_final": 2},
+            {"kind": "heuristic", "n_final": 12},
+        ],
+        ids=["global-1", "global-4", "global-25", "heuristic-2", "heuristic-12"],
+    )
+    def test_array_budget_covers_the_optimizer(self, scheme, strategy):
+        # every array of the optimizer's workspace and its kernel, which
+        # holds the order-2 weights and amplitudes
+        cfg = RunConfig.from_dict({"scheme": scheme, "strategy": strategy})
+        chain = cfg.scheme.build()
+        if strategy["kind"] == "global_opt":
+            n_max, n_pulses = cli._initial_n_max(cfg, len(chain.steps)), strategy["n_pulses"]
+        else:
+            n_max, n_pulses = thermal_state(cfg.strategy.final_nbar).n_max, strategy["n_final"]
+        work = cooling._Workspace(cached_evolver(chain, cfg.trap, n_max), n_pulses)
+        sizes = [
+            value.nbytes
+            for part in (work, work.tables)
+            for value in vars(part).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert max(sizes) <= cli._largest_array_bytes("optimize", cfg)
 
     @pytest.mark.parametrize(
         "command, payload",

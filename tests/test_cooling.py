@@ -131,6 +131,22 @@ LBFGSB_RUNS = {
     ),
 }
 
+# optimize_global's evaluations, each pulse count's L-BFGS started from the
+# exact Hessian diagonal; the tests allow 10% more, since last-bit changes
+# of the pulse tables have moved these counts by up to 8%
+EVALS = {
+    ("F7", 6.08, 10): 93,
+    ("F8", 15.87, 15): 87,
+    ("F7", 15.87, 21): 183,
+    ("F8", 40.0, 40): 237,
+    ("two_level", 0.5, 25): 182,
+}
+
+
+def eval_bound(case):
+    return round(1.1 * EVALS[case])
+
+
 # optimize_global's one-pulse optimum (t, <n>) from the state `drsc cool`
 # builds, frozen from the search seeded by the 240-point grid
 ONE_PULSE_OPTIMA = {
@@ -454,6 +470,32 @@ class TestOptimizeGlobal:
         )
         assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
+    @pytest.mark.parametrize("scheme, nbar", [("F7", 6.08), ("F8", 15.87), ("two_level", 6.08)])
+    def test_hessian_diagonal_matches_central_differences(self, scheme, nbar):
+        # ten random times, two of them at and near the 1e-6 bound
+        chain = CHAINS[scheme]
+        init = cli_thermal(nbar, chain)
+        ev = cached_evolver(chain, TRAP, init.n_max)
+        x = np.random.default_rng(11).uniform(cooling._T_GRID_LO, cooling._T_GRID_HI, 10)
+        x[[2, 7]] = 1e-6, 3e-6
+        f, grad, diag = _mean_and_gradient(x, ev, init.probs, curvature=True)
+        # the order-2 call's f and gradient are the plain call's to rounding
+        f_plain, grad_plain = _mean_and_gradient(x, ev, init.probs)
+        assert f == pytest.approx(f_plain, rel=1e-15, abs=0)
+        assert np.max(np.abs(grad - grad_plain)) <= 1e-14 * np.max(np.abs(grad_plain))
+        h = 1e-6
+        fd = np.array(
+            [
+                (
+                    _mean_and_gradient(x + h * e, ev, init.probs)[1][i]
+                    - _mean_and_gradient(x - h * e, ev, init.probs)[1][i]
+                )
+                / (2 * h)
+                for i, e in enumerate(np.eye(len(x)))
+            ]
+        )
+        assert np.max(np.abs(diag - fd)) <= 1e-7 * np.max(np.abs(diag))
+
     @pytest.mark.parametrize(
         "scheme, nbar, times",
         [("F7", 6.08, (0.15, 0.3, 0.5, 0.7, 0.2)), ("F8", 15.87, (0.6, 0.4, 0.65, 0.3, 0.5))],
@@ -496,28 +538,30 @@ class TestOptimizeGlobal:
         assert seq.converged
         assert len(seq.n_evals) == 10
         assert all(n > 0 for n in seq.n_evals)
-        # two starts per pulse count spent 418 evaluations here
-        assert sum(seq.n_evals) <= 250
+        # two starts per pulse count spent 418 evaluations here, and the
+        # scalar-scaled L-BFGS 143
+        assert sum(seq.n_evals) <= eval_bound(("F7", 6.08, 10))
 
     def test_f8_no_worse_than_nelder_mead(self):
         seq, objs = global_run("F8", 15.87, 15)
         assert objs[-1] <= NELDER_MEAD_F8_FINAL * (1 + 1e-9)
-        # two starts per pulse count spent 389 evaluations here
-        assert sum(seq.n_evals) <= 220
+        # two starts per pulse count spent 389 evaluations here, and the
+        # scalar-scaled L-BFGS 128
+        assert sum(seq.n_evals) <= eval_bound(("F8", 15.87, 15))
 
     def test_converged_on_the_long_f7_sequence(self):
         # the acceptance-10 case: with ftol at 1e-15 the line search stalled
         # at the ~1e-14 rounding floor of log <n> and reported converged False
         seq, _ = global_run("F7", 15.87, 21)
         assert seq.converged is True
-        assert sum(seq.n_evals) <= 649
+        assert sum(seq.n_evals) <= eval_bound(("F7", 15.87, 21))
 
     @pytest.mark.parametrize("case", list(LBFGSB_RUNS), ids=lambda case: "-".join(map(str, case)))
     def test_no_worse_than_scipy_lbfgsb(self, case):
         ref_objs, ref_evals = LBFGSB_RUNS[case]
         seq, objs = global_run(*case)
         assert seq.converged is True
-        assert sum(seq.n_evals) <= round(1.05 * ref_evals)
+        assert sum(seq.n_evals) <= eval_bound(case) < ref_evals
         for obj, ref in zip(objs, ref_objs, strict=True):
             assert obj <= ref * (1 + 1e-12)
         assert all(b <= a for a, b in zip(objs, objs[1:]))
@@ -525,10 +569,11 @@ class TestOptimizeGlobal:
     def test_floor_ends_deep_cooling(self):
         # F8 from nbar 1: the sixth pulse takes <n> below the 1e-12 floor,
         # so k = 6..25 each start below it and end after one evaluation,
-        # their start's; without the floor this run took 3051 evaluations
+        # their start's; without the floor this run took 3051 evaluations,
+        # and with the scalar-scaled L-BFGS 128
         seq, objs = global_run("F8", 1.0, 25)
         assert seq.converged is True
-        assert sum(seq.n_evals) == 128
+        assert sum(seq.n_evals) == 80
         assert seq.n_evals[5:] == (1,) * 20
         assert objs[5] < 1e-12
         # <n> above 1e-9, frozen from the search without the floor
@@ -542,10 +587,11 @@ class TestOptimizeGlobal:
 
     def test_two_level_converges_near_the_floor(self):
         # from a repeated last pulse this run ground on <n> ~ 1e-12 and
-        # ended unconverged after 5187 evaluations
+        # ended unconverged after 5187 evaluations, and the scalar-scaled
+        # L-BFGS took 1137 from the prepended start
         seq, objs = global_run("two_level", 0.5, 25)
         assert seq.converged is True
-        assert sum(seq.n_evals) <= 1200
+        assert sum(seq.n_evals) <= eval_bound(("two_level", 0.5, 25))
         assert all(b <= a for a, b in zip(objs, objs[1:]))
 
     @pytest.mark.parametrize(
@@ -595,18 +641,18 @@ class TestOptimizeGlobal:
         searches, evaluated = [], []
         real_lbfgs, real_mean = cooling._lbfgs, cooling._mean_and_gradient
 
-        def recording_lbfgs(fun, x0, *args):
-            x, f, n_evals, converged = real_lbfgs(fun, x0, *args)
+        def recording_lbfgs(fun, x0, *args, **kwargs):
+            x, f, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
             searches.append((np.array(x0), x.copy(), n_evals))
             return x, f, n_evals, converged
 
         def recording_mean(times, *args):
-            f, grad = real_mean(times, *args)
+            f, *derivatives = real_mean(times, *args)
             prev = searches[-1][1] if searches else None
             if len(times) >= 3 and np.array_equal(times, np.insert(prev, 0, prev[0])):
                 f += penalty
             evaluated.append((times.copy(), f))
-            return f, grad
+            return f, *derivatives
 
         monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
         monkeypatch.setattr(cooling, "_mean_and_gradient", recording_mean)
@@ -640,6 +686,24 @@ class TestOptimizeGlobal:
         assert list(seq.n_evals) == [n_evals for _, _, n_evals in searches]
         assert sum(seq.n_evals) == len(evaluated)
         assert seq.times == tuple(searches[-1][1])
+
+    def test_each_start_hands_its_hessian_diagonal_to_the_search(self, monkeypatch):
+        # the k = 1 seed, then each kept prepended start: L-BFGS gets the
+        # diagonal of the Hessian of log <n> at its start
+        init = cli_thermal(6.08, F7)
+        ev = cached_evolver(F7, TRAP, init.n_max)
+        starts, real_lbfgs = [], cooling._lbfgs
+
+        def recording_lbfgs(fun, x0, lower, h0=None):
+            starts.append((x0.copy(), h0))
+            return real_lbfgs(fun, x0, lower, h0)
+
+        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        optimize_global(F7, TRAP, init, 4)
+        assert [len(x0) for x0, _ in starts] == [1, 2, 3, 4]
+        for x0, h0 in starts:
+            f, grad, diag = _mean_and_gradient(x0, ev, init.probs, curvature=True)
+            np.testing.assert_array_equal(h0, np.abs(diag / f - (grad / f) ** 2))
 
     def test_rejected_prepended_start_falls_back(self, monkeypatch):
         # every prepended start from k = 3 on reads 1 quantum higher: the
@@ -695,6 +759,40 @@ class TestLbfgs:
         _, _, _, converged = cooling._lbfgs(corner, np.array([1e-6, 3.0]), 1e-6)
         assert min(seen) >= 1e-6
         assert not converged
+
+
+    def test_separable_quadratic_with_its_diagonal_takes_one_step(self):
+        # with H0 the exact inverse Hessian, the first trial step 1 lands on
+        # the minimum: the start's evaluation and that step's
+        a, c = np.array([0.5, 4.0, 30.0]), np.array([0.3, -1.0, 2.0])
+
+        def quadratic(x):
+            return float(0.5 * a @ (x - c) ** 2), a * (x - c)
+
+        x, f, n_evals, converged = cooling._lbfgs(quadratic, np.zeros(3), -np.inf, h0=a)
+        assert converged and n_evals == 2
+        np.testing.assert_allclose(x, c, rtol=0, atol=1e-15)
+        # the scalar scaling needs more
+        assert cooling._lbfgs(quadratic, np.zeros(3), -np.inf)[2] > 2
+
+    @pytest.mark.parametrize(
+        "h0",
+        [[1.0, 0.0], [1.0, -2.0], [np.nan, 1.0], [np.inf, 1.0]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_unusable_diagonal_takes_the_scalar_path(self, h0):
+        def search(h0):
+            seen = []
+
+            def recorded(x):
+                seen.append(x.copy())
+                return rosenbrock(x)
+
+            x, f, n_evals, converged = cooling._lbfgs(recorded, np.array([-1.2, 1.0]), -np.inf, h0)
+            return x, f, n_evals, converged, np.array(seen)
+
+        with_h0, without = search(np.array(h0)), search(None)
+        assert all(np.array_equal(a, b) for a, b in zip(with_h0, without))
 
 
 class TestHeuristicSequence:
