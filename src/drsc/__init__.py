@@ -13,7 +13,7 @@ from .cooling import (
 )
 from .heating import build_pumping_graph, propagate_heating
 from .manifold import CouplingChain, ManifoldScheme, build_coupling_chain, f7_scheme, f8_scheme
-from .motional import PhononDistribution, TrapParams, fock_coupling, mean_n, thermal_state
+from .motional import PhononDistribution, TrapParams, mean_n, thermal_state
 from .thermometry import ProtocolReport, end_to_end_protocol, rdp_filter, sideband_probe
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "f8_scheme",
     "PhononDistribution",
     "TrapParams",
-    "fock_coupling",
     "mean_n",
     "thermal_state",
     "ProtocolReport",

@@ -16,6 +16,7 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .manifold import CouplingChain
 from .motional import TrapParams, sideband_coupling_ratios
@@ -81,12 +82,44 @@ class ChainEvolver:
         return _PulseTables(self, 1, derivative=False)(np.array([t], dtype=float))[0][0]
 
 
+class _BandSum:
+    """Applies banded tables site_p[n, k] = P(n -> n - k) of one shape
+    (rows, K), forward and transposed, through one buffer allocated once.
+
+    products is the (K, rows) band-major view of padded, which has K - 1
+    zero columns more; its skew view shifted[k, m] = padded[k, m + k] is
+    what band k moves into row m, zero past the ladder.  Both directions
+    add each output row's terms in ascending k, and nothing writes the
+    pads.  Entries with k > n, past the ladder bottom, the forward sum
+    never reads, and the transposed one multiplies by bands' zeros.
+    """
+
+    def __init__(self, n_rows: int, n_sites: int):
+        self.padded = np.zeros((n_sites, n_rows + n_sites - 1))
+        self.products = self.padded[:, :n_rows]
+        row, col = self.padded.strides
+        self.shifted = as_strided(self.padded, (n_sites, n_rows), (row + col, col), writeable=False)
+
+    def __call__(
+        self, site_p: np.ndarray, probs: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """out[m] = sum_k site_p[m + k, k] probs[m + k]: the populations
+        after the pulse, in out or in a new array."""
+        np.multiply(site_p.T, probs, out=self.products)
+        return np.add.reduce(self.shifted, axis=0, out=out)
+
+    def transposed(self, site_p: np.ndarray, bands: np.ndarray, out: np.ndarray) -> None:
+        """out[j] = sum_k site_p[j, k] bands[k, j]: with bands[k, j] =
+        lam[j - k], zero for k > j, the adjoint's step back through the
+        pulse."""
+        np.multiply(site_p.T, bands, out=self.products)
+        np.add.reduce(self.products, axis=0, out=out)
+
+
 def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k):
-    one bincount over _band_targets, which adds each row's terms in
-    ascending k."""
-    weights = (site_p * probs[:, None]).ravel()
-    return np.bincount(_band_targets(*site_p.shape).ravel(), weights)[: len(probs)]
+    the one-shot form of _BandSum."""
+    return _BandSum(*site_p.shape)(site_p, probs)
 
 
 class _PulseTables:
@@ -192,7 +225,7 @@ class _PulseTables:
         past the top."""
         n_rows, n_sites = self._n_rows, self._n_sites
         padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n_sites, axis=1)
+        windows = sliding_window_view(padded, n_sites, axis=1)
         for lo in range(0, len(times), self._max_pulses):
             chunk = times[lo : lo + self._max_pulses]
             p = _leading(self._amps, n_rows + n_sites - 1, n_sites, len(chunk))
@@ -200,7 +233,7 @@ class _PulseTables:
             p[n_rows:] = 0.0
             p *= p
             row, band, col = p.strides
-            diagonals = np.lib.stride_tricks.as_strided(
+            diagonals = as_strided(
                 p, (n_rows, n_sites, len(chunk)), (row, row + band, col), writeable=False
             )
             yield (windows.transpose(1, 0, 2) @ diagonals).transpose(2, 1, 0)
@@ -262,16 +295,6 @@ def _cos_sin(
 def _leading(buffer: np.ndarray, *shape: int) -> np.ndarray:
     """The contiguous view of a flat buffer's first elements as shape."""
     return buffer[: math.prod(shape)].reshape(shape)
-
-
-@functools.lru_cache(maxsize=8)
-def _band_targets(n_rows: int, n_bands: int) -> np.ndarray:
-    """Read-only target[n, k] = n - k, the row band k moves row n to; entries
-    with k > n point at the sentinel row n_rows, past the ladder."""
-    n, k = np.ogrid[:n_rows, :n_bands]
-    target = np.where(k <= n, n - k, n_rows)
-    target.setflags(write=False)
-    return target
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,9 +13,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain_dynamics import ChainEvolver, _PulseTables, apply_table, cached_evolver
+from .chain_dynamics import ChainEvolver, _BandSum, _PulseTables, cached_evolver
 from .manifold import CouplingChain
 from .motional import PhononDistribution, TrapParams, thermal_state
 
@@ -32,6 +32,7 @@ _T_SEED_POINTS = 24
 # slow, and 24 doubles the peak for no measured gain
 _GRID_COLUMNS = 12
 _MIN_PULSE_TIME = 1e-6
+_EPS = float(np.finfo(float).eps)
 # optimize_global's objective stops at this <n>, far below what a
 # sideband probe resolves
 _MEAN_FLOOR = 1e-12
@@ -62,11 +63,11 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class SuppressionFit:
-    """Result of fitting the two-component (suppressed thermal + residual) model."""
+    """Result of fitting the two-component (suppressed thermal + residual)
+    model: the per-pulse suppression a of the thermal tail, over fit_window."""
 
     a: float
     fit_window: tuple[int, int]
-    residual: PhononDistribution
     r_squared: float = 1.0
 
     def __post_init__(self) -> None:
@@ -146,11 +147,12 @@ def _minimize_suppression(
     One grid scan serves every start.  L-BFGS (t >= 1e-6) then refines
     log a from each start's lowest grid point, with the exact slope
     d(log a)/dt, the window mean of d(after)/dt / after, on one-time
-    tables from one _PulseTables shared by every start.  log a is the
-    mean that _log_suppression takes over apply_table's populations, and
-    the kernel's P does not depend on its derivative or on the row range,
-    so a is bit for bit the full ladder's a from site_probabilities(t),
-    and a start's result does not depend on the other starts.
+    tables from one _PulseTables and one _BandSum shared by every start.
+    log a is the mean that _log_suppression takes over the band sum's
+    populations, and the kernel's P does not depend on its derivative or
+    on the row range, so a is bit for bit the full ladder's a from
+    site_probabilities(t), and a start's result does not depend on the
+    other starts.
     """
     n_lo, n_hi = window
     top = n_hi + evolver.n_sites
@@ -159,14 +161,14 @@ def _minimize_suppression(
     ts, vals = _grid_scan(
         evolver, p0s, lambda after, p0: _log_suppression(after, p0, window), _T_GRID_POINTS
     )
-    tables = _PulseTables(evolver, 1)
+    tables, band_sum = _PulseTables(evolver, 1), _BandSum(*evolver.C.shape[:2])
     results = []
     for p0, i in zip(p0s, np.argmin(vals, axis=0)):
 
         def log_suppression_and_slope(t):
             (site_p,), (d_site_p,) = tables(t)
-            after = apply_table(site_p, p0)
-            slope = np.mean(apply_table(d_site_p, p0)[:n_window] / after[:n_window])
+            after = band_sum(site_p, p0)
+            slope = np.mean(band_sum(d_site_p, p0)[:n_window] / after[:n_window])
             return _log_suppression(after, p0, window), np.array([slope])
 
         t, log_a, _, _ = _lbfgs(log_suppression_and_slope, ts[i : i + 1], _MIN_PULSE_TIME)
@@ -216,9 +218,9 @@ def _mean_and_gradient(
     lambda_L = (n - f) / sum(p_L) and steps back through the transposed
     bands, lambda_i[j] = sum_k S_i[j, k] lambda_{i+1}[j - k], so
     df/dt_i = sum_{j,k} dS_i[j, k]/dt p_i[j] lambda_{i+1}[j - k] (the GRAPE
-    construction).  Both passes sum over the bands of a (K, rows) array
-    in ascending k, as apply_table does: the forward pass over the skew
-    view of S_i^T p_i, the adjoint over S_i^T times the window view of
+    construction).  Both passes are the workspace's _BandSum, which sums
+    over the bands in ascending k: the forward pass applies S_i to p_i,
+    the adjoint applies S_i transposed to the window view of
     lambda_{i+1}.  The gradient is one einsum over all pulses after the
     adjoint loop, on a contiguous copy of the window views: einsum's
     summation order follows its operands' strides, and on the views
@@ -236,11 +238,10 @@ def _mean_and_gradient(
     if work is None:
         work = _Workspace(evolver, n_pulses)
     site_p, *derivatives = work.tables(times, curvature)
-    inputs, products = work.inputs[: n_pulses + 1], work.products
+    inputs, band_sum = work.inputs[: n_pulses + 1], work.band_sum
     inputs[0] = p0
     for i in range(n_pulses):
-        np.multiply(site_p[i].T, inputs[i], out=products)
-        np.add.reduce(work.shifted, axis=0, out=inputs[i + 1])
+        band_sum(site_p[i], inputs[i], out=inputs[i + 1])
     p = inputs[-1]
     n = np.arange(n_rows)
     total = p.sum()
@@ -248,8 +249,7 @@ def _mean_and_gradient(
     lams, bands = work.lams[:n_pulses, -n_rows:], work.bands[:n_pulses]
     lams[-1] = (n - f) / total
     for i in range(n_pulses - 1, 0, -1):
-        np.multiply(site_p[i].T, bands[i], out=products)
-        np.add.reduce(products, axis=0, out=lams[i - 1])
+        band_sum.transposed(site_p[i], bands[i], out=lams[i - 1])
     band_copy = work.band_copy[:n_pulses]
     np.copyto(band_copy, bands)
     return f, *(np.einsum("ink,ikn,in->i", d, band_copy, inputs[:-1]) for d in derivatives)
@@ -258,24 +258,18 @@ def _mean_and_gradient(
 class _Workspace:
     """Buffers for objective evaluations of up to max_pulses pulses,
     allocated once and reused by every evaluation: the batched kernel's,
-    the forward inputs, the band products, the adjoint lambdas and the
+    the forward inputs, the band sum's, the adjoint lambdas and the
     gradient's copy of their bands.
 
-    products is the (K, rows) band-major view of padded, which has K - 1
-    zero columns more; its skew view shifted[k, m] = padded[k, m + k] is
-    what band k moves into row m, zero past the ladder.  Row i of lams
-    holds lambda_{i+1} after K - 1 zeros, and bands[i, k, j] =
-    lambda_{i+1}[j - k], zero for k > j, is its reversed window view.
-    Nothing writes the pads."""
+    Row i of lams holds lambda_{i+1} after K - 1 zeros, and
+    bands[i, k, j] = lambda_{i+1}[j - k], zero for k > j, is its reversed
+    window view.  Nothing writes the pads."""
 
     def __init__(self, evolver: ChainEvolver, max_pulses: int):
         n_rows, n_sites = evolver.C.shape[:2]
         self.tables = _PulseTables(evolver, max_pulses, curvature=True)
         self.inputs = np.empty((max_pulses + 1, n_rows))
-        self.padded = np.zeros((n_sites, n_rows + n_sites - 1))
-        self.products = self.padded[:, :n_rows]
-        row, col = self.padded.strides
-        self.shifted = as_strided(self.padded, (n_sites, n_rows), (row + col, col), writeable=False)
+        self.band_sum = _BandSum(n_rows, n_sites)
         self.lams = np.zeros((max_pulses, n_rows + n_sites - 1))
         self.bands = sliding_window_view(self.lams, n_rows, axis=1)[:, ::-1]
         self.band_copy = np.empty((max_pulses, n_sites, n_rows))
@@ -371,7 +365,7 @@ def _lbfgs(fun, x, lower, h0=None):
             return x, f, n_evals, True
         sy = float(s @ y)
         # L-BFGS-B's curvature test: skip pairs that would spoil H's definiteness
-        if sy > np.finfo(float).eps * -gd * stp:
+        if sy > _EPS * -gd * stp:
             pairs = (pairs + [(s, y, 1.0 / sy)])[-10:]
 
 
@@ -499,7 +493,7 @@ def dual_thermal_decompose(history: list[PhononDistribution], eta: float) -> Sup
     history[k] is the distribution after k pulses (history[0] the initial
     state).  The tail mass over the asymptotic window of eta should decay
     geometrically, with R^2 >= 0.99; a is recovered by log-linear
-    regression and the residual component from the final distribution.
+    regression.
     """
     if len(history) < 4:
         raise ValueError("need the initial state plus at least 3 pulses")
@@ -528,18 +522,4 @@ def dual_thermal_decompose(history: list[PhononDistribution], eta: float) -> Sup
     a = float(np.exp(slope))
     if not 0 < a < 1:
         raise ValueError(f"fitted suppression factor {a} outside (0, 1)")
-
-    n_pulses = len(history) - 1
-    a_n = a**n_pulses
-    residual = (history[-1].probs - a_n * init.probs) / (1.0 - a_n)
-    residual = np.clip(residual, 0.0, None)
-    total = float(residual.sum())
-    if total <= 0:
-        raise ValueError("residual component has no mass")
-    residual /= total
-    return SuppressionFit(
-        a=a,
-        fit_window=window,
-        residual=PhononDistribution(probs=residual, n_max=init.n_max),
-        r_squared=r2,
-    )
+    return SuppressionFit(a=a, fit_window=window, r_squared=r2)

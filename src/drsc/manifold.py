@@ -30,7 +30,7 @@ def cg_signed_square(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> Frac
         return Fraction(0)
     if j < abs(j1 - j2) or j > j1 + j2:
         return Fraction(0)
-    prefactor = Fraction(
+    prefactor = (
         (2 * j + 1)
         * factorial(j + j1 - j2)
         * factorial(j - j1 + j2)
@@ -40,12 +40,22 @@ def cg_signed_square(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> Frac
         * factorial(j1 + m1)
         * factorial(j1 - m1)
         * factorial(j2 + m2)
-        * factorial(j2 - m2),
-        factorial(j1 + j2 + j + 1),
+        * factorial(j2 - m2)
     )
-    total = Fraction(0)
     k_lo = max(0, j2 - j - m1, j1 + m2 - j)
     k_hi = min(j1 + j2 - j, j1 - m1, j2 + m2)
+    # the Racah series over one integer denominator: each term's factorials
+    # divide the same factorials at their largest arguments over k, which
+    # the triangle and |m| checks above keep non-negative
+    common = (
+        factorial(k_hi)
+        * factorial(j1 + j2 - j - k_lo)
+        * factorial(j1 - m1 - k_lo)
+        * factorial(j2 + m2 - k_lo)
+        * factorial(j - j2 + m1 + k_hi)
+        * factorial(j - j1 - m2 + k_hi)
+    )
+    total = 0
     for k in range(k_lo, k_hi + 1):
         denom = (
             factorial(k)
@@ -55,9 +65,8 @@ def cg_signed_square(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> Frac
             * factorial(j - j2 + m1 + k)
             * factorial(j - j1 - m2 + k)
         )
-        total += Fraction((-1) ** k, denom)
-    square = prefactor * total * total
-    return square if total >= 0 else -square
+        total += (-1) ** k * (common // denom)
+    return Fraction(prefactor * total * abs(total), factorial(j1 + j2 + j + 1) * common * common)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import apply_table, cached_evolver
+from .chain_dynamics import _BandSum, cached_evolver
 from .cooling import PulseSequence, optimize_global
 from .heating import DEFAULT_CHANNEL_RATES, propagate_heating
 from .manifold import CouplingChain
@@ -199,11 +199,12 @@ def end_to_end_protocol(
         t: (evolver.site_probabilities(t), pulse_rate * (t * timing.t_f_seconds) + repump_dose)
         for t in set(sequence.times)
     }
+    band_sum = _BandSum(*evolver.C.shape[:2])
     state = init
     snapshots = [state]
     for t in sequence.times:
         table, dose = cycles[t]
-        pulsed = PhononDistribution(probs=apply_table(table, state.probs), n_max=state.n_max)
+        pulsed = PhononDistribution(probs=band_sum(table, state.probs), n_max=state.n_max)
         state = propagate_heating(pulsed, dose)
         snapshots.append(state)
     state = propagate_heating(state, rates["trap"] * timing.pre_probe_delay_seconds)

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from fock_reference import fock_coupling
 from scipy.integrate import solve_ivp
 
 from drsc.chain_dynamics import ChainEvolver, apply_table
@@ -38,7 +39,6 @@ from drsc.manifold import (
 from drsc.motional import (
     TrapParams,
     default_n_max,
-    fock_coupling,
     mean_n,
     thermal_distribution,
 )

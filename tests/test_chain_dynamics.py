@@ -7,10 +7,12 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from fock_reference import fock_coupling
 from scipy.integrate import solve_ivp
 
 from drsc.chain_dynamics import (
     ChainEvolver,
+    _BandSum,
     _cos_sin,
     _PulseTables,
     apply_table,
@@ -33,7 +35,7 @@ from drsc.manifold import (
     f8_scheme,
     two_level_chain,
 )
-from drsc.motional import TrapParams, fock_coupling, sideband_coupling_ratios, thermal_distribution
+from drsc.motional import TrapParams, sideband_coupling_ratios, thermal_distribution
 
 F7 = build_coupling_chain(f7_scheme())
 F8 = build_coupling_chain(f8_scheme())
@@ -55,6 +57,30 @@ def band_loop_apply(site_p, probs):
     out = np.zeros_like(probs)
     for k in range(site_p.shape[1]):
         out[: len(probs) - k] += site_p[k:, k] * probs[k:]
+    return out
+
+
+def band_loop_transposed(site_p, lam):
+    """Reference for the adjoint's step, out[j] = sum_k site_p[j, k]
+    lam[j - k], band by band."""
+    out = np.zeros_like(lam)
+    for k in range(site_p.shape[1]):
+        out[k:] += site_p[k:, k] * lam[: len(lam) - k]
+    return out
+
+
+def lam_bands(lam, n_sites):
+    """bands[k, j] = lam[j - k], zero for k > j: the adjoint's window view."""
+    bands = np.zeros((n_sites, len(lam)))
+    for k in range(n_sites):
+        bands[k, k:] = lam[: len(lam) - k]
+    return bands
+
+
+def band_sum_transposed(site_p, lam):
+    """_BandSum.transposed of one table on one vector, into a new array."""
+    out = np.empty_like(lam)
+    _BandSum(*site_p.shape).transposed(site_p, lam_bands(lam, site_p.shape[1]), out)
     return out
 
 
@@ -425,29 +451,68 @@ class TestBatchedTables:
 
     @pytest.mark.parametrize(
         "chain, n_max, t",
-        [(F7, 252, 0.37), (F8, 400, 0.61), (F8, 5, 0.8), (F7, 60, 0.0)],
-        ids=["F7", "F8", "short-ladder", "zero-time"],
+        [
+            (F7, 252, 0.37),
+            (F8, 400, 0.61),
+            (F8, 5, 0.8),
+            (F7, 60, 0.0),
+            (two_level_chain(), 300, 0.53),
+            (F7, 7, 0.37),
+            (F8, 15, 0.61),
+            (two_level_chain(), 1, 0.53),
+        ],
+        ids=["F7", "F8", "short-ladder", "zero-time", "two-level"]
+        + ["F7-n_max-K-1", "F8-n_max-K-1", "two-level-n_max-K-1"],
     )
     def test_one_table_is_the_band_loop(self, chain, n_max, t):
+        # the one band sum, forward and transposed, on P and on dP/dt
         ev = ChainEvolver(chain, TRAP, n_max)
-        table = ev.site_probabilities(t)
+        (table,), (d_table,) = kernel_tables(ev, [t])
         probs = thermal_distribution(3.0, n_max).probs
-        assert np.array_equal(apply_table(table, probs), band_loop_apply(table, probs))
-        if n_max == 5:
+        lam = np.arange(n_max + 1) - 2.5
+        for site_p in (ev.site_probabilities(t), table, d_table):
+            assert np.array_equal(apply_table(site_p, probs), band_loop_apply(site_p, probs))
+            back = band_sum_transposed(site_p, lam)
+            assert np.array_equal(back, band_loop_transposed(site_p, lam))
+        if n_max <= 15:
             assert ev.n_sites == n_max + 1
         if t == 0:
             assert np.array_equal(apply_table(table, probs), probs)
 
     def test_entries_past_the_ladder_bottom_are_ignored(self):
-        ev = ChainEvolver(F8, TRAP, 30)
-        table = ev.site_probabilities(0.45)
-        junk = table.copy()
-        n, k = np.indices(junk.shape)
-        junk[k > n] = 7.5 + k[k > n]
-        probs = thermal_distribution(3.0, 30).probs
-        out = apply_table(junk, probs)
-        assert np.array_equal(out, band_loop_apply(table, probs))
-        assert np.array_equal(out, apply_table(table, probs))
+        # the forward sum never reads them, the transposed one multiplies
+        # them by zeros
+        for chain in (F7, F8, two_level_chain()):
+            for n_max in (len(chain.steps), 30):
+                ev = ChainEvolver(chain, TRAP, n_max)
+                table = ev.site_probabilities(0.45)
+                junk = table.copy()
+                n, k = np.indices(junk.shape)
+                junk[k > n] = 7.5 + k[k > n]
+                probs = thermal_distribution(3.0, n_max).probs
+                out = apply_table(junk, probs)
+                assert np.array_equal(out, band_loop_apply(table, probs))
+                assert np.array_equal(out, apply_table(table, probs))
+                lam = probs - 0.01
+                back = band_sum_transposed(junk, lam)
+                assert np.array_equal(back, band_sum_transposed(table, lam))
+
+    def test_one_band_sum_serves_many_tables(self):
+        # one object over three tables, their derivatives and three
+        # populations, both directions interleaved, equals fresh objects,
+        # and its pad columns stay zero
+        ev = ChainEvolver(F8, TRAP, 60)
+        tables, d_tables = kernel_tables(ev, [0.2, 0.61, 1.7])
+        band_sum = _BandSum(61, ev.n_sites)
+        for table, d_table, nbar in zip(tables, d_tables, (2.0, 4.0, 6.0)):
+            probs = thermal_distribution(nbar, 60).probs
+            lam = probs - 0.01
+            for site_p in (table, d_table):
+                out = np.empty(61)
+                band_sum.transposed(site_p, lam_bands(lam, ev.n_sites), out)
+                assert np.array_equal(out, band_sum_transposed(site_p, lam))
+                assert np.array_equal(band_sum(site_p, probs), apply_table(site_p, probs))
+                assert not band_sum.padded[:, 61:].any()
 
     @pytest.mark.parametrize("chain, n_max", [(F7, 252), (F8, 400)], ids=["F7", "F8"])
     def test_row_slice_is_the_full_tables_rows(self, chain, n_max):

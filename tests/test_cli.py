@@ -585,7 +585,7 @@ class TestErrorPaths:
         work = cooling._Workspace(cached_evolver(chain, cfg.trap, n_max), n_pulses)
         sizes = [
             value.nbytes
-            for part in (work, work.tables)
+            for part in (work, work.tables, work.band_sum)
             for value in vars(part).values()
             if isinstance(value, np.ndarray)
         ]

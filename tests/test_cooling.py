@@ -630,7 +630,7 @@ class TestOptimizeGlobal:
             f, grad = _mean_and_gradient(np.array(times), ev, init.probs, work)
             fresh = _mean_and_gradient(np.array(times), ev, init.probs)
             assert f == fresh[0] and np.array_equal(grad, fresh[1])
-            assert not work.padded[:, init.n_max + 1 :].any()
+            assert not work.band_sum.padded[:, init.n_max + 1 :].any()
             assert not work.lams[:, : ev.n_sites - 1].any()
 
     @staticmethod
@@ -829,12 +829,6 @@ class TestDualThermalDecompose:
         fit = dual_thermal_decompose(history, eta=0.07)
         assert fit.a == pytest.approx(a, abs=1e-6)
         assert fit.r_squared > 0.999999
-        # subtraction noise at the 1e-18 level swamps the deep tail, so
-        # the comparison needs a small absolute floor
-        ref = cold.probs / cold.probs.sum()
-        np.testing.assert_allclose(
-            fit.residual.probs[:30], ref[:30], rtol=1e-6, atol=1e-15
-        )
 
     def test_fitted_a_matches_suppression_factor(self):
         init = deep_thermal(15.0, F7)
@@ -877,6 +871,5 @@ class TestDataclasses:
             PulseSequence(times=(0.1,), strategy="annealed")
 
     def test_suppression_fit_bounds(self):
-        res = PhononDistribution(probs=np.array([1.0]), n_max=0)
         with pytest.raises(ValueError):
-            SuppressionFit(a=1.5, fit_window=(10, 20), residual=res)
+            SuppressionFit(a=1.5, fit_window=(10, 20))

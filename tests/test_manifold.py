@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from drsc import heating, manifold
 from drsc.heating import Beam
 from drsc.manifold import (
     ManifoldScheme,
@@ -89,6 +90,30 @@ class TestClebschGordan:
         val = cg_signed_square(7, 3, 1, 0, 7, 3)
         assert (val > 0) == (ref > 0)
         assert abs(val) == pytest.approx(ref**2, abs=1e-14)
+
+    def test_every_call_of_the_chains_and_pumping_is_exact(self, monkeypatch):
+        # the F7 and F8 chain walks, decay_branching (j1 = 1, j2 = 7) and the
+        # pumping graph: each distinct call against sympy's exact square
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.quantum.cg import CG
+
+        calls = {}
+
+        def recorded(*args):
+            calls[args] = cg_signed_square(*args)
+            return calls[args]
+
+        monkeypatch.setattr(manifold, "cg_signed_square", recorded)
+        monkeypatch.setattr(heating, "cg_signed_square", recorded)
+        for scheme in (f7_scheme(), f8_scheme()):
+            build_coupling_chain.__wrapped__(scheme)
+        heating.build_pumping_graph()
+        assert any(args[:4:2] == (1, 7) for args in calls)
+        assert len(calls) > 200
+        for args, val in calls.items():
+            amp = CG(*args).doit()
+            ref = sympy.nsimplify(amp**2) * (-1 if amp < 0 else 1)
+            assert val == Fraction(int(ref.p), int(ref.q)), args
 
 
 class TestSchemes:

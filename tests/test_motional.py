@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from fock_reference import fock_coupling
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -12,7 +13,6 @@ from drsc.motional import (
     PhononDistribution,
     TrapParams,
     default_n_max,
-    fock_coupling,
     mean_n,
     sideband_coupling_ratios,
     thermal_distribution,
