@@ -116,12 +116,6 @@ class _BandSum:
         np.add.reduce(self.products, axis=0, out=out)
 
 
-def apply_table(site_p: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Populations after a pulse whose table is site_p[n, k] = P(n -> n - k):
-    the one-shot form of _BandSum."""
-    return _BandSum(*site_p.shape)(site_p, probs)
-
-
 class _PulseTables:
     """The pulse kernel: the tables P[i] = P(n -> n - k) at up to
     max_pulses pulse times, with derivative their dP[i]/dt, and with
@@ -217,12 +211,13 @@ class _PulseTables:
         return p.transpose(0, 2, 1), dp.transpose(0, 2, 1), d2p.transpose(0, 2, 1)
 
     def grid(self, times: np.ndarray, starts: np.ndarray) -> Iterator[np.ndarray]:
-        """after[i, s] = apply_table(P(times[i]), starts[s]) up to rounding,
-        for a kernel without derivative, yielded for max_pulses times at a
-        time.  Target row m gathers sum_k starts[s, m + k] P[m + k, k, t],
-        one GEMM per row between each start's K-wide window of populations
-        and the diagonal P[m + k, k, :]; both are zero-padded K - 1 rows
-        past the top."""
+        """after[i, s] = the populations after a pulse of duration times[i]
+        from starts[s], as _BandSum gives them from the one-time table up
+        to rounding, for a kernel without derivative, yielded for
+        max_pulses times at a time.  Target row m gathers
+        sum_k starts[s, m + k] P[m + k, k, t], one GEMM per row between
+        each start's K-wide window of populations and the diagonal
+        P[m + k, k, :]; both are zero-padded K - 1 rows past the top."""
         n_rows, n_sites = self._n_rows, self._n_sites
         padded = np.concatenate([starts, np.zeros((len(starts), n_sites - 1))], axis=1)
         windows = sliding_window_view(padded, n_sites, axis=1)

@@ -132,8 +132,11 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
     evolver's (n_max+1) K^2 pulse weights, the global optimizer's kernel
     (its (n_max+1) 3K (K+1) weights, or its (n_max+1) 3K n_pulses batched
-    amplitudes counted with the (n_max+1) K n_pulses of d^2P/dt^2), or the
-    probe's populations.
+    amplitudes counted with the (n_max+1) K n_pulses of d^2P/dt^2), cool's
+    protocol tables, (n_max+K) K per distinct pulse time, or the probe's
+    populations.  The protocol tables exceed the evolver's weights or the
+    optimizer's amplitudes only for a heuristic: its fixed time and final
+    stage at the initial n_max.
 
     The commands that build cfg.scheme are sized at its chain's length
     bound, cfg.scheme.max_steps(): a custom chain too long for the budget
@@ -145,6 +148,9 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     def batched(n_steps, n_max, n_pulses):
         n_sites = n_steps + 1
         return (n_max + 1) * n_sites * max(3 * (n_sites + 1), 4 * n_pulses) * 8
+
+    def tables(n_steps, n_max, n_times):
+        return (n_max + n_steps + 1) * (n_steps + 1) * n_times * 8
 
     if command in ("transfer-matrix", "cool", "optimize"):
         n_steps = cfg.scheme.max_steps()
@@ -160,6 +166,8 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
             final_n_max = default_n_max(strategy.final_nbar)
             sizes.append(evolver(n_steps, final_n_max))
             sizes.append(batched(n_steps, final_n_max, strategy.n_final))
+            if command == "cool":
+                sizes.append(tables(n_steps, n_max, strategy.n_final + 1))
         if command == "cool" and cfg.heating.enabled:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_dynamics import _BandSum, cached_evolver
+from .chain_dynamics import _BandSum, _PulseTables, cached_evolver
 from .cooling import PulseSequence, optimize_global
 from .heating import DEFAULT_CHANNEL_RATES, propagate_heating
 from .manifold import CouplingChain
@@ -185,6 +185,10 @@ def end_to_end_protocol(
     Index k of the histories is the state after k cycles; the optional
     dark-preparation filter is applied after the last cycle and any
     pre-probe delay, and their result is appended as one more entry.
+    One kernel call forms the tables of every distinct pulse time, in
+    order of first use; with one distinct time it is the one-time table of
+    site_probabilities bit for bit, and with several each table may differ
+    from the one-time one by rounding.
     """
     if timing is None:
         timing = PulseTiming()
@@ -195,9 +199,11 @@ def end_to_end_protocol(
     repump_dose = (rates["optical_pumping"] + rates["trap"]) * timing.repump_seconds
 
     evolver = cached_evolver(chain, trap, init.n_max)
+    distinct = list(dict.fromkeys(sequence.times))
+    tables, _ = _PulseTables(evolver, len(distinct), derivative=False)(np.array(distinct))
     cycles = {
-        t: (evolver.site_probabilities(t), pulse_rate * (t * timing.t_f_seconds) + repump_dose)
-        for t in set(sequence.times)
+        t: (table, pulse_rate * (t * timing.t_f_seconds) + repump_dose)
+        for t, table in zip(distinct, tables)
     }
     band_sum = _BandSum(*evolver.C.shape[:2])
     state = init

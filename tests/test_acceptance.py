@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-import pytest
-from fock_reference import fock_coupling
+from reference import apply_pulse, fock_coupling, mpmath_coupling, ode_site_populations
 from scipy.integrate import solve_ivp
 
-from drsc.chain_dynamics import ChainEvolver, apply_table
+from drsc.chain_dynamics import ChainEvolver
 from drsc.cli import REFERENCE_OPTIMA, cmd_table1
 from drsc.config import RunConfig
 from drsc.cooling import (
@@ -55,11 +54,6 @@ def verdict(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {num} ({name}): {status} - {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def apply_pulse(evolver, t, probs):
-    """Populations after one pulse of duration t."""
-    return apply_table(evolver.site_probabilities(t), probs)
 
 
 def deep_thermal(nbar, chain):
@@ -186,39 +180,6 @@ def test_05_fixed_pulse_tail_structure():
         f"counts within +-2: {counts_ok}; offsets constant within 10% over [20, 60]: "
         f"{offsets_ok} ({'; '.join(details)})",
     )
-
-
-def ode_site_populations(start_n, chain, eta, t):
-    g = chain.couplings
-    k_sites = min(len(g) + 1, start_n + 1)
-    scale = fock_coupling(1, 0, eta)
-    h = np.zeros((k_sites, k_sites))
-    for k in range(k_sites - 1):
-        h[k, k + 1] = h[k + 1, k] = (
-            0.5 * g[k] * fock_coupling(start_n - k, start_n - k - 1, eta) / scale
-        )
-
-    def rhs(_tau, psi):
-        z = psi[:k_sites] + 1j * psi[k_sites:]
-        dz = -1j * np.pi * (h @ z)
-        return np.concatenate([dz.real, dz.imag])
-
-    psi0 = np.zeros(2 * k_sites)
-    psi0[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, t), psi0, method="DOP853", rtol=1e-11, atol=1e-13)
-    z = sol.y[:k_sites, -1] + 1j * sol.y[k_sites:, -1]
-    return np.abs(z) ** 2
-
-
-def mpmath_coupling(n, n_prime, eta):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        lo, hi = min(n, n_prime), max(n, n_prime)
-        dn = hi - lo
-        x = mpmath.mpf(eta) ** 2
-        pref = mpmath.exp(-x / 2) * mpmath.mpf(eta) ** dn
-        pref *= mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi))
-        return float(pref * mpmath.laguerre(lo, dn, x))
 
 
 def test_06_oracle_equivalence():

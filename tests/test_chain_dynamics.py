@@ -7,15 +7,13 @@ import json
 import mpmath
 import numpy as np
 import pytest
-from fock_reference import fock_coupling
-from scipy.integrate import solve_ivp
+from reference import apply_pulse, apply_table, ode_site_populations
 
 from drsc.chain_dynamics import (
     ChainEvolver,
     _BandSum,
     _cos_sin,
     _PulseTables,
-    apply_table,
     cached_evolver,
 )
 from drsc.cli import cmd_transfer_matrix
@@ -84,44 +82,11 @@ def band_sum_transposed(site_p, lam):
     return out
 
 
-def apply_pulse(evolver, t, probs):
-    """Populations after one pulse of duration t."""
-    return apply_table(evolver.site_probabilities(t), probs)
-
-
 def apply_pulses(dist, evolver, times):
     p = dist.probs
     for t in times:
         p = apply_pulse(evolver, t, p)
     return p
-
-
-def ode_site_populations(start_n, chain, eta, t):
-    """Integrate the Schroedinger equation directly, couplings rebuilt
-    from fock_coupling rather than the recurrence used by the package."""
-    g = chain.couplings
-    k_sites = min(len(g) + 1, start_n + 1)
-    scale = fock_coupling(1, 0, eta)
-    off = np.array(
-        [
-            0.5 * g[k] * fock_coupling(start_n - k, start_n - k - 1, eta) / scale
-            for k in range(k_sites - 1)
-        ]
-    )
-    h = np.zeros((k_sites, k_sites))
-    for k in range(k_sites - 1):
-        h[k, k + 1] = h[k + 1, k] = off[k]
-
-    def rhs(_tau, psi):
-        z = psi[:k_sites] + 1j * psi[k_sites:]
-        dz = -1j * np.pi * (h @ z)
-        return np.concatenate([dz.real, dz.imag])
-
-    psi0 = np.zeros(2 * k_sites)
-    psi0[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, t), psi0, method="DOP853", rtol=1e-11, atol=1e-13)
-    z = sol.y[:k_sites, -1] + 1j * sol.y[k_sites:, -1]
-    return np.abs(z) ** 2
 
 
 class TestAgainstOde:

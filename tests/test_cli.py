@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsc import cli, cooling
-from drsc.chain_dynamics import ChainEvolver, cached_evolver
+from drsc.chain_dynamics import ChainEvolver, _PulseTables, cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
 from drsc.motional import thermal_state
@@ -183,9 +183,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "9df4a896e747b68b7e1b65dd79938825d6d08329eaa01daf4e0a945e45ff3839",
-            "cool_sequence.json": "a4b0c1f9d8da920eaea60c569afc6f9d681e86cd35a7c3315f20dc36ae053726",
-            "cool_snapshots.csv": "8705010ce6e5792a978ad02e5284c6c1674111c6573ae0185253c10544bf85e4",
+            "cool_history.csv": "fa77fc60e396eec80872e49fa63805bb997f2c7e2a5538809ad0f0d3f2919441",
+            "cool_sequence.json": "9201866038f05fa028d96af32be9e3c199781895ecae0f4b6a1e0dfe8b963086",
+            "cool_snapshots.csv": "4ba203060599364b364d2fd877355c948cd53d784eaf8179deb47d85f4cbf8e3",
             "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
         },
     ),
@@ -194,9 +194,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "2fd2577dfcc0cefe84ace8a959a6479b7bb19937c7a0a3a187e49d7147202714",
-            "cool_sequence.json": "a513ab2977a91052322aa8aabe5998a11ca187e911919e184b4b87e55bed1d7e",
-            "cool_snapshots.csv": "eef1a665d864ff8148d8bc2b06d8c921e707f956da43503a4674711627d89b7a",
+            "cool_history.csv": "334f67eafe2c6fd0f2cb4f07a231404e322d497697c8432bbd19bc420c1ae634",
+            "cool_sequence.json": "ae3bd9acf766517faf46e7f423b3dde7bcb1977888f8f3549d5102e37ea8f594",
+            "cool_snapshots.csv": "6c66289bd1678d13274029336564e47b0039afdc51763eaca396de7201f13cf5",
             "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
         },
     ),
@@ -218,9 +218,9 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "3d67e6020f2fbab0ecdc486e74fa45e30aba43d37efbf3e90ec9a8084d63507f",
-            "cool_sequence.json": "5871fa117cfde6e7411194290bc0827fe40a6e989dfbb5a572f897601054cf46",
-            "cool_snapshots.csv": "84c7ced6e65fc27252bdee62e283beb45c23e2ada1a60cbbe11355ae410f72c3",
+            "cool_history.csv": "7f7d7cd46cba2ae1df1a7cc81fc2e3a845e78c547cd442dc3ae90b909dbf2381",
+            "cool_sequence.json": "ebe59d8f8022b4121774bfeb2d8579316d9e0e7598d16cf1f83c74e45665c2e0",
+            "cool_snapshots.csv": "9042c713c552689b98d614ce1af74a96a1ebed099b9c5b5703b60fe1d3d75505",
             "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
         },
     ),
@@ -257,19 +257,19 @@ DIGEST_CASES = [
         "table1-f7",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
-        {"table1.csv": "5471cfc1c1e6b30046e45cf3ce8b86579448988dc7c821520b3bb1f11c459472"},
+        {"table1.csv": "f25cbf1bae4bd97ac6208a6e3e23a2545affaf14126ed0c6b7a50d98c7ab2771"},
     ),
     (
         "table1-f7-grid",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "7ac2c966cec5aea8c59b1f378dcd3d4a8af33e2ab30b04af9742b24691cf7e1a"},
+        {"table1.csv": "f360c517bd94db957ac47cc0c93254f22e3e464d2c5a3ff4cc4b63389331ca1b"},
     ),
     (
         "table1-f8-grid",
         ["table1"],
         {"table1": {"schemes": ["F8"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "c49d9581ad0616aaf2b179f0372e93f1d2a47f338a8e31230aa40bac828ba64b"},
+        {"table1.csv": "99f4ea12751b478300c29d086a90aaf5519418d4dff5ea1964c2425dfd4c83aa"},
     ),
     (
         # the optimized pulse time at n_max 400, where the suppression
@@ -278,10 +278,10 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         {"scheme": "F8", "initial_nbar": 40.0, "strategy": {"kind": "fixed", "n_pulses": 5}},
         {
-            "cool_history.csv": "fb918fbf4550880cb1602f937f81438744cdffa6dae2051138dda2d78c1f7d65",
-            "cool_sequence.json": "0183523a9f613eefbd3a80f72ed43f7a8176a173dc0e7f5807a0fad2c047ffa2",
-            "cool_snapshots.csv": "ebaf7a8344406cc1ce5c8946af6e67475fab770969216e4feb82c501bdb3d5d9",
-            "cool_suppression_fit.json": "90456e1df7a5c6449a297fbd9c3649a168e0d972dcf207199e5aba76d43f8fa7",
+            "cool_history.csv": "e4567a59f23ea76c4f62cbcb64e0c7c3e7aba78422ff754ffc870eb27de0cff8",
+            "cool_sequence.json": "a0b411cc1f0351c23acd9614d8ed8922304f7ba42386086dcc677536efe16cd8",
+            "cool_snapshots.csv": "77d9d06fa526fbec800bdb56e1354e7394ab069f761e7564058b916191c1f4c3",
+            "cool_suppression_fit.json": "bd80ccb896a0ab0fc63066704e441fcccf94583d1a66b7c7a3f7542150003e95",
         },
     ),
     (
@@ -298,8 +298,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "8fbe1a0e5291a5726e02cfc05205179c69f59e1f5592a328f19a590bc88005b4",
-            "optimize_trace.csv": "fc944ee915b2e647748bfeb437e7b68b8851a7f196cd8d592ca7426aebf8f5fd",
+            "optimize_sequence.json": "fe2f10cabad6fa3edb9c0c7e4896500a40042167e9494dd74e9c63c5281a87d0",
+            "optimize_trace.csv": "deb78459a8c6c9dc5910910a82390acffda9ea5058f655a4330d3ebfbee8c445",
         },
     ),
 ]
@@ -590,6 +590,28 @@ class TestErrorPaths:
             if isinstance(value, np.ndarray)
         ]
         assert max(sizes) <= cli._largest_array_bytes("optimize", cfg)
+
+    @pytest.mark.parametrize("scheme", ["F7", "F8", "two_level"])
+    @pytest.mark.parametrize(
+        "strategy, n_times",
+        [
+            ({"kind": "fixed", "n_pulses": 30, "fixed_time": 0.3}, 1),
+            ({"kind": "global_opt", "n_pulses": 25}, 25),
+            ({"kind": "heuristic", "n_final": 40}, 41),
+        ],
+        ids=["fixed", "global-25", "heuristic-40"],
+    )
+    def test_array_budget_covers_the_protocol_tables(self, scheme, strategy, n_times):
+        # cool's one kernel call over its distinct pulse times, with heating
+        # off so that the dense heating propagator does not set the bound
+        cfg = RunConfig.from_dict(
+            {"scheme": scheme, "strategy": strategy, "heating": {"enabled": False}}
+        )
+        chain = cfg.scheme.build()
+        n_max = cli._initial_n_max(cfg, len(chain.steps))
+        tables = _PulseTables(cached_evolver(chain, cfg.trap, n_max), n_times, derivative=False)
+        sizes = [value.nbytes for value in vars(tables).values() if isinstance(value, np.ndarray)]
+        assert max(sizes) <= cli._largest_array_bytes("cool", cfg)
 
     @pytest.mark.parametrize(
         "command, payload",

@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import apply_pulse, apply_table
 from scipy.optimize import minimize_scalar
 
 from drsc import chain_dynamics, cooling
-from drsc.chain_dynamics import ChainEvolver, _PulseTables, apply_table, cached_evolver
+from drsc.chain_dynamics import ChainEvolver, _PulseTables, cached_evolver
 from drsc.cli import cmd_table1
 from drsc.config import RunConfig
 from drsc.cooling import (
@@ -44,11 +45,6 @@ WINDOW = asymptotic_window(0.07)
 
 def deep_thermal(nbar, chain):
     return thermal_distribution(nbar, WINDOW[1] + len(chain.steps))
-
-
-def apply_pulse(evolver, t, probs):
-    """Populations after one pulse of duration t."""
-    return apply_table(evolver.site_probabilities(t), probs)
 
 
 def suppression(chain, t, init):
@@ -135,11 +131,11 @@ LBFGSB_RUNS = {
 # exact Hessian diagonal; the tests allow 10% more, since last-bit changes
 # of the pulse tables have moved these counts by up to 8%
 EVALS = {
-    ("F7", 6.08, 10): 93,
-    ("F8", 15.87, 15): 87,
-    ("F7", 15.87, 21): 183,
-    ("F8", 40.0, 40): 237,
-    ("two_level", 0.5, 25): 182,
+    ("F7", 6.08, 10): 86,
+    ("F8", 15.87, 15): 71,
+    ("F7", 15.87, 21): 171,
+    ("F8", 40.0, 40): 213,
+    ("two_level", 0.5, 25): 158,
 }
 
 
@@ -573,7 +569,7 @@ class TestOptimizeGlobal:
         # and with the scalar-scaled L-BFGS 128
         seq, objs = global_run("F8", 1.0, 25)
         assert seq.converged is True
-        assert sum(seq.n_evals) == 80
+        assert sum(seq.n_evals) == 77
         assert seq.n_evals[5:] == (1,) * 20
         assert objs[5] < 1e-12
         # <n> above 1e-9, frozen from the search without the floor
@@ -593,6 +589,40 @@ class TestOptimizeGlobal:
         assert seq.converged is True
         assert sum(seq.n_evals) <= eval_bound(("two_level", 0.5, 25))
         assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize(
+        "case",
+        [("F7", 6.08, 10), ("F8", 15.87, 15), ("two_level", 0.5, 25)],
+        ids=lambda case: "-".join(map(str, case)),
+    )
+    def test_decrement_stop_skips_only_invisible_steps(self, monkeypatch, case):
+        # a search that ends on the decrement, before a line search, ends at
+        # the x where it formed its last direction d: the full step x + d
+        # it skipped would have lowered log <n> by at most 1e-13 relative
+        directions, skipped = [], []
+        real_lbfgs, real_two_loop = cooling._lbfgs, cooling._two_loop
+
+        def recording_two_loop(g, *args):
+            d = real_two_loop(g, *args)
+            directions.append((g.copy(), d.copy()))
+            return d
+
+        def recording_lbfgs(fun, x0, lower, h0=None):
+            directions.clear()
+            x, f, n_evals, converged = real_lbfgs(fun, x0, lower, h0)
+            if converged and directions and np.array_equal(directions[-1][0], fun(x)[1]):
+                f_step = fun(np.maximum(x + directions[-1][1], lower))[0]
+                skipped.append((f - f_step) / max(abs(f), 1.0))
+            return x, f, n_evals, converged
+
+        monkeypatch.setattr(cooling, "_two_loop", recording_two_loop)
+        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        scheme, nbar, n_pulses = case
+        chain = CHAINS[scheme]
+        seq = optimize_global(chain, TRAP, cli_thermal(nbar, chain), n_pulses)
+        assert seq.converged
+        assert skipped
+        assert max(skipped) <= 1e-13
 
     @pytest.mark.parametrize(
         "case", list(ONE_PULSE_OPTIMA), ids=lambda case: "-".join(map(str, case))
@@ -774,6 +804,30 @@ class TestLbfgs:
         np.testing.assert_allclose(x, c, rtol=0, atol=1e-15)
         # the scalar scaling needs more
         assert cooling._lbfgs(quadratic, np.zeros(3), -np.inf)[2] > 2
+
+    @pytest.mark.parametrize("n_pairs", [1, 3, 10])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["scalar", "h0"])
+    def test_two_loop_matches_the_pairwise_recursion(self, n_pairs, diagonal):
+        # Liu & Nocedal's loops, one inner product with d per pair and loop
+        rng = np.random.default_rng(n_pairs)
+        a = rng.normal(size=(12, 12))
+        hessian = a @ a.T + 12 * np.eye(12)
+        s = rng.normal(size=(n_pairs, 12))
+        y = s @ hessian
+        g = rng.normal(size=12)
+        h0 = rng.uniform(1.0, 5.0, size=12) if diagonal else None
+        rhos = [1.0 / float(si @ yi) for si, yi in zip(s, y)]
+        d, alphas = -g, []
+        for si, yi, rho in zip(s[::-1], y[::-1], rhos[::-1]):
+            alphas.append(rho * (si @ d))
+            d = d - alphas[-1] * yi
+        d = d / h0 if diagonal else d * float(s[-1] @ y[-1]) / float(y[-1] @ y[-1])
+        for si, yi, rho, alpha in zip(s, y, rhos, alphas[::-1]):
+            d = d + (alpha - rho * (yi @ d)) * si
+        cross = [[float(s[i] @ y[j]) for j in range(i + 1, n_pairs)] for i in range(n_pairs)]
+        np.testing.assert_allclose(
+            cooling._two_loop(g, s, y, rhos, cross, h0), d, rtol=1e-13, atol=1e-15
+        )
 
     @pytest.mark.parametrize(
         "h0",

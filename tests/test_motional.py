@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from fock_reference import fock_coupling
+from reference import fock_coupling, mpmath_coupling
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -37,17 +37,6 @@ MPMATH_COUPLINGS = {
     (737, 736): 0.01254373912990416361711,
     (738, 737): 0.01149789293475690999848,
 }
-
-
-def mpmath_coupling(n, n_prime, eta):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        lo, hi = min(n, n_prime), max(n, n_prime)
-        dn = hi - lo
-        x = mpmath.mpf(eta) ** 2
-        pref = mpmath.exp(-x / 2) * mpmath.mpf(eta) ** dn
-        pref *= mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi))
-        return float(pref * mpmath.laguerre(lo, dn, x))
 
 
 class TestFockCoupling:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from drsc import heating, thermometry
-from drsc.chain_dynamics import ChainEvolver
+from drsc import chain_dynamics, heating, thermometry
+from drsc.chain_dynamics import ChainEvolver, _BandSum, _PulseTables
 from drsc.cooling import PulseSequence
 from drsc.manifold import build_coupling_chain, f7_scheme
 from drsc.motional import (
@@ -192,18 +192,47 @@ class TestEndToEndProtocol:
         assert 0.0 < report.success_probability <= 1.0
         assert report.nbar_history[-1] < report.nbar_history[-2]
 
-    def test_one_table_per_distinct_pulse_time(self, monkeypatch):
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        """The times of every _PulseTables call, one list per call."""
         calls = []
-        table = ChainEvolver.site_probabilities
 
-        def counted(evolver, t):
-            calls.append(t)
-            return table(evolver, t)
+        class CountingTables(_PulseTables):
+            def __call__(self, times, curvature=False):
+                calls.append(times.tolist())
+                return super().__call__(times, curvature)
 
-        monkeypatch.setattr(ChainEvolver, "site_probabilities", counted)
+        monkeypatch.setattr(chain_dynamics, "_PulseTables", CountingTables)
+        monkeypatch.setattr(thermometry, "_PulseTables", CountingTables)
+        return calls
+
+    def test_one_table_per_distinct_pulse_time(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
         report = self.run(n_pulses=20)
-        assert calls == [0.17]
+        assert calls == [[0.17]]
         assert len(report.history) == 21
+        # with one distinct time, the batch is the one-time table, bit for bit
+        table = ChainEvolver(F7, TRAP, 80).site_probabilities(0.17)
+        first = _BandSum(*table.shape)(table, report.history[0].probs)
+        np.testing.assert_array_equal(report.history[1].probs, first)
+
+    def test_distinct_times_share_one_kernel_call(self, monkeypatch):
+        # the tables of every distinct time, in order of first use, from one
+        # batch, each applied wherever its time recurs
+        times = (0.3, 0.5, 0.3, 0.9, 0.5)
+        calls = self.count_kernel_calls(monkeypatch)
+        init = thermal_distribution(1.0, 80)
+        seq = PulseSequence(times=times, strategy="global_opt")
+        report = end_to_end_protocol(F7, TRAP, seq, init)
+        distinct = [0.3, 0.5, 0.9]
+        assert calls == [distinct]
+        ev = ChainEvolver(F7, TRAP, 80)
+        tables, _ = _PulseTables(ev, 3, derivative=False)(np.array(distinct))
+        table = dict(zip(distinct, tables))
+        probs = init.probs
+        for t, dist in zip(times, report.history[1:], strict=True):
+            probs = _BandSum(81, 8)(table[t], probs)
+            np.testing.assert_array_equal(dist.probs, probs)
 
     @pytest.mark.parametrize("rdp", [False, True])
     def test_pre_probe_delay_keeps_history_and_snapshots_aligned(self, rdp):
