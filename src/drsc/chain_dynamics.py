@@ -118,45 +118,39 @@ class _BandSum:
 
 class _PulseTables:
     """The pulse kernel: the tables P[i] = P(n -> n - k) at up to
-    max_pulses pulse times, with derivative their dP[i]/dt, and with
-    curvature, from its order-2 call, their d^2P[i]/dt^2 too, from one
+    max_pulses pulse times, with derivative their dP[i]/dt, and from a
+    derivative kernel's order-2 call their d^2P[i]/dt^2 too, from one
     GEMM per ladder row into buffers allocated once and overwritten by
     every call.
 
     Row n's amplitudes at all pulses are C[n] [cos; sin](pi t w[n]), and
     P = amp^2.  With derivative the weights stack C over
-    D = [C_sin w, -C_cos w], so that d_amp = D [cos; sin] reads the same
-    trig as amp, and dP/dt = (2 pi amp) d_amp.  With curvature they also
-    stack E = -w^2 C below, and the order-2 call's GEMM runs over all
-    three blocks: d^2P/dt^2 = 2 pi^2 (d_amp^2 + amp e_amp), with
-    e_amp = E [cos; sin].  Its P and dP/dt come from the larger GEMM and
-    may differ from the plain call's by rounding; the plain call reads C
-    and D alone and keeps its bits.  cos and sin come from u = tan of the half phases w (0.5 (pi t))
-    as (1 - u)(1 + u) / (1 + u^2) and 2u / (1 + u^2) (_cos_sin, within
-    2.2e-16 of the exact ones).  The GEMM's summation order depends on the
-    batch size, so one time's table differs between batch sizes by
-    rounding.  The half phases, their two scratch arrays and trig have
-    time as the last axis, each a contiguous view of its buffer's first
-    elements.  Every GEMM output has unit stride along pulses, which keeps
-    the BLAS call: with derivative, each row's (2K or 3K, pulses) block
-    goes through a transposed view of one (3K, rows, pulses) buffer, and
-    P, dP/dt and d^2P/dt^2 are stored band-major, (pulses, K, rows), so
-    that P[i].T is contiguous; without, P is squared in place in the
-    (rows, K, pulses) amplitudes, so that a one-time table is
-    C-contiguous.  All return (pulses, rows, K) views.  Tables at t = 0
-    are the exact identity with dP/dt = 0, and d^2P/dt^2 there is the true
+    D = [C_sin w, -C_cos w] over E = -w^2 C, so that d_amp = D [cos; sin]
+    and e_amp = E [cos; sin] read the same trig as amp.  The plain call
+    reads C and D alone, for dP/dt = (2 pi amp) d_amp; the order-2 call's
+    GEMM runs over all three blocks, for d^2P/dt^2 =
+    2 pi^2 (d_amp^2 + amp e_amp), and its P and dP/dt may differ from the
+    plain call's by rounding.  cos and sin come from u = tan of the half
+    phases w (0.5 (pi t)) as (1 - u)(1 + u) / (1 + u^2) and
+    2u / (1 + u^2) (_cos_sin, within 2.2e-16 of the exact ones).  The
+    GEMM's summation order depends on the batch size, so one time's
+    table differs between batch sizes by rounding.  The half phases,
+    their two scratch arrays and trig have time as the last axis, each a
+    contiguous view of its buffer's first elements.  Every GEMM output
+    has unit stride along pulses, which keeps the BLAS call: with
+    derivative, each row's (2K or 3K, pulses) block goes through a
+    transposed view of one (3K, rows, pulses) buffer, and P, dP/dt and
+    d^2P/dt^2 are stored band-major, (pulses, K, rows), so that P[i].T is
+    contiguous; without, P is squared in place in the (rows, K, pulses)
+    amplitudes, so that a one-time table is C-contiguous.  All return
+    (pulses, rows, K) views.  Tables at t = 0 are the exact identity with
+    dP/dt = 0, and d^2P/dt^2 there is the true
     2 pi^2 ((D [1; 0])^2 + delta_0 (E [1; 0])), non-zero on site 0 and the
     odd sites.  A negative time raises ValueError, a time whose largest
     phase is not finite FloatingPointError, before any phase is formed.
     """
 
-    def __init__(
-        self,
-        evolver: ChainEvolver,
-        max_pulses: int,
-        derivative: bool = True,
-        curvature: bool = False,
-    ):
+    def __init__(self, evolver: ChainEvolver, max_pulses: int, derivative: bool = True):
         c, w = evolver.C, evolver.w
         n_rows, n_sites, n_trig = c.shape
         self._n_rows, self._n_sites, self._max_pulses = n_rows, n_sites, max_pulses
@@ -168,23 +162,20 @@ class _PulseTables:
             # room for grid's K - 1 zero rows past the top
             self._amps = np.empty((n_rows + n_sites - 1) * n_sites * max_pulses)
             return
-        n_modes, n_blocks = n_trig // 2, 3 if curvature else 2
-        self._weights = np.empty((n_rows, n_blocks * n_sites, n_trig))
+        n_modes = n_trig // 2
+        self._weights = np.empty((n_rows, 3 * n_sites, n_trig))
         self._weights[:, :n_sites] = c
         d = self._weights[:, n_sites : 2 * n_sites]
         np.multiply(c[:, :, n_modes:], w[:, None], out=d[:, :, :n_modes])
         np.multiply(c[:, :, :n_modes], -w[:, None], out=d[:, :, n_modes:])
-        if curvature:
-            w2 = np.concatenate([w, w], axis=1)[:, None]
-            np.multiply(c, -(w2 * w2), out=self._weights[:, 2 * n_sites :])
-        self._amps = np.empty(n_rows * n_blocks * n_sites * max_pulses)
-        self._p = np.empty((max_pulses, n_sites, n_rows))
-        self._dp = np.empty((max_pulses, n_sites, n_rows))
-        self._d2p = np.empty((max_pulses, n_sites, n_rows)) if curvature else None
+        w2 = np.concatenate([w, w], axis=1)[:, None]
+        np.multiply(c, -(w2 * w2), out=self._weights[:, 2 * n_sites :])
+        self._amps = np.empty(n_rows * 3 * n_sites * max_pulses)
+        self._p, self._dp, self._d2p = (np.empty((max_pulses, n_sites, n_rows)) for _ in range(3))
 
     def __call__(self, times: np.ndarray, curvature: bool = False) -> tuple:
         """(P, dP/dt) at every time; dP/dt is None without derivative.  With
-        curvature, the order-2 call of a kernel built with it,
+        curvature, the order-2 call of a derivative kernel,
         (P, dP/dt, d^2P/dt^2)."""
         n_rows, n_sites, n_pulses = self._n_rows, self._n_sites, len(times)
         if self._dp is None:

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from decimal import Decimal
 from itertools import repeat
 
@@ -22,6 +23,7 @@ from . import __version__
 from .chain_dynamics import cached_evolver
 from .config import ConfigError, RunConfig
 from .cooling import (
+    _GRID_COLUMNS,
     PulseSequence,
     asymptotic_window,
     dual_thermal_decompose,
@@ -130,13 +132,13 @@ _ARRAY_BUDGET_BYTES = 2**28
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Estimated bytes of the largest array the command allocates: a dense
     (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
-    evolver's (n_max+1) K^2 pulse weights, the global optimizer's kernel
-    (its (n_max+1) 3K (K+1) weights, or its (n_max+1) 3K n_pulses batched
-    amplitudes counted with the (n_max+1) K n_pulses of d^2P/dt^2), cool's
-    protocol tables, (n_max+K) K per distinct pulse time, or the probe's
-    populations.  The protocol tables exceed the evolver's weights or the
-    optimizer's amplitudes only for a heuristic: its fixed time and final
-    stage at the initial n_max.
+    evolver's (n_max+1) K^2 pulse weights, an optimizer's kernel (its
+    (n_max+1) 3K (K+1) weights, its (n_max+1) 3K n_pulses batched amplitudes
+    counted with the (n_max+1) K n_pulses of d^2P/dt^2, or its grid scan's
+    (n_max+K) K _GRID_COLUMNS amplitudes), or the probe's populations.  A
+    heuristic's final stage runs at the initial n_max, a single-pulse search
+    on the window's rows; cool's protocol tables, (n_max+K) K per distinct
+    pulse time, stay within the evolver's weights or the optimizer's kernel.
 
     The commands that build cfg.scheme are sized at its chain's length
     bound, cfg.scheme.max_steps(): a custom chain too long for the budget
@@ -147,10 +149,12 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
 
     def batched(n_steps, n_max, n_pulses):
         n_sites = n_steps + 1
-        return (n_max + 1) * n_sites * max(3 * (n_sites + 1), 4 * n_pulses) * 8
+        columns = max(3 * (n_sites + 1), 4 * n_pulses, _GRID_COLUMNS)
+        return (n_max + n_sites) * n_sites * columns * 8
 
-    def tables(n_steps, n_max, n_times):
-        return (n_max + n_steps + 1) * (n_steps + 1) * n_times * 8
+    def window_search(n_steps):
+        n_lo = asymptotic_window(cfg.trap.eta)[0]
+        return batched(n_steps, _window_n_max(cfg, n_steps) - n_lo, 1)
 
     if command in ("transfer-matrix", "cool", "optimize"):
         n_steps = cfg.scheme.max_steps()
@@ -163,19 +167,15 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
         if strategy.kind == "global_opt":
             sizes.append(batched(n_steps, n_max, strategy.n_pulses))
         elif strategy.kind == "heuristic":
-            final_n_max = default_n_max(strategy.final_nbar)
-            sizes.append(evolver(n_steps, final_n_max))
-            sizes.append(batched(n_steps, final_n_max, strategy.n_final))
-            if command == "cool":
-                sizes.append(tables(n_steps, n_max, strategy.n_final + 1))
+            sizes.append(batched(n_steps, n_max, strategy.n_final))
+        elif strategy.fixed_time is None:
+            sizes.append(window_search(n_steps))
         if command == "cool" and cfg.heating.enabled:
             sizes.append((n_max + 1) ** 2 * 8)
         return max(sizes)
     if command == "table1":
-        chains = [type(cfg.scheme).parse(name).build() for name in cfg.table1.schemes]
-        return max(
-            evolver(len(chain.steps), _window_n_max(cfg, len(chain.steps))) for chain in chains
-        )
+        steps = [len(type(cfg.scheme).parse(name).build().steps) for name in cfg.table1.schemes]
+        return max(max(evolver(n, _window_n_max(cfg, n)), window_search(n)) for n in steps)
     if command == "probe":
         return (_probe_n_max(cfg) + 2) * 8
     return 0
@@ -266,7 +266,6 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
             init,
             tail_target=cfg.strategy.tail_target,
             n_final=cfg.strategy.n_final,
-            final_nbar=cfg.strategy.final_nbar,
         )
         details["tail_target"] = cfg.strategy.tail_target
         details["n_final"] = cfg.strategy.n_final
@@ -350,18 +349,15 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
         for k, dist in enumerate(report.history)
     ]
 
-    fit_payload: dict
-    try:
-        fit = dual_thermal_decompose(
-            list(report.history[: len(seq.times) + 1]), eta=cfg.trap.eta
-        )
-        fit_payload = {
-            "a": fit.a,
-            "fit_window": list(fit.fit_window),
-            "r_squared": fit.r_squared,
-        }
-    except ValueError as exc:
-        fit_payload = {"error": str(exc)}
+    # the model's geometric tail decay is that of one repeated pulse
+    fit_payload: dict = {"error": f"not run: the fit needs a fixed sequence, not {seq.strategy}"}
+    if seq.strategy == "fixed":
+        try:
+            fit_payload = asdict(
+                dual_thermal_decompose(list(report.history[: len(seq.times) + 1]), cfg.trap.eta)
+            )
+        except ValueError as exc:
+            fit_payload = {"error": str(exc)}
 
     meta = _meta(cfg, heating_on=cfg.heating.enabled, rdp_applied=cfg.rdp.enabled)
     return {

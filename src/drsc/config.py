@@ -260,7 +260,6 @@ class StrategyConfig:
     fixed_time: float | None = _checked(_pulse_time, default=None)
     tail_target: float = _checked(_number(positive=True), default=0.01)
     n_final: int = _checked(_integer(minimum=0), default=5)
-    final_nbar: float = _checked(_number(positive=True), default=5.0)
 
 
 @dataclass(frozen=True)

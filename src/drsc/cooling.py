@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain_dynamics import ChainEvolver, _BandSum, _PulseTables, cached_evolver
 from .manifold import CouplingChain
-from .motional import PhononDistribution, TrapParams, thermal_state
+from .motional import PhononDistribution, TrapParams
 
 _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
@@ -267,7 +267,7 @@ class _Workspace:
 
     def __init__(self, evolver: ChainEvolver, max_pulses: int):
         n_rows, n_sites = evolver.C.shape[:2]
-        self.tables = _PulseTables(evolver, max_pulses, curvature=True)
+        self.tables = _PulseTables(evolver, max_pulses)
         self.inputs = np.empty((max_pulses + 1, n_rows))
         self.band_sum = _BandSum(n_rows, n_sites)
         self.lams = np.zeros((max_pulses, n_rows + n_sites - 1))
@@ -514,11 +514,10 @@ def heuristic_sequence(
     init: PhononDistribution,
     tail_target: float = 0.01,
     n_final: int = 5,
-    final_nbar: float = 5.0,
 ) -> PulseSequence:
-    """Fixed pulses until the tail factor drops below target, then a short
-    globally optimized stage tuned for a moderate thermal remnant.
-    """
+    """Fixed pulses until the tail factor drops below target, then n_final
+    pulses that optimize_global tunes for the state the fixed ones reach
+    from init, without heating, on init's ladder."""
     if not 0 < tail_target < 1:
         raise ValueError(f"tail_target must be in (0, 1), got {tail_target}")
     if n_final < 0:
@@ -527,8 +526,13 @@ def heuristic_sequence(
     n_fixed = math.ceil(math.log(tail_target) / math.log(a_opt))
     times = [t_opt] * n_fixed
     if n_final > 0:
-        tail = optimize_global(chain, trap, thermal_state(final_nbar), n_final)
-        times.extend(tail.times)
+        evolver = cached_evolver(chain, trap, init.n_max)
+        site_p, band_sum = evolver.site_probabilities(t_opt), _BandSum(*evolver.C.shape[:2])
+        probs = init.probs
+        for _ in range(n_fixed):
+            probs = band_sum(site_p, probs)
+        reached = PhononDistribution(probs=probs, n_max=init.n_max)
+        times += optimize_global(chain, trap, reached, n_final).times
     return PulseSequence(times=tuple(times), strategy="heuristic")
 
 

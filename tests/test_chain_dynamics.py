@@ -349,7 +349,7 @@ class TestRealKernel:
         # from the optimizers' lower bound on
         ev = ChainEvolver(chain, TRAP, 120)
         times = np.concatenate([[1e-6, 3e-6], self.TIMES[1:]])
-        _, _, d2ps = _PulseTables(ev, len(times), curvature=True)(times, curvature=True)
+        _, _, d2ps = _PulseTables(ev, len(times))(times, curvature=True)
         h = 1e-6
         for t, d2p in zip(times, d2ps):
             fd = (kernel_tables(ev, [t + h])[1][0] - kernel_tables(ev, [t - h])[1][0]) / (2 * h)
@@ -360,7 +360,7 @@ class TestRealKernel:
         # P is the identity and dP/dt = 0 there, but d^2P/dt^2 is not: site 0
         # loses what the odd sites gain, against a forward difference of dP/dt
         ev = ChainEvolver(chain, TRAP, 40)
-        (p,), (dp,), (d2p,) = _PulseTables(ev, 1, curvature=True)(np.zeros(1), curvature=True)
+        (p,), (dp,), (d2p,) = _PulseTables(ev, 1)(np.zeros(1), curvature=True)
         assert np.array_equal(dense(p), np.eye(41))
         assert not dp.any()
         assert d2p[1:, 0].max() < 0 and d2p[1:, 1].min() > 0
@@ -382,17 +382,16 @@ PLAIN_TABLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", list(PLAIN_TABLE_DIGESTS))
-@pytest.mark.parametrize("curvature", [False, True], ids=["plain", "curvature-kernel"])
-def test_plain_calls_keep_their_bits(name, curvature):
-    # a kernel built with curvature answers the plain call from its first
-    # two weight blocks, bit for bit
+def test_plain_calls_keep_their_bits(name):
+    # a derivative kernel, which holds the order-2 weights too, answers
+    # the plain call from its first two weight blocks, bit for bit
     chain = {"F7": F7, "F8": F8, "two_level": two_level_chain()}[name]
     ev = ChainEvolver(chain, TRAP, 120)
     digest = hashlib.sha256()
     for times in (TestBatchedTables.TIMES, TestBatchedTables.TIMES[4:5]):
         p, _ = _PulseTables(ev, len(times), derivative=False)(times)
         digest.update(p.tobytes())
-        for table in _PulseTables(ev, len(times), curvature=curvature)(times):
+        for table in _PulseTables(ev, len(times))(times):
             digest.update(table.tobytes())
     assert digest.hexdigest() == PLAIN_TABLE_DIGESTS[name]
 

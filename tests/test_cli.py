@@ -20,7 +20,6 @@ from drsc import cli, cooling
 from drsc.chain_dynamics import ChainEvolver, _PulseTables, cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
-from drsc.motional import thermal_state
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -139,6 +138,25 @@ class TestCool:
         assert seq["strategy"] == "fixed"
         assert seq["times"] == [0.2, 0.2, 0.2]
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [{"kind": "global_opt", "n_pulses": 2}, {"kind": "heuristic", "n_final": 1}],
+        ids=["global_opt", "heuristic"],
+    )
+    def test_suppression_fit_runs_only_on_fixed_sequences(self, tmp_path, monkeypatch, strategy):
+        # the fixed cases are pinned by the cool-custom-rdp and
+        # cool-f8-fixed-hot digests
+        def never(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "dual_thermal_decompose", never)
+        payload = {"initial_nbar": 1.0, "strategy": strategy}
+        out = tmp_path / "out"
+        assert main(["cool", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        fit = json.loads((out / "cool_suppression_fit.json").read_text())
+        assert set(fit) == {"metadata", "error"}
+        assert fit["error"] == f"not run: the fit needs a fixed sequence, not {strategy['kind']}"
+
     def test_no_heating_flag(self, tmp_path, fast_cool_config):
         out = tmp_path / "out"
         main(["cool", "--config", fast_cool_config, "--out", str(out), "--no-heating"])
@@ -183,10 +201,10 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "fa77fc60e396eec80872e49fa63805bb997f2c7e2a5538809ad0f0d3f2919441",
-            "cool_sequence.json": "9201866038f05fa028d96af32be9e3c199781895ecae0f4b6a1e0dfe8b963086",
-            "cool_snapshots.csv": "4ba203060599364b364d2fd877355c948cd53d784eaf8179deb47d85f4cbf8e3",
-            "cool_suppression_fit.json": "2db8dd38cf6cbb7cfcf8b414993772a463d4b590c9c8d9055d831ee76399b4f4",
+            "cool_history.csv": "ad74431a1130d8100cc9758943499b0d12008e945ecea42a1e1b2b36bc988a72",
+            "cool_sequence.json": "09a0edfefcf1784a4c5370e0814cb735953410685164b1eb6fa51f2d302659e1",
+            "cool_snapshots.csv": "171a42dcf6bd73ddcf46b49089b4cb70c08d3c7806f2361aed6aaffa82bc5af3",
+            "cool_suppression_fit.json": "7bf293dbf8f12f96de1e1f97f4042bf60bf2fbb37a3fc2c4302fc1ce170004cb",
         },
     ),
     (
@@ -194,10 +212,10 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "334f67eafe2c6fd0f2cb4f07a231404e322d497697c8432bbd19bc420c1ae634",
-            "cool_sequence.json": "ae3bd9acf766517faf46e7f423b3dde7bcb1977888f8f3549d5102e37ea8f594",
-            "cool_snapshots.csv": "6c66289bd1678d13274029336564e47b0039afdc51763eaca396de7201f13cf5",
-            "cool_suppression_fit.json": "7b7dca8326ccd8a2d46cb8086aed17eb8b04de4912125c90b1fb4b797f4d5db9",
+            "cool_history.csv": "84790fa93c0a90e385d70f6325e68585fbd30a90a81ad1fa86a0bc79b3c2f345",
+            "cool_sequence.json": "2e0cc03f825d0de64a547553a3c21ccc040fe2a7362da3a9b903897fcac0a6ea",
+            "cool_snapshots.csv": "7cdb3df75ced422dfa9cf105aab22fd40f01f1889d225437a21148d99c149100",
+            "cool_suppression_fit.json": "dd86fc8146a4757236cfb8ca0054ab3ecc3676e66aa87365f5451c5aae031a52",
         },
     ),
     (
@@ -218,10 +236,10 @@ DIGEST_CASES = [
             "timing": {"pre_probe_delay_seconds": 0.001},
         },
         {
-            "cool_history.csv": "7f7d7cd46cba2ae1df1a7cc81fc2e3a845e78c547cd442dc3ae90b909dbf2381",
-            "cool_sequence.json": "ebe59d8f8022b4121774bfeb2d8579316d9e0e7598d16cf1f83c74e45665c2e0",
-            "cool_snapshots.csv": "9042c713c552689b98d614ce1af74a96a1ebed099b9c5b5703b60fe1d3d75505",
-            "cool_suppression_fit.json": "a801d8f91393719925b52be298e13e1b93f767607b8738662e21c1c5a42326c6",
+            "cool_history.csv": "fdaf34ca6c47a49248dd79c43903e77aedffd7070588974507b098f6ef482786",
+            "cool_sequence.json": "61a0f8321f62b32f1922e0cc6c18753ae125556b5d924efa55987f6ad02b2448",
+            "cool_snapshots.csv": "03cdaff547b8fe913ee250cccbca01c1693af3624d243cc74f65a69e46105495",
+            "cool_suppression_fit.json": "46cabab24ffec263c60cf7d9293368dcd4622af431d66ddbe23c0c870f4e4276",
         },
     ),
     (
@@ -230,11 +248,11 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"transfer_matrix": {"times": [0.0, 0.3], "n_max": 4}},
         {
-            "transfer_matrix_00.csv": "42531de38d4d8e3d9f634ae3dbf31427caaf31d7c1b3fce4bd71d143a0979ab7",
-            "transfer_matrix_00.json": "1c4cb86129ed92a72bd75f5ce18edeea244517f7f54ab200b02d50f012f5ef61",
-            "transfer_matrix_01.csv": "b10fe04f607e87582b1ada4e0bc67746655ccacf3a1de556e883947a2869d132",
-            "transfer_matrix_01.json": "8ca1f767895f182fd6323997a2deec45fa10206b124caa9982f696afe5409650",
-            "transfer_matrix_manifest.json": "e6809421052928d1263df47e92c88951c45337834e6ae822977df251af96dfc0",
+            "transfer_matrix_00.csv": "1a8ea27906c9f21b0dfb31466af682431983d048c57c79c168eaa7dfb6f05e8c",
+            "transfer_matrix_00.json": "3fc34e49e6d026690e6736ff6b54f66200fa2c2449d362342608e63e0dd6e43d",
+            "transfer_matrix_01.csv": "910fd9024fc4141e4766914e447fb9c97e384e5c7051eb0d2e3ffaa0a5ca65b2",
+            "transfer_matrix_01.json": "43473174d4e5d0f0d4f119705ae9bc85ecc161603cacbf0676ed091e8ab3c59b",
+            "transfer_matrix_manifest.json": "3daecd7967bd1751ae3da5aa73e0abc34ed9c7be0a4eee08f938dbac7a2ae108",
         },
     ),
     (
@@ -242,34 +260,34 @@ DIGEST_CASES = [
         ["transfer-matrix"],
         {"scheme": "F8", "transfer_matrix": {"times": [0.5], "n_max": 20}},
         {
-            "transfer_matrix_00.csv": "0e28700edd97851c2a3c361cb4f02a14cb58068d319599ac84a339831d5aa302",
-            "transfer_matrix_00.json": "0469381e0f4db162f8a1696eb7b25809154bd254060ee3c814bef9bc9dd0e1c8",
-            "transfer_matrix_manifest.json": "ae56c55a34d3ce8b111e7aadf790d2b35627e00eeaa5418d4618b579b9f84402",
+            "transfer_matrix_00.csv": "3ad88683374908bba1d70da6302d1fcf59378bb5fa584729ba67347ed02578aa",
+            "transfer_matrix_00.json": "bb5bf785e2ec98f5b30d09c157f6326795ef90fea0aff6b23eb79ac7aea30286",
+            "transfer_matrix_manifest.json": "abf4d4c1234a2ca80d4923816d095ab85921adf31d30425b38fae0dea2399e57",
         },
     ),
     (
         "probe",
         ["probe"],
         None,
-        {"probe.csv": "880b0b7898c4d4ba6bf181e42b51d08d9fc16adead4a6c686fe06afff74f241f"},
+        {"probe.csv": "c4443dd503a37fb6be08605c5dea582d4f4ec2e72f5d05810ba10d048c29228c"},
     ),
     (
         "table1-f7",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [10.0]}},
-        {"table1.csv": "f25cbf1bae4bd97ac6208a6e3e23a2545affaf14126ed0c6b7a50d98c7ab2771"},
+        {"table1.csv": "18508f6dc054e61389b0f7ecf3a548ccb3c51f2debf4854fa2c9e238cb28a389"},
     ),
     (
         "table1-f7-grid",
         ["table1"],
         {"table1": {"schemes": ["F7"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "f360c517bd94db957ac47cc0c93254f22e3e464d2c5a3ff4cc4b63389331ca1b"},
+        {"table1.csv": "c74b09e128119b6ab2a1fe2f3f759ae7737f2209a928131b24516a88b012578a"},
     ),
     (
         "table1-f8-grid",
         ["table1"],
         {"table1": {"schemes": ["F8"], "nbars": [5.0, 20.0, 50.0]}},
-        {"table1.csv": "99f4ea12751b478300c29d086a90aaf5519418d4dff5ea1964c2425dfd4c83aa"},
+        {"table1.csv": "a6760be69d69cd84e8e4984a8b7f120e0c9785a8f53a88da00dab1a2de131640"},
     ),
     (
         # the optimized pulse time at n_max 400, where the suppression
@@ -278,10 +296,10 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         {"scheme": "F8", "initial_nbar": 40.0, "strategy": {"kind": "fixed", "n_pulses": 5}},
         {
-            "cool_history.csv": "e4567a59f23ea76c4f62cbcb64e0c7c3e7aba78422ff754ffc870eb27de0cff8",
-            "cool_sequence.json": "a0b411cc1f0351c23acd9614d8ed8922304f7ba42386086dcc677536efe16cd8",
-            "cool_snapshots.csv": "77d9d06fa526fbec800bdb56e1354e7394ab069f761e7564058b916191c1f4c3",
-            "cool_suppression_fit.json": "bd80ccb896a0ab0fc63066704e441fcccf94583d1a66b7c7a3f7542150003e95",
+            "cool_history.csv": "724bffcc4313abe0e79ac93d6054ef7d65df3bc8283a22675beae3c71181c64b",
+            "cool_sequence.json": "f0819925e4c5be32c131317c92ec470995de6f2101eb9e6a5c6c45d2f9f16d1c",
+            "cool_snapshots.csv": "7d849df440fd5f0715e0a96a0f4c3d391fbba0ff3c901b41a8fbaebee52557e6",
+            "cool_suppression_fit.json": "8c787eccd8c28b2aabecd5ae6f078f649196d80e86e3cb8d19913806952e7c4b",
         },
     ),
     (
@@ -289,8 +307,8 @@ DIGEST_CASES = [
         ["pumping", "--seed", "3"],
         {"pumping": {"monte_carlo_trajectories": 2000}},
         {
-            "pumping_steps.csv": "b891c227ce858ef00ae7e3db2ccaf2a474b5abd0a859b47a5ccf09f885b15438",
-            "pumping_summary.json": "80863efbf00f8b471890588fe4880837f6be00f3f8228e661916d87c18b68233",
+            "pumping_steps.csv": "6b5e667a3fe443580a00c9ab060e4fd487b107db86f4af26e8319446ebbbb60c",
+            "pumping_summary.json": "b1a45b59eb496857b9a866e43819d3c57fcd1e3fb1408b385523a2ad0dc9fa4f",
         },
     ),
     (
@@ -298,8 +316,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "fe2f10cabad6fa3edb9c0c7e4896500a40042167e9494dd74e9c63c5281a87d0",
-            "optimize_trace.csv": "deb78459a8c6c9dc5910910a82390acffda9ea5058f655a4330d3ebfbee8c445",
+            "optimize_sequence.json": "5cbb922a31bfb64a4329e655d57c7aa4e78441a98acefa8b74937c9dc128e533",
+            "optimize_trace.csv": "25d9a15201394d22fee0671105e4392262524f6a5638df93d30080599142a537",
         },
     ),
 ]
@@ -345,6 +363,13 @@ class TestEvolverCache:
         )
         info = cached_evolver.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    def test_heuristic_cool_builds_one_evolver(self):
+        # the fixed-pulse search, the cleanup stage on the state the fixed
+        # pulses reach, and the protocol all run on the initial ladder
+        cached_evolver.cache_clear()
+        cmd_cool(RunConfig.from_dict({"strategy": {"kind": "heuristic"}}))
+        assert cached_evolver.cache_info().misses == 1
 
 
 class TestTable1:
@@ -541,9 +566,10 @@ class TestErrorPaths:
             # walker counts past int64
             ("pumping", {"pumping": {"monte_carlo_trajectories": 2**63}}),
             ("pumping", {"pumping": {"monte_carlo_trajectories": 10**21}}),
-            # the global optimizer's batched amplitudes with d^2P/dt^2: 668 MB
-            # for 5000 F8 pulses at n_max 260, 1306 MB for a 50000-pulse
-            # final stage at n_max 50; each evolver alone fits
+            # the global optimizer's batched amplitudes with d^2P/dt^2, sized
+            # at F8's 16-step bound: 680 MiB for 5000 pulses at n_max 261,
+            # and 6796 MiB for a 50000-pulse final stage there; the evolver
+            # alone fits
             ("optimize", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("cool", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("optimize", {"scheme": "F8", "strategy": {"kind": "heuristic", "n_final": 50000}}),
@@ -576,12 +602,11 @@ class TestErrorPaths:
     def test_array_budget_covers_the_optimizer(self, scheme, strategy):
         # every array of the optimizer's workspace and its kernel, which
         # holds the order-2 weights and amplitudes
+        # at the initial n_max, where a heuristic's final stage runs too
         cfg = RunConfig.from_dict({"scheme": scheme, "strategy": strategy})
         chain = cfg.scheme.build()
-        if strategy["kind"] == "global_opt":
-            n_max, n_pulses = cli._initial_n_max(cfg, len(chain.steps)), strategy["n_pulses"]
-        else:
-            n_max, n_pulses = thermal_state(cfg.strategy.final_nbar).n_max, strategy["n_final"]
+        n_max = cli._initial_n_max(cfg, len(chain.steps))
+        n_pulses = strategy.get("n_pulses", strategy.get("n_final"))
         work = cooling._Workspace(cached_evolver(chain, cfg.trap, n_max), n_pulses)
         sizes = [
             value.nbytes
@@ -590,6 +615,48 @@ class TestErrorPaths:
             if isinstance(value, np.ndarray)
         ]
         assert max(sizes) <= cli._largest_array_bytes("optimize", cfg)
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            *[
+                ("table1", {"trap": {"eta": eta}, "table1": {"schemes": [scheme], "nbars": [nbar]}})
+                for scheme in ("F7", "F8")
+                for eta, nbar in ((0.07, 10.0), (0.01, 2000.0))
+            ],
+            *[
+                ("optimize", {"scheme": scheme, "strategy": {"kind": "fixed"}})
+                for scheme in ("F7", "F8", "two_level")
+            ],
+        ],
+        ids=[
+            "table1-F7-eta-0.07", "table1-F7-eta-0.01", "table1-F8-eta-0.07",
+            "table1-F8-eta-0.01", "fixed-F7", "fixed-F8", "fixed-two-level",
+        ],
+    )
+    def test_array_budget_covers_the_pulse_time_search(self, monkeypatch, command, payload):
+        # every array of the single-pulse search's kernels on the window's
+        # rows: the grid scan's, and the derivative kernel's, which holds
+        # the order-2 weights; at eta 0.01 the window is n = 5999..12000,
+        # where a thermal nbar 2000 holds no zero entry
+        kernels = []
+
+        class RecordingTables(_PulseTables):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kernels.append(self)
+
+        monkeypatch.setattr(cooling, "_PulseTables", RecordingTables)
+        cfg = RunConfig.from_dict(payload)
+        cli._COMMANDS[command](cfg)
+        assert len(kernels) == 2
+        sizes = [
+            value.nbytes
+            for kernel in kernels
+            for value in vars(kernel).values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert max(sizes) <= cli._largest_array_bytes(command, cfg)
 
     @pytest.mark.parametrize("scheme", ["F7", "F8", "two_level"])
     @pytest.mark.parametrize(
@@ -744,7 +811,7 @@ _SMALL_CONFIGS = _section(
     strategy=st.one_of(
         _section(kind=st.just("global_opt"), n_pulses=_count_to(4)),
         _section(kind=st.just("fixed"), n_pulses=_count_to(4), fixed_time=_time_in(0.0, 2.0)),
-        _section(kind=st.just("heuristic"), n_final=_count_to(4), final_nbar=_number_in(0.0, 5.0)),
+        _section(kind=st.just("heuristic"), n_final=_count_to(4)),
     ),
     heating=_section(enabled=st.booleans()),
     rdp=_section(enabled=st.booleans(), t_clear=_time_in(0.0, 2.0)),
@@ -832,7 +899,7 @@ class TestEnvironment:
         out = tmp_path / "out"
         assert main(["probe", "--out", str(out)]) == 0
         assert read_meta_lines(out / "probe.csv")["config_sha256"] == (
-            "7e14c7084dd2a0423851d3872c0f27a01176cc646951a40eda5ef034c6abbc52"
+            "1982630180169a0e86843c20e2b4863711e7a856823844e856027a63c07676bf"
         )
 
     def test_seed_changes_config_hash(self, tmp_path, fast_cool_config):

@@ -229,10 +229,24 @@ def band_loop_mean_and_gradient(times, evolver, p0):
     return f, grad
 
 
-@functools.cache
+# the optimizer internals as imported: global_run's cache holds runs made with these
+OPTIMIZER_INTERNALS = {
+    name: getattr(cooling, name) for name in ("_lbfgs", "_two_loop", "_mean_and_gradient")
+}
+
+
 def global_run(scheme, nbar, n_pulses):
     """optimize_global from the state `drsc cool` builds, once per case;
-    returns the sequence and <n> at every pulse count."""
+    returns the sequence and <n> at every pulse count.  Raises while any
+    optimizer internal is patched, whose effect the cache would hide."""
+    patched = [name for name, f in OPTIMIZER_INTERNALS.items() if getattr(cooling, name) is not f]
+    if patched:
+        raise RuntimeError(f"global_run returns cached unpatched runs; patched: {patched}")
+    return cached_global_run(scheme, nbar, n_pulses)
+
+
+@functools.cache
+def cached_global_run(scheme, nbar, n_pulses):
     chain = CHAINS[scheme]
     trace = []
     seq = optimize_global(chain, TRAP, cli_thermal(nbar, chain), n_pulses, trace=trace)
@@ -633,6 +647,15 @@ class TestOptimizeGlobal:
         assert seq.times[0] == pytest.approx(t_ref, rel=1e-6, abs=0)
         assert objs[0] == pytest.approx(mean_ref, rel=1e-7, abs=0)
 
+    @pytest.mark.parametrize("name", list(OPTIMIZER_INTERNALS))
+    def test_global_run_refuses_patched_internals(self, monkeypatch, name):
+        # a cached run would hide the patch: global_run raises instead of
+        # returning the unpatched sequence
+        global_run("F7", 6.08, 10)
+        monkeypatch.setattr(cooling, name, lambda *args, **kwargs: None)
+        with pytest.raises(RuntimeError, match=f"patched: \\['{name}'\\]"):
+            global_run("F7", 6.08, 10)
+
     def test_evaluations_reuse_one_workspace(self):
         # F8 at n_max 400, 20 pulses: the tables and their derivatives are
         # 2 MB, and an evaluation with the workspace allocates none of them
@@ -868,6 +891,44 @@ class TestHeuristicSequence:
         init = deep_thermal(15.0, chain)
         seq = heuristic_sequence(chain, TRAP, init, tail_target=0.01, n_final=5)
         assert len(seq.times) == 72 + 5
+
+    # heating-free final <n> of the two-stage design, whose cleanup pulses
+    # were tuned for a separate thermal nbar 5 state on its own n_max 50
+    TWO_STAGE_FINAL = {
+        ("F7", 6.08): 0.04483,
+        ("F7", 15.87): 0.1541,
+        ("F8", 6.08): 2.003e-5,
+        ("F8", 15.87): 0.004888,
+        ("two_level", 6.08): 0.6365,
+        ("two_level", 15.87): 0.6513,
+    }
+
+    @pytest.mark.parametrize(
+        "case", list(TWO_STAGE_FINAL), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_no_worse_than_the_two_stage_design(self, case):
+        scheme, nbar = case
+        chain = CHAINS[scheme]
+        init = cli_thermal(nbar, chain)
+        ev = cached_evolver(chain, TRAP, init.n_max)
+        p = init.probs
+        for t in heuristic_sequence(chain, TRAP, init).times:
+            p = apply_pulse(ev, t, p)
+        assert mean_n(PhononDistribution(probs=p, n_max=init.n_max)) <= self.TWO_STAGE_FINAL[case]
+
+    @pytest.mark.parametrize("chain", [F7, F8, two_level_chain()], ids=["F7", "F8", "two-level"])
+    def test_cleanup_is_optimize_global_on_the_reached_state(self, chain):
+        init = cli_thermal(6.08, chain)
+        seq = heuristic_sequence(chain, TRAP, init, n_final=3)
+        t_opt, a_opt = optimize_fixed_pulse(chain, TRAP, init)
+        n_fixed = math.ceil(math.log(0.01) / math.log(a_opt))
+        assert seq.times[:n_fixed] == (t_opt,) * n_fixed
+        ev = cached_evolver(chain, TRAP, init.n_max)
+        p = init.probs
+        for _ in range(n_fixed):
+            p = apply_pulse(ev, t_opt, p)
+        reached = PhononDistribution(probs=p, n_max=init.n_max)
+        assert seq.times[n_fixed:] == optimize_global(chain, TRAP, reached, 3).times
 
 
 class TestDualThermalDecompose:
