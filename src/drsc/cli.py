@@ -58,6 +58,40 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """list(map(repr, values.tolist())) for a 1-D float64 array, string for
+    string, in about a quarter of the time.  orjson writes the same
+    shortest round-trip digits as repr; its layout differs in three
+    magnitude bands, each mended on its own dump.  Comparing |x| with the
+    doubles 1e-9, 1e-5, 1e-4 and 1e16 puts every value in its band, since
+    a double below the double nearest 10^k has a shortest form below 10^k."""
+    # imported on first use: its ~3 ms and 0.8 MB stay out of start-up, and
+    # probe, pumping, table1 and optimize never pay them
+    import orjson
+
+    size = np.abs(values)
+    finite = size <= sys.float_info.max
+    bands = (
+        # the layouts agree: 0.0, 5e-324, 1e-10, 0.000125, 123.0
+        ((size < 1e-9) | (1e-4 <= size) & (size < 1e16), lambda text: text),
+        # orjson writes 1e-7 where repr writes 1e-07
+        ((1e-9 <= size) & (size < 1e-5), lambda text: text.replace("e-", "e-0")),
+        # orjson writes 1e16 where repr writes 1e+16
+        ((1e16 <= size) & finite, lambda text: text.replace("e", "e+")),
+    )
+    texts = np.empty(len(values), dtype=object)
+    for band, mend in bands:
+        if band.any():
+            dump = orjson.dumps(values[band], option=orjson.OPT_SERIALIZE_NUMPY)
+            texts[band] = mend(dump[1:-1].decode()).split(",")
+    # orjson writes 0.0000125 where repr writes 1.25e-05, and null for a nan
+    # or an infinity, which the finite-artifact check would not see
+    rest = ~finite | (1e-5 <= size) & (size < 1e-4)
+    if rest.any():
+        texts[rest] = list(map(repr, values[rest].tolist()))
+    return texts.tolist()
+
+
 def _meta(cfg: RunConfig, **extra) -> dict:
     meta = {"config_sha256": cfg.config_hash(), "artifact_version": __version__}
     meta.update(extra)
@@ -275,9 +309,11 @@ def _build_sequence(cfg: RunConfig, chain, init) -> tuple[PulseSequence, dict]:
 def _transfer_matrix_texts(meta: dict, site_p: np.ndarray, bandwidth: int) -> tuple[str, str]:
     """One pulse's table as a dense CSV, W[i, j] = P(i -> j), and as banded
     JSON, bands[k][i - k] = P(i -> i - k), with every entry written once by
-    repr; the strings die with the call, so one matrix's are alive at a time."""
+    _reprs as repr writes it; the strings die with the call, so one matrix's
+    are alive at a time."""
     n_max, n_sites = site_p.shape[0] - 1, site_p.shape[1]
-    reprs = [list(map(repr, row)) for row in site_p.tolist()]
+    flat = _reprs(site_p.ravel())
+    reprs = [flat[i : i + n_sites] for i in range(0, len(flat), n_sites)]
     # bands[k] holds rows k.. of column k; bands past n_max are empty when
     # the chain is longer than the ladder
     bands = [column[k:] for k, column in enumerate(zip(*reprs))]
@@ -341,11 +377,13 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
         success = report.success_probability if (cfg.rdp.enabled and k == len(report.nbar_history) - 1) else 1.0
         history_rows.append([k, nb, nsb, success])
     # formatted as _csv would: each pulse's rows joined at C level from its
-    # index, the ",n," middles built once, and the reprs; every state is on
+    # index, the ",n," middles built once, and its probabilities as repr
+    # writes them, one _reprs call per pulse (one call on all pulses
+    # stacked is no faster and peaks 4.4 MB higher); every state is on
     # init's ladder
     middles = [f",{n}," for n in range(init.n_max + 1)]
     snapshot_lines = [
-        "\n".join(map("".join, zip(repeat(str(k)), middles, map(repr, dist.probs.tolist()))))
+        "\n".join(map("".join, zip(repeat(str(k)), middles, _reprs(dist.probs))))
         for k, dist in enumerate(report.history)
     ]
 

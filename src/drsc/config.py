@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-from .heating import DEFAULT_CHANNEL_RATES, Beam, default_beams
+from .heating import DEFAULT_CHANNEL_RATES, GROUND_LEVELS, Beam, default_beams
 from .manifold import (
     CouplingChain,
     ManifoldScheme,
@@ -152,7 +152,8 @@ def _beams(value, where: str) -> tuple[Beam, ...]:
         at = f"{where}[{i}]"
         if "f_ground" not in entry:
             raise ConfigError(f"{at}.f_ground must be given")
-        beams.append(_parse(Beam(label=f"beam{i}", f_ground=0, polarization="pi"), entry, at))
+        template = Beam(label=f"beam{i}", f_ground=GROUND_LEVELS[0], polarization="pi")
+        beams.append(_parse(template, entry, at))
     return tuple(beams)
 
 

@@ -78,6 +78,11 @@ def propagate_heating(dist: PhononDistribution, dose: float) -> PhononDistributi
 # optical pumping as an absorbing Markov chain
 # ---------------------------------------------------------------------------
 
+# the ground levels that the F' = 7 level decays to: the pumping walk's
+# states are their sublevels, and a beam repumps one of them
+GROUND_LEVELS = (6, 7, 8)
+
+
 @dataclass(frozen=True)
 class Beam:
     """One repump beam: drives ground level F = f_ground to the F'=7 level.
@@ -94,6 +99,10 @@ class Beam:
     def __post_init__(self) -> None:
         if not self.weight > 0:
             raise ValueError(f"weight must be > 0, got {self.weight}")
+        if self.f_ground not in GROUND_LEVELS:
+            raise ValueError(
+                f"f_ground must be one of {list(GROUND_LEVELS)}, got {self.f_ground}"
+            )
         self.components()
 
     def components(self) -> list[tuple[int, float]]:
@@ -141,8 +150,7 @@ def build_pumping_graph(beams: tuple[Beam, ...] | None = None) -> PumpingGraph:
     if beams is None:
         beams = default_beams()
     f_excited, absorbing = 7, (7, 0)
-    f_grounds = (f_excited - 1, f_excited, f_excited + 1)
-    states = tuple((f, m) for f in f_grounds for m in range(-f, f + 1))
+    states = tuple((f, m) for f in GROUND_LEVELS for m in range(-f, f + 1))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     # (target index, probability) of one decay from each excited m: exact

@@ -79,6 +79,46 @@ class TestProbe:
             assert float(row.split(",")[-1]) == pytest.approx(40.0, rel=1e-9)
 
 
+def _repr_list(x):
+    return list(map(repr, x.tolist()))
+
+
+class TestReprs:
+    """cli._reprs writes what repr writes, string for string: the artifacts'
+    bytes depend on it, so an orjson release with another layout fails here."""
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_floats(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert cli._reprs(x) == _repr_list(x)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(30).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        assert cli._reprs(x) == _repr_list(x)
+
+    @pytest.mark.parametrize("edge", [1e-9, 1e-5, 1e-4, 1e16])
+    def test_band_edges(self, edge):
+        # the 20 doubles on each side of the edge, and the edge itself
+        below, above = [edge], [edge]
+        for _ in range(20):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        x = np.array(below[::-1] + above[1:])
+        x = np.concatenate([x, -x])
+        assert cli._reprs(x) == _repr_list(x)
+
+    def test_zeros_subnormals_and_extremes(self):
+        tiny = np.finfo(np.float64).smallest_normal
+        top = np.finfo(np.float64).max
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny, top, -top])
+        assert cli._reprs(x) == _repr_list(x)
+
+    def test_empty(self):
+        assert cli._reprs(np.array([], dtype=np.float64)) == []
+
+
 class TestTransferMatrix:
     def test_zero_time_is_identity(self, tmp_path):
         cfg = write_config(
@@ -156,6 +196,23 @@ class TestCool:
         fit = json.loads((out / "cool_suppression_fit.json").read_text())
         assert set(fit) == {"metadata", "error"}
         assert fit["error"] == f"not run: the fit needs a fixed sequence, not {strategy['kind']}"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_snapshot_exits_3(self, tmp_path, monkeypatch, capsys, fast_cool_config, bad):
+        # the conditioned state appended by --rdp is written to the snapshots
+        # alone: the fit and the history rows are made without it
+        real = cli.end_to_end_protocol
+
+        def spoiled(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.history[-1].probs[2] = bad
+            return report
+
+        monkeypatch.setattr(cli, "end_to_end_protocol", spoiled)
+        out = tmp_path / "out"
+        assert main(["cool", "--config", fast_cool_config, "--out", str(out), "--rdp"]) == 3
+        assert "non-finite number in cool_snapshots.csv\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_heating_flag(self, tmp_path, fast_cool_config):
         out = tmp_path / "out"
@@ -432,6 +489,15 @@ class TestPumping:
         )
         out = tmp_path / "out"
         assert main(["pumping", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_beam_on_a_missing_level_exits_2(self, tmp_path, capsys):
+        # F = 9 is no ground level: its beam would match no state and be dropped
+        beam = {"label": "ghost", "f_ground": 9, "polarization": "pi"}
+        cfg = write_config(tmp_path, {"pumping": {"beams": [beam]}})
+        out = tmp_path / "out"
+        assert main(["pumping", "--config", cfg, "--out", str(out)]) == 2
+        assert "f_ground must be one of [6, 7, 8], got 9" in capsys.readouterr().err
         assert not out.exists()
 
 

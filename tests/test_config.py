@@ -158,8 +158,14 @@ class TestTypeValidation:
 
     @pytest.mark.parametrize(
         "beam",
-        [{"f_ground": 7, "weight": 0}, {"f_ground": 7, "polarization": "left"}, {"label": "x"}],
-        ids=["zero-weight", "unknown-polarization", "no-f_ground"],
+        [
+            {"f_ground": 7, "weight": 0},
+            {"f_ground": 7, "polarization": "left"},
+            {"label": "x"},
+            {"f_ground": 9},
+            {"f_ground": -7},
+        ],
+        ids=["zero-weight", "unknown-polarization", "no-f_ground", "f_ground-9", "f_ground-minus-7"],
     )
     def test_invalid_beam(self, beam):
         with pytest.raises(ConfigError):
