@@ -67,6 +67,11 @@ class ChainEvolver:
         self.C[:, 0::2, :n_modes] = u * u[:, :1, :]
         self.C[:, 1::2, n_modes : n_modes + n_odd] = wt.transpose(0, 2, 1) * u[:, :1, :n_odd]
 
+    @staticmethod
+    def nbytes(n_rows: int, n_sites: int) -> int:
+        """Bytes of C, the largest array __init__ allocates, at (n_rows, n_sites)."""
+        return n_rows * n_sites * 2 * ((n_sites + 1) // 2) * 8
+
     def rows(self, lo: int, hi: int) -> ChainEvolver:
         """The evolver of start rows lo..hi-1 alone, on views of this one's
         w and C: its row i is row lo + i here, bit for bit.  Population a
@@ -172,6 +177,15 @@ class _PulseTables:
         np.multiply(c, -(w2 * w2), out=self._weights[:, 2 * n_sites :])
         self._amps = np.empty(n_rows * 3 * n_sites * max_pulses)
         self._p, self._dp, self._d2p = (np.empty((max_pulses, n_sites, n_rows)) for _ in range(3))
+
+    @staticmethod
+    def nbytes(n_rows: int, n_sites: int, max_pulses: int, derivative: bool = True) -> int:
+        """Bytes of the largest array __init__ allocates on an evolver of
+        n_rows rows of n_sites sites; a plain kernel's weights are its C."""
+        n_trig = 2 * ((n_sites + 1) // 2)
+        if derivative:
+            return n_rows * 3 * n_sites * max(n_trig, max_pulses) * 8
+        return max(n_rows * n_trig, (n_rows + n_sites - 1) * n_sites) * max_pulses * 8
 
     def __call__(self, times: np.ndarray, curvature: bool = False) -> tuple:
         """(P, dP/dt) at every time; dP/dt is None without derivative.  With

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .chain_dynamics import cached_evolver
+from .chain_dynamics import ChainEvolver, _PulseTables, cached_evolver
 from .config import ConfigError, RunConfig
 from .cooling import (
     _GRID_COLUMNS,
@@ -159,60 +159,55 @@ def _initial_state(cfg: RunConfig, chain):
 
 
 # no single array a command allocates may exceed this; the largest in the
-# benchmark workloads is 1.3 MB
+# benchmark workloads is 1.3 MB, cool_fixed_hot's heating eigenvectors
 _ARRAY_BUDGET_BYTES = 2**28
 
 
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
-    """Estimated bytes of the largest array the command allocates: a dense
-    (n_max+1)^2 matrix (the transfer matrix or the heating eigenvectors), an
-    evolver's (n_max+1) K^2 pulse weights, an optimizer's kernel (its
-    (n_max+1) 3K (K+1) weights, its (n_max+1) 3K n_pulses batched amplitudes
-    counted with the (n_max+1) K n_pulses of d^2P/dt^2, or its grid scan's
-    (n_max+K) K _GRID_COLUMNS amplitudes), or the probe's populations.  A
-    heuristic's final stage runs at the initial n_max, a single-pulse search
-    on the window's rows; cool's protocol tables, (n_max+K) K per distinct
-    pulse time, stay within the evolver's weights or the optimizer's kernel.
-
-    The commands that build cfg.scheme are sized at its chain's length
-    bound, cfg.scheme.max_steps(): a custom chain too long for the budget
+    """Bytes of the largest array the command allocates: the largest
+    ChainEvolver.nbytes or _PulseTables.nbytes over its plan (a _Workspace
+    holds none larger than its kernel), cool's dense heating eigenvectors,
+    or the probe's populations.  A chain is sized at its length bound,
+    cfg.scheme.max_steps(), uncapped by n_max: one too long for the budget
     is refused without its walk, which takes over a minute at f 3000."""
 
-    def evolver(n_steps, n_max):
-        return (n_max + 1) * (n_steps + 1) ** 2 * 8
+    def window_search(n_sites):
+        n_lo, n_hi = asymptotic_window(cfg.trap.eta)
+        n_rows = n_hi - n_lo + n_sites
+        return [
+            _PulseTables.nbytes(n_rows, n_sites, 1),
+            _PulseTables.nbytes(n_rows, n_sites, _GRID_COLUMNS, derivative=False),
+        ]
 
-    def batched(n_steps, n_max, n_pulses):
-        n_sites = n_steps + 1
-        columns = max(3 * (n_sites + 1), 4 * n_pulses, _GRID_COLUMNS)
-        return (n_max + n_sites) * n_sites * columns * 8
-
-    def window_search(n_steps):
-        n_lo = asymptotic_window(cfg.trap.eta)[0]
-        return batched(n_steps, _window_n_max(cfg, n_steps) - n_lo, 1)
-
-    if command in ("transfer-matrix", "cool", "optimize"):
-        n_steps = cfg.scheme.max_steps()
-        if command == "transfer-matrix":
-            n_max = cfg.transfer_matrix.n_max
-            return max((n_max + 1) ** 2 * 8, evolver(n_steps, n_max))
-        n_max = _initial_n_max(cfg, n_steps)
-        sizes = [evolver(n_steps, n_max)]
-        strategy = cfg.strategy
-        if strategy.kind == "global_opt":
-            sizes.append(batched(n_steps, n_max, strategy.n_pulses))
-        elif strategy.kind == "heuristic":
-            sizes.append(batched(n_steps, n_max, strategy.n_final))
-        elif strategy.fixed_time is None:
-            sizes.append(window_search(n_steps))
-        if command == "cool" and cfg.heating.enabled:
-            sizes.append((n_max + 1) ** 2 * 8)
-        return max(sizes)
     if command == "table1":
         steps = [len(type(cfg.scheme).parse(name).build().steps) for name in cfg.table1.schemes]
-        return max(max(evolver(n, _window_n_max(cfg, n)), window_search(n)) for n in steps)
+        return max(
+            max(ChainEvolver.nbytes(_window_n_max(cfg, n) + 1, n + 1), *window_search(n + 1))
+            for n in steps
+        )
     if command == "probe":
         return (_probe_n_max(cfg) + 2) * 8
-    return 0
+    if command == "pumping":
+        return 0
+    n_sites = cfg.scheme.max_steps() + 1
+    if command == "transfer-matrix":
+        # its one-time kernels hold less than the evolver's C
+        return ChainEvolver.nbytes(cfg.transfer_matrix.n_max + 1, n_sites)
+    n_rows, strategy = _initial_n_max(cfg, n_sites - 1) + 1, cfg.strategy
+    sizes = [ChainEvolver.nbytes(n_rows, n_sites)]
+    # optimize_global's pulses, at the heuristic's initial n_max too
+    n_global = {"global_opt": strategy.n_pulses, "heuristic": strategy.n_final}.get(strategy.kind)
+    if n_global:
+        sizes.append(_PulseTables.nbytes(n_rows, n_sites, n_global))
+        sizes.append(_PulseTables.nbytes(n_rows, n_sites, _GRID_COLUMNS, derivative=False))
+    if strategy.kind == "heuristic" or strategy.kind == "fixed" and strategy.fixed_time is None:
+        sizes += window_search(n_sites)
+    if command == "cool":
+        # the tables of the distinct pulse times; a heuristic's fixed pulses share one
+        n_times = 1 if n_global is None else n_global + (strategy.kind == "heuristic")
+        sizes.append(_PulseTables.nbytes(n_rows, n_sites, n_times, derivative=False))
+        sizes.append(n_rows**2 * 8 if cfg.heating.enabled else 0)
+    return max(sizes)
 
 
 # no command may write more text than this; the largest benchmark output,

@@ -121,6 +121,7 @@ def rdp_filter(
     return conditioned, success
 
 
+@functools.lru_cache(maxsize=8)
 def default_t_clear(chain: CouplingChain, trap: TrapParams) -> float:
     """Clearing-pulse duration: the single-pulse optimum for a warm remnant."""
     seq = optimize_global(chain, trap, thermal_state(1.0), 1)

@@ -23,6 +23,7 @@ from drsc.cooling import (
     _T_SEED_POINTS,
     _grid_scan,
     _log_suppression,
+    _Workspace,
     asymptotic_window,
 )
 from drsc.manifold import (
@@ -644,6 +645,51 @@ class TestPulseTables:
         assert np.shares_memory(p3, p5) and np.shares_memory(dp3, dp5)
         fresh = _PulseTables(ev, 3)(times)
         assert np.array_equal(p3, fresh[0]) and np.array_equal(dp3, fresh[1])
+
+
+def owned_nbytes(obj, *shared):
+    """nbytes of each array attribute of obj outside the arrays shared."""
+    return [
+        value.nbytes
+        for value in vars(obj).values()
+        if isinstance(value, np.ndarray)
+        and not any(np.may_share_memory(value, other) for other in shared)
+    ]
+
+
+class TestArraySizes:
+    """Each class's nbytes is the largest array it allocates, exactly."""
+
+    # K = 2, 5, 6, 8 and 16 sites, and F8's 16 capped at n_max + 1 = 1, 5, 9
+    @pytest.mark.parametrize(
+        "chain, n_max",
+        [
+            (two_level_chain(), 30),
+            (FIVE_SITES, 40),
+            (CUT, 3),
+            (CUT, 41),
+            (F7, 60),
+            (F8, 0),
+            (F8, 4),
+            (F8, 8),
+            (F8, 200),
+        ],
+        ids=["two-level", "five-sites", "cut-capped", "cut", "F7", "F8-0", "F8-4", "F8-8", "F8"],
+    )
+    @pytest.mark.parametrize("max_pulses", [1, 7, 12, 40])
+    def test_nbytes_is_the_largest_owned_array(self, chain, n_max, max_pulses):
+        ev = ChainEvolver(chain, TRAP, n_max)
+        n_rows, n_sites = n_max + 1, ev.n_sites
+        assert ChainEvolver.nbytes(n_rows, n_sites) == max(owned_nbytes(ev))
+        for derivative in (False, True):
+            # a plain kernel's weights are the evolver's C, counted above
+            tables = _PulseTables(ev, max_pulses, derivative)
+            expected = _PulseTables.nbytes(n_rows, n_sites, max_pulses, derivative)
+            assert max(owned_nbytes(tables, ev.C, ev.w)) == expected
+        # the workspace adds no array larger than its kernel's
+        work = _Workspace(ev, max_pulses)
+        sizes = owned_nbytes(work) + owned_nbytes(work.band_sum)
+        assert max(sizes) <= _PulseTables.nbytes(n_rows, n_sites, max_pulses)
 
 
 EV20 = ChainEvolver(F8, TRAP, 20)

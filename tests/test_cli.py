@@ -606,7 +606,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "command, payload",
         [
-            # an 8 TB dense matrix
+            # a 512 MB evolver
             ("transfer-matrix", {"transfer_matrix": {"n_max": 1000000}}),
             # n_max 10^6: 8 TB of heating eigenvectors, a 512 MB evolver
             ("cool", {"initial_nbar": 1e5}),
@@ -632,13 +632,22 @@ class TestErrorPaths:
             # walker counts past int64
             ("pumping", {"pumping": {"monte_carlo_trajectories": 2**63}}),
             ("pumping", {"pumping": {"monte_carlo_trajectories": 10**21}}),
-            # the global optimizer's batched amplitudes with d^2P/dt^2, sized
-            # at F8's 16-step bound: 680 MiB for 5000 pulses at n_max 261,
-            # and 6796 MiB for a 50000-pulse final stage there; the evolver
-            # alone fits
+            # the global optimizer's batched amplitudes, 3K per row and
+            # pulse, sized at F8's 16-step bound: 510 MiB for 5000 pulses at
+            # n_max 261, and 5097 MiB for a 50000-pulse final stage there;
+            # the evolver alone fits
             ("optimize", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("cool", {"scheme": "F8", "strategy": {"n_pulses": 5000}}),
             ("optimize", {"scheme": "F8", "strategy": {"kind": "heuristic", "n_final": 50000}}),
+            # an odd site count: C's K + 1 trig columns make it 257.1 MiB,
+            # where K^2 columns would read 254.6 MiB
+            (
+                "transfer-matrix",
+                {
+                    "scheme": {"f": 100, "f_excited": 100},
+                    "transfer_matrix": {"n_max": 3270, "times": [0.3]},
+                },
+            ),
         ],
     )
     def test_oversized_arrays_exit_2(self, tmp_path, monkeypatch, command, payload):

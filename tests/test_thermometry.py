@@ -7,7 +7,7 @@ import pytest
 
 from drsc import chain_dynamics, heating, thermometry
 from drsc.chain_dynamics import ChainEvolver, _BandSum, _PulseTables
-from drsc.cooling import PulseSequence
+from drsc.cooling import PulseSequence, optimize_global
 from drsc.manifold import build_coupling_chain, f7_scheme
 from drsc.motional import (
     PhononDistribution,
@@ -128,6 +128,20 @@ class TestRdpFilter:
 
     def test_default_t_clear_value(self):
         assert default_t_clear(F7, TRAP) == pytest.approx(0.792, abs=2e-3)
+
+    def test_default_t_clear_is_found_once(self, monkeypatch):
+        # a second call for the same chain and trap runs no optimizer
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimize_global(*args)
+
+        default_t_clear.cache_clear()
+        monkeypatch.setattr(thermometry, "optimize_global", counted)
+        first = default_t_clear(F7, TRAP)
+        assert default_t_clear(F7, TRAP) == first
+        assert len(calls) == 1
 
     def test_nothing_kept_is_a_numerical_failure(self):
         empty = PhononDistribution(probs=np.zeros(31), n_max=30)
