@@ -360,6 +360,47 @@ DIGEST_CASES = [
         },
     ),
     (
+        # the benchmark's cool_fixed_hot: 150 heated cycles at n_max 400, a
+        # pre-probe delay and dark preparation
+        "cool-f8-fixed-hot-heated",
+        ["cool"],
+        {
+            "scheme": "F8",
+            "trap": {"eta": 0.07},
+            "initial_nbar": 40.0,
+            "strategy": {"kind": "fixed", "n_pulses": 150},
+            "heating": {
+                "enabled": True,
+                "rates": {"optical_pumping": 5.58, "raman": 2.078, "trap": 0.553},
+            },
+            "timing": {
+                "t_f_seconds": 100e-6,
+                "repump_seconds": 15e-3,
+                "pre_probe_delay_seconds": 0.02,
+            },
+            "rdp": {"enabled": True},
+            "probe_time": 1.0,
+        },
+        {
+            "cool_history.csv": "140cd51cd857ca1abc197cba98ce3de924b8348ab56b76ae89e636aaae51c939",
+            "cool_sequence.json": "96c68f3e1c66789b6c12a363806cc4af4de1dce533729c789989553400b4fb6a",
+            "cool_snapshots.csv": "205e3096da8b0c4fa03484103c4c40fb909c0a3af924b55a0e644322e16ba774",
+            "cool_suppression_fit.json": "8b4567ffb330bf53bafac3ed6a56f5134cd70d552f41c2cff273707c3d232471",
+        },
+    ),
+    (
+        # repeated fixed pulses, then distinct cleanup times, heated
+        "cool-heuristic",
+        ["cool"],
+        {"strategy": {"kind": "heuristic"}},
+        {
+            "cool_history.csv": "abb0e80d840dd6d10ca712e651de4c74d09bc28f5606aa3dda976ffb5d99f084",
+            "cool_sequence.json": "aaca0773b8d33a09b95a5b60749173023f06e4abf9dbc0a118efb16c74678182",
+            "cool_snapshots.csv": "d4450d56c35ab830eb194286e7394045caec224d5644948e7ceaceb2d54c1101",
+            "cool_suppression_fit.json": "3b537cdb31b7ab85764ada82dee7cd277da1b88057055396583ae08c8a7c9c20",
+        },
+    ),
+    (
         "pumping",
         ["pumping", "--seed", "3"],
         {"pumping": {"monte_carlo_trajectories": 2000}},
