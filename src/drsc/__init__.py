@@ -11,9 +11,9 @@ from .cooling import (
     optimize_fixed_pulses,
     optimize_global,
 )
-from .heating import build_pumping_graph, propagate_heating
+from .heating import build_pumping_graph
 from .manifold import CouplingChain, ManifoldScheme, build_coupling_chain, f7_scheme, f8_scheme
-from .motional import PhononDistribution, TrapParams, mean_n, thermal_state
+from .motional import PhononDistribution, TrapParams, thermal_state
 from .thermometry import ProtocolReport, end_to_end_protocol, rdp_filter, sideband_probe
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "optimize_fixed_pulses",
     "optimize_global",
     "build_pumping_graph",
-    "propagate_heating",
     "CouplingChain",
     "ManifoldScheme",
     "build_coupling_chain",
@@ -35,7 +34,6 @@ __all__ = [
     "f8_scheme",
     "PhononDistribution",
     "TrapParams",
-    "mean_n",
     "thermal_state",
     "ProtocolReport",
     "end_to_end_protocol",

@@ -187,6 +187,12 @@ class _PulseTables:
             return n_rows * 3 * n_sites * max(n_trig, max_pulses) * 8
         return max(n_rows * n_trig, (n_rows + n_sites - 1) * n_sites) * max_pulses * 8
 
+    @staticmethod
+    def grid_nbytes(n_rows: int, n_sites: int, max_pulses: int, n_starts: int) -> int:
+        """Bytes of the largest array grid allocates for n_starts starts: the
+        starts padded K - 1 rows past the top, or one GEMM output."""
+        return max(n_rows + n_sites - 1, n_rows * max_pulses) * n_starts * 8
+
     def __call__(self, times: np.ndarray, curvature: bool = False) -> tuple:
         """(P, dP/dt) at every time; dP/dt is None without derivative.  With
         curvature, the order-2 call of a derivative kernel,

@@ -165,24 +165,34 @@ _ARRAY_BUDGET_BYTES = 2**28
 
 def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Bytes of the largest array the command allocates: the largest
-    ChainEvolver.nbytes or _PulseTables.nbytes over its plan (a _Workspace
-    holds none larger than its kernel), cool's dense heating eigenvectors,
-    or the probe's populations.  A chain is sized at its length bound,
+    ChainEvolver.nbytes, _PulseTables.nbytes or _PulseTables.grid_nbytes
+    over its plan (a _Workspace holds none larger than its kernel),
+    table1's stacked starts, cool's dense heating eigenvectors, or the
+    probe's populations.  A chain is sized at its length bound,
     cfg.scheme.max_steps(), uncapped by n_max: one too long for the budget
-    is refused without its walk, which takes over a minute at f 3000."""
+    is refused without its walk, which takes over a minute at f 3000.
+    cool's state array is a quarter of its snapshot text, which the output
+    budget holds below 64 MiB."""
 
-    def window_search(n_sites):
+    def window_search(n_sites, n_starts=1):
         n_lo, n_hi = asymptotic_window(cfg.trap.eta)
         n_rows = n_hi - n_lo + n_sites
         return [
             _PulseTables.nbytes(n_rows, n_sites, 1),
             _PulseTables.nbytes(n_rows, n_sites, _GRID_COLUMNS, derivative=False),
+            _PulseTables.grid_nbytes(n_rows, n_sites, _GRID_COLUMNS, n_starts),
         ]
 
     if command == "table1":
+        n_starts = len(cfg.table1.nbars)
         steps = [len(type(cfg.scheme).parse(name).build().steps) for name in cfg.table1.schemes]
         return max(
-            max(ChainEvolver.nbytes(_window_n_max(cfg, n) + 1, n + 1), *window_search(n + 1))
+            max(
+                ChainEvolver.nbytes(_window_n_max(cfg, n) + 1, n + 1),
+                # cmd_table1's thermal states, stacked for the search
+                n_starts * (_window_n_max(cfg, n) + 1) * 8,
+                *window_search(n + 1, n_starts),
+            )
             for n in steps
         )
     if command == "probe":
@@ -378,8 +388,8 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     # init's ladder
     middles = [f",{n}," for n in range(init.n_max + 1)]
     snapshot_lines = [
-        "\n".join(map("".join, zip(repeat(str(k)), middles, _reprs(dist.probs))))
-        for k, dist in enumerate(report.history)
+        "\n".join(map("".join, zip(repeat(str(k)), middles, _reprs(row))))
+        for k, row in enumerate(report.history)
     ]
 
     # the model's geometric tail decay is that of one repeated pulse
@@ -387,7 +397,7 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     if seq.strategy == "fixed":
         try:
             fit_payload = asdict(
-                dual_thermal_decompose(list(report.history[: len(seq.times) + 1]), cfg.trap.eta)
+                dual_thermal_decompose(report.history[: len(seq.times) + 1], cfg.trap.eta)
             )
         except ValueError as exc:
             fit_payload = {"error": str(exc)}

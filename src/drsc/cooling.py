@@ -93,16 +93,16 @@ def asymptotic_window(eta: float) -> tuple[int, int]:
     return (int(0.6 / eta2), math.ceil(1.2 / eta2))
 
 
-def _checked_window(eta: float, init: PhononDistribution, reach: int) -> tuple[int, int]:
+def _checked_window(eta: float, probs: np.ndarray, reach: int) -> tuple[int, int]:
     """asymptotic_window(eta), which with the pulse reach above it must fit
-    in init's truncation and hold no zero populations."""
+    in the truncation of the populations probs and hold no zero entries."""
     window = n_lo, n_hi = asymptotic_window(eta)
-    if n_hi + reach > init.n_max:
+    if n_hi + reach > len(probs) - 1:
         raise ValueError(
-            f"window {window} plus pulse reach {reach} exceeds n_max = {init.n_max}; "
+            f"window {window} plus pulse reach {reach} exceeds n_max = {len(probs) - 1}; "
             "build the initial distribution with a larger truncation"
         )
-    if np.any(init.probs[n_lo : n_hi + 1] <= 0):
+    if np.any(probs[n_lo : n_hi + 1] <= 0):
         raise ValueError(f"window {window} contains zero-probability entries")
     return window
 
@@ -186,7 +186,7 @@ def optimize_fixed_pulses(
     (t_opt, a_opt) per init."""
     if len({init.n_max for init in inits}) != 1:
         raise ValueError("inits must be a non-empty list sharing one n_max")
-    window = [_checked_window(trap.eta, init, len(chain.steps)) for init in inits][0]
+    window = [_checked_window(trap.eta, init.probs, len(chain.steps)) for init in inits][0]
     evolver = cached_evolver(chain, trap, inits[0].n_max)
     return _minimize_suppression(evolver, np.stack([init.probs for init in inits]), window)
 
@@ -536,20 +536,19 @@ def heuristic_sequence(
     return PulseSequence(times=tuple(times), strategy="heuristic")
 
 
-def dual_thermal_decompose(history: list[PhononDistribution], eta: float) -> SuppressionFit:
+def dual_thermal_decompose(history: np.ndarray, eta: float) -> SuppressionFit:
     """Fit the two-component model to a fixed-duration pulse history.
 
-    history[k] is the distribution after k pulses (history[0] the initial
-    state).  The tail mass over the asymptotic window of eta should decay
-    geometrically, with R^2 >= 0.99; a is recovered by log-linear
-    regression.
+    history[k] is the row of populations after k pulses (history[0] the
+    initial state).  The tail mass over the asymptotic window of eta
+    should decay geometrically, with R^2 >= 0.99; a is recovered by
+    log-linear regression.
     """
     if len(history) < 4:
         raise ValueError("need the initial state plus at least 3 pulses")
-    init = history[0]
-    window = n_lo, n_hi = _checked_window(eta, init, 0)
+    window = n_lo, n_hi = _checked_window(eta, history[0], 0)
 
-    tail_mass = np.array([float(h.probs[n_lo : n_hi + 1].sum()) for h in history])
+    tail_mass = history[:, n_lo : n_hi + 1].sum(axis=1)
     k_min = int(np.argmin(tail_mass))
     if tail_mass[k_min] < _MIN_TAIL_MASS:
         raise ValueError(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import cg_signed_square, decay_branching
-from .motional import PhononDistribution
 
 DEFAULT_CHANNEL_RATES = {
     "optical_pumping": 5.58,
@@ -41,37 +40,6 @@ def _unit_diffusion_eigensystem(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return lam, vecs
-
-
-def propagate_heating(dist: PhononDistribution, dose: float) -> PhononDistribution:
-    """Evolve a distribution under diffusive heating of `dose` quanta: the
-    rate in quanta/s times the seconds it acts.
-
-    Applies the exact propagator exp(dose * G1), with G1 the symmetric
-    tridiagonal unit-rate generator, so one cached eigendecomposition per
-    n_max serves every dose, and heating intervals driven by any rates
-    compose by adding their doses.  A zero dose returns `dist` itself.
-    Probability leaking past n_max shows up as tail loss.
-    """
-    if dose < 0:
-        raise ValueError(f"heating dose must be >= 0, got {dose}")
-    if dose == 0:
-        return dist
-    lam, vecs = _unit_diffusion_eigensystem(dist.n_max)
-    p = vecs @ (np.exp(dose * lam) * (vecs.T @ dist.probs))
-    # exp(dose * G1) is entrywise >= 0; only rounding may dip below zero
-    lowest = float(p.min())
-    if lowest < -_NEGATIVE_TOLERANCE:
-        raise FloatingPointError(
-            f"heating propagator gave a probability of {lowest:.3e} < -{_NEGATIVE_TOLERANCE:g}"
-        )
-    np.maximum(p, 0.0, out=p)
-    if not p.sum() > 0:
-        raise FloatingPointError(
-            f"a heating dose of {dose:g} quanta left no population on "
-            f"n = 0..{dist.n_max}: the tail loss went from {dist.tail_loss:.3g} to 1"
-        )
-    return PhononDistribution(probs=p, n_max=dist.n_max)
 
 
 # ---------------------------------------------------------------------------

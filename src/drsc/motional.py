@@ -83,15 +83,6 @@ def thermal_state(nbar: float, coverage: float = 0.9999) -> PhononDistribution:
     return thermal_distribution(nbar, default_n_max(nbar, coverage))
 
 
-def mean_n(dist: PhononDistribution) -> float:
-    """Mean occupation over the retained mass."""
-    total = float(dist.probs.sum())
-    if total <= 0:
-        raise ValueError("distribution has zero total mass")
-    n = np.arange(dist.n_max + 1)
-    return float(n @ dist.probs) / total
-
-
 def sideband_coupling_ratios(n_max: int, eta: float) -> np.ndarray:
     """R[n] = coupling(n, n-1) / coupling(1, 0) for n = 0..n_max; R[0] = 0.
 

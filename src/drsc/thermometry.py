@@ -16,15 +16,9 @@ import numpy as np
 
 from .chain_dynamics import _BandSum, _PulseTables, cached_evolver
 from .cooling import PulseSequence, optimize_global
-from .heating import DEFAULT_CHANNEL_RATES, propagate_heating
+from .heating import _NEGATIVE_TOLERANCE, DEFAULT_CHANNEL_RATES, _unit_diffusion_eigensystem
 from .manifold import CouplingChain
-from .motional import (
-    PhononDistribution,
-    TrapParams,
-    mean_n,
-    sideband_coupling_ratios,
-    thermal_state,
-)
+from .motional import PhononDistribution, TrapParams, sideband_coupling_ratios, thermal_state
 
 DEFAULT_PROBE_TIME = 1.0
 
@@ -41,8 +35,10 @@ def _probe_ratios(n_max: int, eta: float) -> np.ndarray:
 def _probe_weights(n_max: int, eta: float, probe_time: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only sin^2(pi t R(n) / 2) for n = 0..n_max and the same with
     R(n + 1): the red and blue excitation of each Fock state, shared by
-    every probe of that size and time.  Phases that are not finite raise
-    FloatingPointError."""
+    every probe of that size and time.  A probe time <= 0 raises
+    ValueError, phases that are not finite FloatingPointError."""
+    if probe_time <= 0:
+        raise ValueError(f"probe_time must be > 0, got {probe_time}")
     ratios = _probe_ratios(n_max, eta)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = 0.5 * np.pi * probe_time * ratios
@@ -83,20 +79,20 @@ def sideband_probe(
     occupation is R/(1-R) with R = P_red/P_blue.  A probe time whose
     phases or excitations are not finite raises FloatingPointError.
     """
-    if probe_time <= 0:
-        raise ValueError(f"probe_time must be > 0, got {probe_time}")
     red_amp, blue_amp = _probe_weights(dist.n_max, trap.eta, probe_time)
-    p_red = float(dist.probs @ red_amp)
-    p_blue = float(dist.probs @ blue_amp)
+    p_red, p_blue = float(dist.probs @ red_amp), float(dist.probs @ blue_amp)
+    return SidebandProbeResult(p_red, p_blue, float(probe_time), _ratio_nbar(p_red, p_blue))
+
+
+def _ratio_nbar(p_red: float, p_blue: float) -> float:
+    """R/(1-R) for R = p_red/p_blue, infinite for R >= 1.  Excitations that
+    are not finite raise FloatingPointError, a vanishing p_blue ValueError."""
     if not (math.isfinite(p_red) and math.isfinite(p_blue)):
         raise FloatingPointError("sideband excitations are not finite")
     if p_blue == 0:
         raise ValueError("blue sideband signal vanishes; cannot form the ratio")
     ratio = p_red / p_blue
-    nbar_sb = math.inf if ratio >= 1 else ratio / (1.0 - ratio)
-    return SidebandProbeResult(
-        p_red=p_red, p_blue=p_blue, probe_time=float(probe_time), nbar_sb=nbar_sb
-    )
+    return math.inf if ratio >= 1 else ratio / (1.0 - ratio)
 
 
 def rdp_filter(
@@ -152,15 +148,16 @@ class PulseTiming:
 class ProtocolReport:
     """Per-pulse histories of one protocol run.
 
-    history[k] is the distribution after k cycles (history[0] the initial
-    state), so nbar_history[k] is its mean.  One more state is appended
-    when a pre-probe delay heats or dark preparation conditions the last
-    cycle's state, so history[-1] is always the state the probe reads.
+    history is a read-only (states, n_max + 1) array: history[k] holds the
+    populations after k cycles (history[0] the initial state), so
+    nbar_history[k] is its mean.  One more row follows when a pre-probe
+    delay heats or dark preparation conditions the last cycle's state, so
+    history[-1] is always the state the probe reads.
     """
 
     nbar_history: tuple[float, ...]
     nbar_sb_history: tuple[float, ...]
-    history: tuple[PhononDistribution, ...]
+    history: np.ndarray
     success_probability: float
     t_clear: float | None
 
@@ -190,6 +187,14 @@ def end_to_end_protocol(
     order of first use; with one distinct time it is the one-time table of
     site_probabilities bit for bit, and with several each table may differ
     from the one-time one by rounding.
+
+    Every state is a row of one array.  A dose d > 0 applies the exact
+    propagator V diag(exp(d lam)) V^T of heating's cached eigensystem,
+    exp(d lam) formed once per distinct dose, and clips rounding below
+    zero; a zero dose applies nothing.  The rows are checked once, in
+    cycle order, after the delay: a heated entry below -1e-12 before its
+    clip or a heated row with no population left raises
+    FloatingPointError, a row whose total exceeds 1 ValueError.
     """
     if timing is None:
         timing = PulseTiming()
@@ -198,37 +203,79 @@ def end_to_end_protocol(
     rates = dict(DEFAULT_CHANNEL_RATES, **heating_rates)
     pulse_rate = rates["raman"] + rates["trap"]
     repump_dose = (rates["optical_pumping"] + rates["trap"]) * timing.repump_seconds
-
-    evolver = cached_evolver(chain, trap, init.n_max)
     distinct = list(dict.fromkeys(sequence.times))
+    # each distinct time's cycle dose, then the pre-probe delay's
+    doses = [pulse_rate * (t * timing.t_f_seconds) + repump_dose for t in distinct]
+    doses.append(rates["trap"] * timing.pre_probe_delay_seconds)
+    for dose in doses:
+        if dose < 0:
+            raise ValueError(f"heating dose must be >= 0, got {dose}")
+    n_max, n_cycles = init.n_max, len(sequence.times)
+    if any(doses):
+        lam, vecs = _unit_diffusion_eigensystem(n_max)
+    decays = [np.exp(dose * lam) if dose else None for dose in doses]
+    evolver = cached_evolver(chain, trap, n_max)
     tables, _ = _PulseTables(evolver, len(distinct), derivative=False)(np.array(distinct))
-    cycles = {
-        t: (table, pulse_rate * (t * timing.t_f_seconds) + repump_dose)
-        for t, table in zip(distinct, tables)
-    }
-    band_sum = _BandSum(*evolver.C.shape[:2])
-    state = init
-    snapshots = [state]
-    for t in sequence.times:
-        table, dose = cycles[t]
-        pulsed = PhononDistribution(probs=band_sum(table, state.probs), n_max=state.n_max)
-        state = propagate_heating(pulsed, dose)
-        snapshots.append(state)
-    state = propagate_heating(state, rates["trap"] * timing.pre_probe_delay_seconds)
+    cycles = dict(zip(distinct, zip(tables, doses, decays)))
+    # the delay is a cycle without a pulse
+    steps = [cycles[t] for t in sequence.times] + [(None, doses[-1], decays[-1])]
+
+    states = np.empty((n_cycles + 2, n_max + 1))
+    states[0] = init.probs
+    band_sum, scratch = _BandSum(*evolver.C.shape[:2]), np.empty(n_max + 1)
+    heated = []  # (row, dose, mass before, least entry before the clip)
+    for k, (table, dose, decay) in enumerate(steps, 1):
+        row, pulsed = states[k], states[k - 1]
+        if table is not None:
+            pulsed = band_sum(table, pulsed, out=row if decay is None else scratch)
+        if decay is not None:
+            np.matmul(vecs, decay * (vecs.T @ pulsed), out=row)
+            heated.append((k, dose, float(pulsed.sum()), float(row.min())))
+            np.maximum(row, 0.0, out=row)
+    last = n_cycles + bool(doses[-1])
+
+    masses = states[: last + 1].sum(axis=1)
+    # the first row holding more than all the probability, or last + 1
+    over = [*np.flatnonzero(masses > 1 + 1e-9), last + 1][0]
+    for k, dose, mass, lowest in heated:
+        if k > over:
+            break
+        loss = f"{max(0.0, 1.0 - mass):.3g}"
+        # exp(dose * G1) is entrywise >= 0; only rounding may dip below zero
+        if lowest < -_NEGATIVE_TOLERANCE:
+            raise FloatingPointError(
+                f"heating propagator gave a probability of {lowest:.3e} < "
+                f"-{_NEGATIVE_TOLERANCE:g} at a dose of {dose:g} quanta, from a tail loss of {loss}"
+            )
+        if not masses[k] > 0:
+            raise FloatingPointError(
+                f"a heating dose of {dose:g} quanta left no population on "
+                f"n = 0..{n_max}: the tail loss went from {loss} to 1"
+            )
+    if over <= last:
+        raise ValueError(f"total probability {masses[over]} exceeds 1")
 
     success = 1.0
     used_t_clear = None
     if rdp:
         used_t_clear = default_t_clear(chain, trap) if t_clear is None else t_clear
-        state, success = rdp_filter(state, chain, trap, used_t_clear)
-    # the delayed or conditioned state, when either ran, is what the probe reads
-    if state is not snapshots[-1]:
-        snapshots.append(state)
+        probed = PhononDistribution(probs=states[last], n_max=n_max)
+        conditioned, success = rdp_filter(probed, chain, trap, used_t_clear)
+        # the conditioned state takes the delayed state's row, or follows the last cycle's
+        last = n_cycles + 1
+        states[last] = conditioned.probs
 
+    # each row's mean over its retained mass, and its probe as sideband_probe forms it
+    history = states[: last + 1]
+    history.setflags(write=False)
+    totals = history.sum(axis=1)
+    if (totals <= 0).any():
+        raise ValueError("distribution has zero total mass")
+    n, (red, blue) = np.arange(n_max + 1), _probe_weights(n_max, trap.eta, probe_time)
     return ProtocolReport(
-        nbar_history=tuple(mean_n(s) for s in snapshots),
-        nbar_sb_history=tuple(sideband_probe(s, trap, probe_time).nbar_sb for s in snapshots),
-        history=tuple(snapshots),
+        nbar_history=tuple(float(n @ row) / total for row, total in zip(history, totals.tolist())),
+        nbar_sb_history=tuple(_ratio_nbar(float(row @ red), float(row @ blue)) for row in history),
+        history=history,
         success_probability=success,
         t_clear=used_t_clear,
     )

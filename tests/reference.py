@@ -6,7 +6,12 @@
 - ode_site_populations: one pulse by direct integration of the
   Schroedinger equation on couplings rebuilt from fock_coupling;
 - apply_table and apply_pulse: populations after a pulse through drsc's
-  band sum, the one-shot form of what the protocol and optimizer apply.
+  band sum, the one-shot form of what the protocol and optimizer apply;
+- propagate_heating: one heating step with its checks, the one-state form
+  of what the protocol applies to each heated row, itself checked against
+  a stiff integration of the rate equations in test_heating.py;
+- mean_n: the mean occupation over the retained mass, as the protocol
+  forms each row's.
 """
 
 import math
@@ -15,7 +20,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from drsc import heating
 from drsc.chain_dynamics import _BandSum
+from drsc.motional import PhononDistribution
 
 _RESCALE = 1e250
 
@@ -102,3 +109,32 @@ def apply_table(site_p, probs):
 def apply_pulse(evolver, t, probs):
     """Populations after one pulse of duration t."""
     return apply_table(evolver.site_probabilities(t), probs)
+
+
+def propagate_heating(dist, dose):
+    """dist after diffusive heating of `dose` quanta: the exact propagator
+    exp(dose * G1) from the cached eigensystem, with rounding below zero
+    clipped.  A zero dose returns dist itself; a negative dose raises
+    ValueError, an entry below -1e-12 before the clip or an emptied
+    ladder FloatingPointError."""
+    if dose < 0:
+        raise ValueError(f"heating dose must be >= 0, got {dose}")
+    if dose == 0:
+        return dist
+    lam, vecs = heating._unit_diffusion_eigensystem(dist.n_max)
+    p = vecs @ (np.exp(dose * lam) * (vecs.T @ dist.probs))
+    lowest = float(p.min())
+    if lowest < -heating._NEGATIVE_TOLERANCE:
+        raise FloatingPointError(f"heating propagator gave a probability of {lowest:.3e}")
+    np.maximum(p, 0.0, out=p)
+    if not p.sum() > 0:
+        raise FloatingPointError(
+            f"a heating dose of {dose:g} quanta left no population: the tail loss "
+            f"went from {dist.tail_loss:.3g} to 1"
+        )
+    return PhononDistribution(probs=p, n_max=dist.n_max)
+
+
+def mean_n(dist):
+    """Mean occupation of dist over its retained mass."""
+    return float(np.arange(dist.n_max + 1) @ dist.probs) / float(dist.probs.sum())

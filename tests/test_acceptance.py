@@ -10,7 +10,14 @@ import math
 import time
 
 import numpy as np
-from reference import apply_pulse, fock_coupling, mpmath_coupling, ode_site_populations
+from reference import (
+    apply_pulse,
+    fock_coupling,
+    mean_n,
+    mpmath_coupling,
+    ode_site_populations,
+    propagate_heating,
+)
 from scipy.integrate import solve_ivp
 
 from drsc.chain_dynamics import ChainEvolver
@@ -25,7 +32,6 @@ from drsc.cooling import (
 from drsc.heating import (
     build_pumping_graph,
     monte_carlo_steps,
-    propagate_heating,
     steps_to_dark,
 )
 from drsc.manifold import (
@@ -38,7 +44,6 @@ from drsc.manifold import (
 from drsc.motional import (
     TrapParams,
     default_n_max,
-    mean_n,
     thermal_distribution,
 )
 from drsc.thermometry import end_to_end_protocol, sideband_probe
@@ -272,8 +277,8 @@ def test_09_end_to_end_plausibility():
     bracket_ok = 0.05 <= nbar_sb <= 0.25
 
     with_rdp = end_to_end_protocol(F7, TRAP, seq, init, heating_rates={}, rdp=True)
-    rdp_nbar = mean_n(with_rdp.history[-1])
-    rdp_ok = rdp_nbar < mean_n(heated.history[-1]) and rdp_nbar < 0.05
+    rdp_nbar = with_rdp.nbar_history[-1]
+    rdp_ok = rdp_nbar < heated.nbar_history[-1] and rdp_nbar < 0.05
     ok = bracket_ok and rdp_ok
     verdict(
         9,
@@ -281,7 +286,7 @@ def test_09_end_to_end_plausibility():
         ok,
         f"10 optimized pulses, heating on: nbar_sb = {nbar_sb:.4f} (in [0.05, 0.25]); "
         f"with dark preparation: nbar = {rdp_nbar:.4f} "
-        f"(< {mean_n(heated.history[-1]):.4f} and < 0.05), success = {with_rdp.success_probability:.3f}",
+        f"(< {heated.nbar_history[-1]:.4f} and < 0.05), success = {with_rdp.success_probability:.3f}",
     )
 
 

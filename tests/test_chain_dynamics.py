@@ -691,6 +691,31 @@ class TestArraySizes:
         sizes = owned_nbytes(work) + owned_nbytes(work.band_sum)
         assert max(sizes) <= _PulseTables.nbytes(n_rows, n_sites, max_pulses)
 
+    @pytest.mark.parametrize(
+        "chain, n_max, max_pulses, n_starts",
+        [
+            (F7, 60, 12, 1),
+            (F7, 60, 3, 9),
+            (F8, 8, 1, 40),
+            (F8, 200, 12, 5),
+            (two_level_chain(), 30, 7, 2),
+        ],
+        ids=["F7-1", "F7-9", "F8-8-one-pulse", "F8", "two-level"],
+    )
+    def test_grid_nbytes_is_its_largest_array(self, chain, n_max, max_pulses, n_starts):
+        # its GEMM outputs, the bases of what it yields, over full chunks and
+        # a partial one, and its padded starts, K - 1 zero columns wider
+        ev = ChainEvolver(chain, TRAP, n_max)
+        n_rows, n_sites = n_max + 1, ev.n_sites
+        times = np.linspace(0.1, 1.0, 2 * max_pulses + 1)
+        starts = grid_starts(n_starts, n_max, 1.0)
+        grid = _PulseTables(ev, max_pulses, derivative=False).grid(times, starts)
+        outputs = [after.base.nbytes for after in grid]
+        assert max(outputs) == n_rows * n_starts * max_pulses * 8
+        padded = n_starts * (n_rows + n_sites - 1) * 8
+        expected = max(*outputs, padded)
+        assert _PulseTables.grid_nbytes(n_rows, n_sites, max_pulses, n_starts) == expected
+
 
 EV20 = ChainEvolver(F8, TRAP, 20)
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file outputs, determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drsc import cli, cooling
+from drsc import cli, cooling, heating, thermometry
 from drsc.chain_dynamics import ChainEvolver, _PulseTables, cached_evolver
 from drsc.cli import cmd_cool, cmd_table1, main
 from drsc.config import RunConfig
@@ -205,8 +206,9 @@ class TestCool:
 
         def spoiled(*args, **kwargs):
             report = real(*args, **kwargs)
-            report.history[-1].probs[2] = bad
-            return report
+            history = report.history.copy()
+            history[-1, 2] = bad
+            return dataclasses.replace(report, history=history)
 
         monkeypatch.setattr(cli, "end_to_end_protocol", spoiled)
         out = tmp_path / "out"
@@ -796,6 +798,33 @@ class TestErrorPaths:
         sizes = [value.nbytes for value in vars(tables).values() if isinstance(value, np.ndarray)]
         assert max(sizes) <= cli._largest_array_bytes("cool", cfg)
 
+    def test_table1_is_sized_by_its_starts(self, tmp_path, monkeypatch, capsys):
+        # F8's window at eta 0.01 takes 6017 rows, so the grid's GEMM output
+        # for 20000 starts is 12 x 6017 x 20000 doubles; every
+        # start-independent array fits the budget
+        def never(cfg):
+            raise AssertionError("table1 started computing")
+
+        monkeypatch.setitem(cli._COMMANDS, "table1", never)
+        nbars = [float(k) for k in range(1, 20001)]
+        payload = {"trap": {"eta": 0.01}, "table1": {"schemes": ["F8"], "nbars": nbars}}
+        out = tmp_path / "out"
+        assert main(["table1", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: table1 would allocate an array of about 1.102e+4 MiB, "
+            "over the 256 MiB budget\n"
+        )
+        assert not out.exists()
+
+    def test_benchmark_table1_fits_the_budget(self, tmp_path):
+        # the analysis_sweep workload's table1 grid: 18 cells
+        nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
+        payload = {"trap": {"eta": 0.07}, "table1": {"schemes": ["F7", "F8"], "nbars": nbars}}
+        assert cli._largest_array_bytes("table1", RunConfig.from_dict(payload)) < 2**20
+        out = tmp_path / "out"
+        assert main(["table1", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert len((out / "table1.csv").read_text().splitlines()) == 3 + 1 + 18
+
     @pytest.mark.parametrize(
         "command, payload",
         [
@@ -843,6 +872,33 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["cool", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["emptied-by-the-delay", "backward-generator"])
+    def test_heating_fault_after_formed_rows_exits_3(
+        self, tmp_path, monkeypatch, capsys, fast_cool_config, fault
+    ):
+        # three cycles form their rows before the fault: a pre-probe delay of
+        # 0.553e9 quanta empties the ladder, or a generator run backward
+        # gives the first heated row large negative entries
+        config, message = fast_cool_config, "heating propagator gave a probability of -"
+        if fault == "emptied-by-the-delay":
+            payload = json.loads(open(fast_cool_config).read())
+            payload["timing"] = {"pre_probe_delay_seconds": 1e9}
+            config = write_config(tmp_path, payload, name="delayed.json")
+            message = "a heating dose of 5.53e+08 quanta left no population on n = 0.."
+        else:
+
+            def backward(n_max):
+                lam, vecs = heating._unit_diffusion_eigensystem(n_max)
+                return -lam, vecs
+
+            monkeypatch.setattr(thermometry, "_unit_diffusion_eigensystem", backward)
+        out = tmp_path / "out"
+        assert main(["cool", "--config", config, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0.5,nan\n", '{"a": NaN}\n', "1,-inf\n", '{"b": [Infinity]}\n'])

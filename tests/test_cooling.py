@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import apply_pulse, apply_table
+from reference import apply_pulse, apply_table, mean_n
 from scipy.optimize import minimize_scalar
 
 from drsc import chain_dynamics, cooling
@@ -31,7 +31,6 @@ from drsc.motional import (
     PhononDistribution,
     TrapParams,
     default_n_max,
-    mean_n,
     thermal_distribution,
     thermal_state,
 )
@@ -937,10 +936,7 @@ class TestDualThermalDecompose:
         n_max = WINDOW[1] + len(F7.steps)
         hot = thermal_distribution(15.0, n_max)
         cold = thermal_distribution(0.1, n_max)
-        history = []
-        for k in range(8):
-            probs = a**k * hot.probs + (1 - a**k) * cold.probs
-            history.append(PhononDistribution(probs=probs, n_max=n_max))
+        history = np.stack([a**k * hot.probs + (1 - a**k) * cold.probs for k in range(8)])
         fit = dual_thermal_decompose(history, eta=0.07)
         assert fit.a == pytest.approx(a, abs=1e-6)
         assert fit.r_squared > 0.999999
@@ -949,31 +945,29 @@ class TestDualThermalDecompose:
         init = deep_thermal(15.0, F7)
         t_opt, a_opt = optimize_fixed_pulse(F7, TRAP, init)
         ev = ChainEvolver(F7, TRAP, init.n_max)
-        history = [init]
-        p = init.probs
+        history = [init.probs]
         for _ in range(10):
-            p = apply_pulse(ev, t_opt, p)
-            history.append(PhononDistribution(probs=p, n_max=init.n_max))
-        fit = dual_thermal_decompose(history, eta=0.07)
+            history.append(apply_pulse(ev, t_opt, history[-1]))
+        fit = dual_thermal_decompose(np.stack(history), eta=0.07)
         assert fit.a == pytest.approx(a_opt, rel=0.05)
 
     def test_rejects_non_geometric_tail(self):
         n_max = WINDOW[1] + 10
-        history = [
-            thermal_distribution(nb, n_max) for nb in (15.0, 14.0, 15.0, 13.0, 15.0)
-        ]
+        history = np.stack(
+            [thermal_distribution(nb, n_max).probs for nb in (15.0, 14.0, 15.0, 13.0, 15.0)]
+        )
         with pytest.raises(ValueError, match="not geometric"):
             dual_thermal_decompose(history, eta=0.07)
 
     def test_rejects_tail_at_rounding_floor(self):
         # a thermal state at nbar 1 holds ~2^-122 in the window n = 122..245
-        history = [thermal_distribution(1.0, 250)] * 4
+        history = np.stack([thermal_distribution(1.0, 250).probs] * 4)
         with pytest.raises(ValueError, match=r"falls to 1\.88e-37 after 0 pulses"):
             dual_thermal_decompose(history, eta=0.07)
 
     def test_rejects_short_history(self):
         n_max = WINDOW[1] + 10
-        history = [thermal_distribution(15.0, n_max)] * 3
+        history = np.stack([thermal_distribution(15.0, n_max).probs] * 3)
         with pytest.raises(ValueError):
             dual_thermal_decompose(history, eta=0.07)
 

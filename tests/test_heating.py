@@ -1,12 +1,16 @@
 """Heating walk against a direct rate-equation integration, and the
 optical-pumping absorbing chain against its fundamental matrix."""
 
+import re
+
 import numpy as np
 import pytest
+from reference import mean_n, propagate_heating
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from drsc import heating, thermometry
+from drsc.chain_dynamics import ChainEvolver, _BandSum, _PulseTables
 from drsc.cooling import PulseSequence
 from drsc.heating import (
     DEFAULT_CHANNEL_RATES,
@@ -15,12 +19,11 @@ from drsc.heating import (
     build_pumping_graph,
     default_beams,
     monte_carlo_steps,
-    propagate_heating,
     recoil_heating_estimate,
     steps_to_dark,
 )
 from drsc.manifold import build_coupling_chain, f7_scheme, f8_scheme
-from drsc.motional import PhononDistribution, TrapParams, mean_n, thermal_distribution
+from drsc.motional import PhononDistribution, TrapParams, thermal_distribution
 from drsc.thermometry import PulseTiming, end_to_end_protocol
 
 
@@ -62,17 +65,10 @@ class TestPropagateHeating:
         ref = rate_equation_reference(dist, rate, duration)
         assert np.max(np.abs(out.probs - ref)) <= 1e-9
 
-    def test_hot_protocol_stays_nonnegative_and_never_gains_mass(self, monkeypatch):
-        # 150 cycles of F8 from nbar 40 at n_max 400, delay included
-        steps = []
-
-        def recorded(dist, dose):
-            out = propagate_heating(dist, dose)
-            steps.append((float(dist.probs.sum()), out.probs))
-            return out
-
-        monkeypatch.setattr(thermometry, "propagate_heating", recorded)
-        end_to_end_protocol(
+    def test_hot_protocol_stays_nonnegative_and_never_gains_mass(self):
+        # 150 cycles of F8 from nbar 40 at n_max 400, delay included: every
+        # pulse keeps the mass and every heating step leaks some
+        report = end_to_end_protocol(
             build_coupling_chain(f8_scheme()),
             TrapParams(eta=0.07),
             PulseSequence(times=(0.645,) * 150, strategy="fixed"),
@@ -80,28 +76,29 @@ class TestPropagateHeating:
             heating_rates=dict(DEFAULT_CHANNEL_RATES),
             timing=PulseTiming(pre_probe_delay_seconds=0.02),
         )
-        assert len(steps) == 150 + 1
-        for mass_in, probs in steps:
-            assert probs.min() >= 0.0
-            assert probs.sum() <= mass_in + 1e-13
+        history = report.history
+        assert history.shape == (150 + 2, 401)
+        assert history.min() >= 0.0
+        mass = history.sum(axis=1)
+        assert np.all(mass[1:] <= mass[:-1] + 1e-13)
 
     def test_one_eigendecomposition_per_n_max(self):
         heating._unit_diffusion_eigensystem.cache_clear()
         chain = build_coupling_chain(f7_scheme())
         timing = PulseTiming(pre_probe_delay_seconds=0.01)
-        for n_max in (60, 80):
+        for n_max in (60, 80, 60):
             end_to_end_protocol(
                 chain,
                 TrapParams(eta=0.07),
-                PulseSequence(times=(0.2,) * 3, strategy="fixed"),
+                PulseSequence(times=(0.2, 0.3, 0.2), strategy="global_opt"),
                 thermal_distribution(1.0, n_max),
                 heating_rates=dict(DEFAULT_CHANNEL_RATES),
                 timing=timing,
             )
         info = heating._unit_diffusion_eigensystem.cache_info()
-        # every cycle's dose and the delay's share one decomposition per n_max
-        assert info.misses == 2
-        assert info.hits == 2 * (3 + 1) - 2
+        # a run looks its decomposition up once, for every cycle's dose and
+        # the delay's, and the second run at n_max 60 builds none
+        assert (info.misses, info.hits) == (2, 1)
 
     def test_large_negative_entry_raises(self, monkeypatch):
         lam, vecs = heating._unit_diffusion_eigensystem(50)
@@ -162,6 +159,111 @@ class TestPropagateHeating:
             twice = propagate_heating(propagate_heating(dist, a), b)
             once = propagate_heating(dist, a + b)
             assert np.max(np.abs(twice.probs - once.probs)) <= 1e-15
+
+
+F7 = build_coupling_chain(f7_scheme())
+TRAP = TrapParams(eta=0.07)
+
+
+def cycle_dose(t, timing):
+    """The heating dose of one protocol cycle at the default rates: the
+    pulse's raman and trap heating, then the repump's."""
+    rates = DEFAULT_CHANNEL_RATES
+    pulse_rate = rates["raman"] + rates["trap"]
+    repump_dose = (rates["optical_pumping"] + rates["trap"]) * timing.repump_seconds
+    return pulse_rate * (t * timing.t_f_seconds) + repump_dose
+
+
+def replay(init, times, doses):
+    """(pulsed, heated) states of each F7 protocol cycle from init, through
+    the reference heating step: the tables of the distinct times come
+    from one kernel call in order of first use, as the protocol forms
+    them.  heated[0] is init."""
+    distinct = list(dict.fromkeys(times))
+    ev = ChainEvolver(F7, TRAP, init.n_max)
+    tables, _ = _PulseTables(ev, len(distinct), derivative=False)(np.array(distinct))
+    table, band_sum = dict(zip(distinct, tables)), _BandSum(*ev.C.shape[:2])
+    pulsed, heated = [], [init]
+    for t, dose in zip(times, doses):
+        probs = band_sum(table[t], heated[-1].probs)
+        pulsed.append(PhononDistribution(probs=probs, n_max=init.n_max))
+        heated.append(propagate_heating(pulsed[-1], dose))
+    return pulsed, heated
+
+
+class TestProtocolHeating:
+    """end_to_end_protocol's heating steps, bit for bit the reference's, and
+    their faults, raised once every row is formed."""
+
+    @staticmethod
+    def run(init, times, timing):
+        return end_to_end_protocol(
+            F7,
+            TRAP,
+            PulseSequence(times=times, strategy="global_opt"),
+            init,
+            heating_rates=dict(DEFAULT_CHANNEL_RATES),
+            timing=timing,
+        )
+
+    def test_rows_are_the_reference_steps(self):
+        init = thermal_distribution(10.0, 80)
+        times = (0.3, 0.5, 0.3, 0.5, 0.3)
+        timing = PulseTiming(pre_probe_delay_seconds=0.02)
+        report = self.run(init, times, timing)
+        _, heated = replay(init, times, [cycle_dose(t, timing) for t in times])
+        delayed = propagate_heating(heated[-1], DEFAULT_CHANNEL_RATES["trap"] * 0.02)
+        expected = np.stack([dist.probs for dist in heated + [delayed]])
+        np.testing.assert_array_equal(report.history, expected)
+
+    def test_emptied_ladder_mid_sequence(self):
+        # the third cycle's pulse lasts 10^6 times longer, and its dose of
+        # 2.6e6 quanta empties the ladder after two cycles of 2.7 quanta
+        init = thermal_distribution(10.0, 80)
+        times = (1e-6, 1e-6, 1.0, 1e-6)
+        timing = PulseTiming(t_f_seconds=1e6)
+        doses = [cycle_dose(t, timing) for t in times]
+        pulsed, _ = replay(init, times[:3], doses[:2] + [0.0])
+        message = (
+            f"a heating dose of {doses[2]:g} quanta left no population on n = 0..80: "
+            f"the tail loss went from {pulsed[2].tail_loss:.3g} to 1"
+        )
+        assert 0 < pulsed[2].tail_loss < 1
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            self.run(init, times, timing)
+
+    def test_negative_entry_from_a_backward_generator(self, monkeypatch):
+        # a generator run backward sharpens the state into large negatives
+        lam, vecs = heating._unit_diffusion_eigensystem(50)
+        monkeypatch.setattr(thermometry, "_unit_diffusion_eigensystem", lambda n_max: (-lam, vecs))
+        init, timing = thermal_distribution(2.0, 50), PulseTiming()
+        pulsed, _ = replay(init, (0.2,), (0.0,))
+        message = (
+            f" < -1e-12 at a dose of {cycle_dose(0.2, timing):g} quanta, "
+            f"from a tail loss of {pulsed[0].tail_loss:.3g}"
+        )
+        pattern = rf"^heating propagator gave a probability of -\S+{re.escape(message)}$"
+        with pytest.raises(FloatingPointError, match=pattern):
+            self.run(init, (0.2, 0.2), timing)
+
+    def test_mass_above_one_is_a_value_error(self, monkeypatch):
+        # a propagator scaled by 1.1, which no heating step is, adds mass
+        lam, vecs = heating._unit_diffusion_eigensystem(50)
+        monkeypatch.setattr(
+            thermometry, "_unit_diffusion_eigensystem", lambda n_max: (0.0 * lam, 1.1**0.5 * vecs)
+        )
+        with pytest.raises(ValueError, match=r"^total probability 1\.0999\d* exceeds 1$"):
+            self.run(thermal_distribution(2.0, 50), (0.2,), PulseTiming())
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="heating dose must be >= 0"):
+            end_to_end_protocol(
+                F7,
+                TRAP,
+                PulseSequence(times=(0.2,), strategy="fixed"),
+                thermal_distribution(1.0, 50),
+                heating_rates={"trap": -10.0},
+            )
 
 
 class TestPumpingGraph:

