@@ -15,7 +15,6 @@ import re
 import sys
 from dataclasses import asdict
 from decimal import Decimal
-from itertools import repeat
 
 import numpy as np
 
@@ -59,37 +58,47 @@ def _fmt(x) -> str:
 
 
 def _reprs(values: np.ndarray) -> list[str]:
-    """list(map(repr, values.tolist())) for a 1-D float64 array, string for
-    string, in about a quarter of the time.  orjson writes the same
-    shortest round-trip digits as repr; its layout differs in three
-    magnitude bands, each mended on its own dump.  Comparing |x| with the
-    doubles 1e-9, 1e-5, 1e-4 and 1e16 puts every value in its band, since
-    a double below the double nearest 10^k has a shortest form below 10^k."""
+    """list(map(repr, values.tolist())) for a C-contiguous 1-D float64
+    array, string for string, from one orjson dump.  orjson writes repr's
+    shortest digits, in repr's layout where |x| < 1e-9 or 1e-4 <= |x| < 1e16;
+    only the other entries are mended.  Comparing |x| with those doubles
+    finds them, since a double below the double nearest 10^k has a
+    shortest form below 10^k."""
     # imported on first use: its ~3 ms and 0.8 MB stay out of start-up, and
     # probe, pumping, table1 and optimize never pay them
     import orjson
 
+    dump = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = dump[1:-1].decode().split(",") if len(values) else []
     size = np.abs(values)
-    finite = size <= sys.float_info.max
-    bands = (
-        # the layouts agree: 0.0, 5e-324, 1e-10, 0.000125, 123.0
-        ((size < 1e-9) | (1e-4 <= size) & (size < 1e16), lambda text: text),
-        # orjson writes 1e-7 where repr writes 1e-07
-        ((1e-9 <= size) & (size < 1e-5), lambda text: text.replace("e-", "e-0")),
-        # orjson writes 1e16 where repr writes 1e+16
-        ((1e16 <= size) & finite, lambda text: text.replace("e", "e+")),
-    )
-    texts = np.empty(len(values), dtype=object)
-    for band, mend in bands:
-        if band.any():
-            dump = orjson.dumps(values[band], option=orjson.OPT_SERIALIZE_NUMPY)
-            texts[band] = mend(dump[1:-1].decode()).split(",")
-    # orjson writes 0.0000125 where repr writes 1.25e-05, and null for a nan
-    # or an infinity, which the finite-artifact check would not see
-    rest = ~finite | (1e-5 <= size) & (size < 1e-4)
-    if rest.any():
-        texts[rest] = list(map(repr, values[rest].tolist()))
-    return texts.tolist()
+    mended = np.flatnonzero(~((size < 1e-9) | (1e-4 <= size) & (size < 1e16)))
+    # orjson writes 1e-7 for 1e-07, 1e16 for 1e+16, 0.0000125 for 1.25e-05,
+    # and null for a nan or an infinity, which the finite check would miss
+    for i, x in zip(mended.tolist(), values[mended].tolist()):
+        text = texts[i]
+        if text[-2] == "-":
+            texts[i] = text[:-1] + "0" + text[-1]
+        elif "e" in text:
+            texts[i] = text.replace("e", "e+")
+        else:
+            texts[i] = repr(x)
+    return texts
+
+
+def _snapshot_lines(history: np.ndarray) -> list[str]:
+    """Each state's `pulse,n,prob` lines as one text, as _csv would write
+    them: one list of slots holds the ",n," middles, set once, between each
+    state's newline-and-index prefixes and its _reprs texts (one call per
+    state; several per call are no faster and peak higher), joined at C level."""
+    rows = history.shape[1]
+    slots = [""] * (3 * rows)
+    slots[1::3] = [f",{n}," for n in range(rows)]
+    lines = []
+    for k, row in enumerate(history):
+        slots[::3] = [f"\n{k}"] * rows
+        slots[2::3] = _reprs(row)
+        lines.append("".join(slots)[1:])
+    return lines
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -381,17 +390,6 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
     for k, (nb, nsb) in enumerate(zip(report.nbar_history, report.nbar_sb_history)):
         success = report.success_probability if (cfg.rdp.enabled and k == len(report.nbar_history) - 1) else 1.0
         history_rows.append([k, nb, nsb, success])
-    # formatted as _csv would: each pulse's rows joined at C level from its
-    # index, the ",n," middles built once, and its probabilities as repr
-    # writes them, one _reprs call per pulse (one call on all pulses
-    # stacked is no faster and peaks 4.4 MB higher); every state is on
-    # init's ladder
-    middles = [f",{n}," for n in range(init.n_max + 1)]
-    snapshot_lines = [
-        "\n".join(map("".join, zip(repeat(str(k)), middles, _reprs(row))))
-        for k, row in enumerate(report.history)
-    ]
-
     # the model's geometric tail decay is that of one repeated pulse
     fit_payload: dict = {"error": f"not run: the fit needs a fixed sequence, not {seq.strategy}"}
     if seq.strategy == "fixed":
@@ -407,7 +405,9 @@ def cmd_cool(cfg: RunConfig) -> dict[str, str]:
         "cool_history.csv": _csv(
             meta, ["pulse", "nbar", "nbar_sb", "success_probability"], history_rows
         ),
-        "cool_snapshots.csv": _csv_lines(meta, ["pulse", "n", "prob"], snapshot_lines),
+        "cool_snapshots.csv": _csv_lines(
+            meta, ["pulse", "n", "prob"], _snapshot_lines(report.history)
+        ),
         "cool_sequence.json": _json(
             meta,
             {

@@ -119,6 +119,56 @@ class TestReprs:
     def test_empty(self):
         assert cli._reprs(np.array([], dtype=np.float64)) == []
 
+    def test_every_entry_mended(self):
+        # 1e-9 <= |x| < 1e-4 is outside the bands where orjson writes repr's layout
+        x = np.geomspace(1e-9, 1e-4, 2000, endpoint=False)
+        x = np.concatenate([x, -x])
+        assert cli._reprs(x) == _repr_list(x)
+
+    @pytest.mark.parametrize("value", [0.5, 1e-7, -1.25e-5, 1e16, float("nan"), float("-inf")])
+    def test_one_value(self, value):
+        x = np.array([value])
+        assert cli._reprs(x) == _repr_list(x)
+
+
+def _edge_neighbours(edge, steps=20):
+    """The `steps` doubles on each side of edge, and edge itself."""
+    below, above = [edge], [edge]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+class TestSnapshotLines:
+    """cli._snapshot_lines writes each state's lines as f"{k},{n},{p!r}"."""
+
+    @staticmethod
+    def _expected(history):
+        return [f"{k},{n},{p!r}" for k, row in enumerate(history.tolist()) for n, p in enumerate(row)]
+
+    @staticmethod
+    def _values():
+        edges = [x for edge in (1e-9, 1e-5, 1e-4, 1e16) for x in _edge_neighbours(edge)]
+        tiny = np.finfo(np.float64).smallest_normal
+        special = [0.0, 5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny]
+        exponents = [1.2345 * 10.0**e for e in range(10, 100)]
+        exponents += [1.2345 * 10.0**-e for e in range(10, 100)]
+        x = np.array(edges + special + exponents)
+        return np.concatenate([x, -x, [np.nan, np.inf, -np.inf]])
+
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_lines_are_repr_lines(self, states):
+        x = self._values()
+        history = np.stack([np.roll(x, 7 * k) for k in range(states)])
+        texts = cli._snapshot_lines(history)
+        assert len(texts) == states
+        assert "\n".join(texts).split("\n") == self._expected(history)
+
+    def test_one_row_ladder(self):
+        history = np.array([[1.0], [0.999], [1e-7]])
+        assert cli._snapshot_lines(history) == self._expected(history)
+
 
 class TestTransferMatrix:
     def test_zero_time_is_identity(self, tmp_path):
@@ -423,6 +473,13 @@ DIGEST_CASES = [
 ]
 
 
+def _digests(out):
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+
+
 class TestDigests:
     @pytest.mark.parametrize(
         "argv, payload, expected",
@@ -434,11 +491,28 @@ class TestDigests:
         out = tmp_path / "out"
         config = [] if payload is None else ["--config", write_config(tmp_path, payload)]
         assert main(argv[:1] + config + argv[1:] + ["--out", str(out)]) == 0
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in sorted(os.listdir(out))
-        }
-        assert digests == expected
+        assert _digests(out) == expected
+
+    def test_default_cool_is_thread_invariant(self, tmp_path):
+        # the digests hold for one BLAS thread count; the default heated
+        # cool (253 rows) must give them at one thread too, as perfbench
+        # runs it, while eigh's bits differ between thread counts at ~400 rows
+        (expected,) = [case[3] for case in DIGEST_CASES if case[0] == "cool"]
+        out = tmp_path / "out"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if k not in ("DRSC_SEED", "DRSC_OUT")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        script = "import sys, drsc.cli; sys.exit(drsc.cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "cool", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert _digests(out) == expected
 
 
 class TestEvolverCache:
