@@ -176,8 +176,9 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     """Bytes of the largest array the command allocates: the largest
     ChainEvolver.nbytes, _PulseTables.nbytes or _PulseTables.grid_nbytes
     over its plan (a _Workspace holds none larger than its kernel),
-    table1's stacked starts, cool's dense heating eigenvectors, or the
-    probe's populations.  A chain is sized at its length bound,
+    optimize_global's n_pulses x n_pulses inverse Hessian, table1's
+    stacked starts, cool's dense heating eigenvectors, or the probe's
+    populations.  A chain is sized at its length bound,
     cfg.scheme.max_steps(), uncapped by n_max: one too long for the budget
     is refused without its walk, which takes over a minute at f 3000.
     cool's state array is a quarter of its snapshot text, which the output
@@ -218,6 +219,7 @@ def _largest_array_bytes(command: str, cfg: RunConfig) -> int:
     n_global = {"global_opt": strategy.n_pulses, "heuristic": strategy.n_final}.get(strategy.kind)
     if n_global:
         sizes.append(_PulseTables.nbytes(n_rows, n_sites, n_global))
+        sizes.append(n_global**2 * 8)
         sizes.append(_PulseTables.nbytes(n_rows, n_sites, _GRID_COLUMNS, derivative=False))
     if strategy.kind == "heuristic" or strategy.kind == "fixed" and strategy.fixed_time is None:
         sizes += window_search(n_sites)

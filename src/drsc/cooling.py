@@ -23,7 +23,7 @@ _T_GRID_LO = 0.02
 _T_GRID_HI = 1.2
 _T_GRID_POINTS = 240
 # optimize_global's k = 1 seed grid: from F7, F8 and the two-level chain
-# at nbar 1 to 40, its L-BFGS ends within 1.4e-8 in t and 2.2e-16 in <n>
+# at nbar 1 to 40, its BFGS search ends within 1.4e-8 in t and 2.2e-16 in <n>
 # of where it ends from the 240-point grid
 _T_SEED_POINTS = 24
 # pulse times per grid chunk: a scan's traced peak is then 1.16 MB, the
@@ -144,7 +144,7 @@ def _minimize_suppression(
     quanta, so the window's populations after it read only rows
     n_lo .. n_hi + K - 1: the search runs on those rows alone, through
     evolver.rows, whose tables are the full ladder's rows bit for bit.
-    One grid scan serves every start.  L-BFGS (t >= 1e-6) then refines
+    One grid scan serves every start.  BFGS (t >= 1e-6) then refines
     log a from each start's lowest grid point, with the exact slope
     d(log a)/dt, the window mean of d(after)/dt / after, on one-time
     tables from one _PulseTables and one _BandSum shared by every start.
@@ -171,7 +171,7 @@ def _minimize_suppression(
             slope = np.mean(band_sum(d_site_p, p0)[:n_window] / after[:n_window])
             return _log_suppression(after, p0, window), np.array([slope])
 
-        t, log_a, _, _ = _lbfgs(log_suppression_and_slope, ts[i : i + 1], _MIN_PULSE_TIME)
+        t, log_a, _, _ = _bfgs(log_suppression_and_slope, ts[i : i + 1], _MIN_PULSE_TIME)
         results.append((float(t[0]), float(np.exp(log_a))))
     return results
 
@@ -298,60 +298,35 @@ def _line_search(phi, f0, g0, stp):
     return None
 
 
-def _two_loop(g, pair_s, pair_y, rhos, cross, h0):
-    """d = -H g by the two-loop recursion over the m = len(rhos) pairs in
-    the rows of pair_s and pair_y, oldest first, rhos[i] = 1 / s_i.y_i,
-    with H0 = diag(h0)^-1, or s.y / y.y of the newest pair (the identity
-    without pairs).  As in the compact form of Byrd, Nocedal & Schnabel
-    (Math. Prog. 63, 129 (1994)), each loop takes its inner products with
-    d from one matrix-vector product and the kept cross[i][j - i - 1] =
-    s_i.y_j (i < j), so d is the pairwise loops' up to rounding."""
-    d = -g
-    if not rhos:
-        return d if h0 is None else d / h0
-    alphas = (pair_s @ d).tolist()
-    for i in reversed(range(len(rhos))):
-        for alpha, c in zip(alphas[i + 1 :], cross[i]):
-            alphas[i] -= alpha * c
-        alphas[i] *= rhos[i]
-    d -= np.dot(alphas, pair_y)
-    d /= h0 if h0 is not None else rhos[-1] * float(pair_y[-1] @ pair_y[-1])
-    # z_i = alpha_i - beta_i, beta_i = rho_i y_i.(d + sum_{j<i} z_j s_j)
-    z = (pair_y @ d).tolist()
-    for i in range(len(rhos)):
-        for j in range(i):
-            z[i] += z[j] * cross[j][i - j - 1]
-        z[i] = alphas[i] - rhos[i] * z[i]
-    d += np.dot(z, pair_s)
-    return d
+def _direction(H, g):
+    """The search direction d = -H g, or -g while H is empty."""
+    return -g if H is None else -(H @ g)
 
 
-def _lbfgs(fun, x, lower, h0=None):
-    """Minimize fun(x) -> (f, gradient) over x >= lower by L-BFGS (Liu &
-    Nocedal, Math. Prog. 45, 503 (1989)) with L-BFGS-B's memory of 10
-    pairs, scaling, curvature skip and stopping tests; the bound only caps
-    each step's length.  h0, a positive estimate of the Hessian's
-    diagonal at x, makes diag(h0)^-1 the fixed initial matrix of every
-    step's two-loop recursion, in place of the scalar s.y / y.y of the
-    newest pair, and the first trial step 1; an h0 with any entry that is
-    not both finite and > 0 is ignored.  Converged when the relative
+def _bfgs(fun, x, lower, h0=None):
+    """Minimize fun(x) -> (f, gradient) over x >= lower by BFGS on a dense
+    inverse Hessian H (Nocedal & Wright, Numerical Optimization, sec.
+    6.1), with L-BFGS-B's curvature skip and stopping tests; the bound
+    only caps each step's length.  H starts at diag(h0)^-1 for h0, a
+    positive estimate of the Hessian's diagonal at x, with the first trial
+    step 1; without h0 the first direction is -g, and H starts at
+    (s.y / y.y) I at the first accepted pair (their eq. 6.20).  Each
+    accepted pair (s, y) applies the inverse update
+    H <- (I - s y^T / s.y) H (I - y s^T / s.y) + s s^T / s.y (their eq.
+    6.17), which keeps H symmetric to the bit.  An h0 with any entry that
+    is not both finite and > 0 is ignored.  Converged when the relative
     decrease is <= 1e-13, when the projected gradient's largest entry is
     <= 1e-10, or, before a line search, when the quasi-Newton decrement
-    -g.d / 2 of the new direction d is <= 1e-14 max(|f|, 1) (Nocedal &
-    Wright, Numerical Optimization, sec. 6.1) and the quadratic model is
-    trusted: the last step took the full trial step 1 and decreased f by
-    0.5 to 2 times the -g.d / 2 that the model predicted for it.  A failed
-    line search clears the memory, and h0 with it, and retries; a failure
-    with the memory and h0 already empty, or 1000 steps, end the search
+    -g.d / 2 of the new direction d is <= 1e-14 max(|f|, 1) (their sec.
+    6.1) and the quadratic model is trusted: the last step took the full
+    trial step 1 and decreased f by 0.5 to 2 times the -g.d / 2 that the
+    model predicted for it.  A failed line search empties H and retries; a
+    failure with H already empty, or 1000 steps, end the search
     unconverged.  Returns (x, fun(x)[0], evaluations, converged)."""
-    if h0 is not None and not np.all((h0 > 0) & (h0 < np.inf)):
-        h0 = None
+    usable = h0 is not None and np.all((h0 > 0) & (h0 < np.inf))
+    H = np.diag(1.0 / h0) if usable else None
     f, g = fun(x)
     n_evals, nit, model_ok = 1, 0, False
-    # the newest pairs (s, y), oldest first, their 1 / s.y and their s_i.y_j, i < j
-    pair_s, pair_y = np.empty((10, x.size)), np.empty((10, x.size))
-    rhos: list[float] = []
-    cross: list[list[float]] = []
     trial: list = []
 
     def phi(stp):
@@ -368,24 +343,21 @@ def _lbfgs(fun, x, lower, h0=None):
             return x, f, n_evals, True
         if nit == 1000:
             return x, f, n_evals, False
-        m = len(rhos)
-        d = _two_loop(g, pair_s[:m], pair_y[:m], rhos, cross, h0)
+        d = _direction(H, g)
         gd = float(g @ d)
         if model_ok and -0.5 * gd <= 1e-14 * max(abs(f), 1.0):
             return x, f, n_evals, True
         # the first trial step is 1 (1/|d| on the first iteration without
         # h0), capped where the first variable would cross the bound
-        stp = min(1.0 / np.linalg.norm(d), 1.0) if nit == 0 and h0 is None else 1.0
+        stp = min(1.0 / np.linalg.norm(d), 1.0) if nit == 0 and H is None else 1.0
         if (x + stp * d).min() < lower:
             falling = d < 0
             stp = min(stp, float(np.min((x[falling] - lower) / -d[falling])))
         stp = _line_search(phi, f, gd, stp)
         if stp is None:
-            if not rhos and h0 is None:
+            if H is None:
                 return x, f, n_evals, False
-            rhos.clear()
-            cross.clear()
-            h0, model_ok = None, False
+            H, model_ok = None, False
             continue
         nit += 1
         x_new, f_new, g_new = trial
@@ -398,15 +370,11 @@ def _lbfgs(fun, x, lower, h0=None):
         sy = float(s @ y)
         # L-BFGS-B's curvature test: skip pairs that would spoil H's definiteness
         if sy > _EPS * -gd * stp:
-            if m == 10:
-                pair_s[:-1], pair_y[:-1] = pair_s[1:], pair_y[1:]
-                del rhos[0], cross[0]
-                m = 9
-            for row, c in zip(cross, (pair_s[:m] @ y).tolist()):
-                row.append(c)
-            pair_s[m], pair_y[m] = s, y
-            rhos.append(1.0 / sy)
-            cross.append([])
+            if H is None:
+                H = np.eye(x.size) * (sy / float(y @ y))
+            rho, hy = 1.0 / sy, H @ y
+            s_hy = np.outer(s, hy)
+            H += rho * ((1.0 + rho * float(y @ hy)) * np.outer(s, s) - (s_hy + s_hy.T))
 
 
 def optimize_global(
@@ -418,13 +386,15 @@ def optimize_global(
 ) -> PulseSequence:
     """Minimize the final mean occupation over all pulse durations.
 
-    L-BFGS (t >= 1e-6) on log <n>, with the exact adjoint gradient
+    BFGS (t >= 1e-6) on log <n>, with the exact adjoint gradient
     divided by <n>, so the gradient tolerance means the same at every
-    depth of cooling.  Below an absolute floor, <n> < 1e-12, the objective
-    is log 1e-12 with a zero gradient, which ends the search at that pulse
-    count instead of polishing <n> far below anything a sideband probe
-    resolves.  One search per pulse count.  k = 1 starts from the lowest
-    point of a _T_SEED_POINTS-point pulse-time grid of one-pulse <n>.
+    depth of cooling.  Cooling takes about nbar pulses, so each k-pulse
+    search keeps its k x k inverse Hessian dense.  Below an absolute
+    floor, <n> < 1e-12, the objective is log 1e-12 with a zero gradient,
+    which ends the search at that pulse count instead of polishing <n>
+    far below anything a sideband probe resolves.  One search per pulse
+    count.  k = 1 starts from the lowest point of a
+    _T_SEED_POINTS-point pulse-time grid of one-pulse <n>.
     k + 1 starts from the k-pulse optimum with its first duration repeated
     at the front, which reaches the same optima in fewer evaluations than
     a repeated last one, but may raise <n>: the start is evaluated first,
@@ -436,15 +406,16 @@ def optimize_global(
     floor does not move, so the final true <n> is non-increasing in pulse
     count, below the floor too.  Every start (the seed, the prepended
     probe, the appended fallback) is evaluated with curvature, and the
-    search's initial matrix is the inverse of the absolute Hessian
-    diagonal of log <n> there, |H_ll / <n> - (g_l / <n>)^2|, which cuts
-    the evaluations (143 to 93 on the default F7 nbar 6.08, 10 pulses);
-    a start below the floor has none.  Each search also ends, before a
-    line search, on _lbfgs's quasi-Newton decrement: a next step that
-    would lower log <n> by about 1e-14 or less is not taken (93 to 86).  The kept start's evaluation is
-    the search's first, through a one-entry memo.  Each trace entry is
-    (k, <n>), the true <n> even below the floor; n_evals[k - 1] counts the
-    kernel evaluations at k, its start's curvature evaluation as one.  All
+    search's initial inverse Hessian is diag(h0)^-1 for h0 the absolute
+    Hessian diagonal of log <n> there, |H_ll / <n> - (g_l / <n>)^2|,
+    which cuts the evaluations (143 to 93 on the default F7 nbar 6.08,
+    10 pulses); a start below the floor has none.  Each search also
+    ends, before a line search, on _bfgs's quasi-Newton decrement: a
+    next step that would lower log <n> by about 1e-14 or less is not
+    taken (93 to 86).  The kept start's evaluation is the search's
+    first, through a one-entry memo.  Each trace entry is (k, <n>), the
+    true <n> even below the floor; n_evals[k - 1] counts the kernel
+    evaluations at k, its start's curvature evaluation as one.  All
     pulse counts share one _Workspace.  Deterministic; no randomness
     enters the search.
     """
@@ -490,7 +461,7 @@ def optimize_global(
     work = _Workspace(evolver, n_pulses)
     for k in range(1, n_pulses + 1):
         log_mean_and_gradient(x, curvature=True)
-        x, _, _, ok = _lbfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME, h0=memo[2])
+        x, _, _, ok = _bfgs(log_mean_and_gradient, x, _MIN_PULSE_TIME, h0=memo[2])
         converged = converged and ok
         n_evals.append(kernel_evals - sum(n_evals))
         mean = means[x.tobytes()]

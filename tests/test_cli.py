@@ -310,9 +310,9 @@ DIGEST_CASES = [
         ["cool", "--no-heating"],
         None,
         {
-            "cool_history.csv": "ad74431a1130d8100cc9758943499b0d12008e945ecea42a1e1b2b36bc988a72",
-            "cool_sequence.json": "09a0edfefcf1784a4c5370e0814cb735953410685164b1eb6fa51f2d302659e1",
-            "cool_snapshots.csv": "171a42dcf6bd73ddcf46b49089b4cb70c08d3c7806f2361aed6aaffa82bc5af3",
+            "cool_history.csv": "5a4dce2aee0dce00fc4af3ee26ac880c7940fddc57950328b23bbd76a00f69a7",
+            "cool_sequence.json": "d02a5b8bd88c708ad373dc3f8099153101728153e9e4599c4469b7b4fb9ddaa0",
+            "cool_snapshots.csv": "a542e011de4e594dbe16c7b605efac02e7a0d1d1350e48f8ada1820d41912734",
             "cool_suppression_fit.json": "7bf293dbf8f12f96de1e1f97f4042bf60bf2fbb37a3fc2c4302fc1ce170004cb",
         },
     ),
@@ -321,9 +321,9 @@ DIGEST_CASES = [
         ["cool"],
         None,
         {
-            "cool_history.csv": "84790fa93c0a90e385d70f6325e68585fbd30a90a81ad1fa86a0bc79b3c2f345",
-            "cool_sequence.json": "2e0cc03f825d0de64a547553a3c21ccc040fe2a7362da3a9b903897fcac0a6ea",
-            "cool_snapshots.csv": "7cdb3df75ced422dfa9cf105aab22fd40f01f1889d225437a21148d99c149100",
+            "cool_history.csv": "35112bd305804f6815b125bbebc5f96e45bf8e846d80339dc2676e578e765771",
+            "cool_sequence.json": "3381cf3122d8afd3c66388e73295194cb07a91af5cce6e268309d49d6d952094",
+            "cool_snapshots.csv": "241e08f64a9175e434f517356d2c82154e89dabb6671e3f7b58cbb757bae877f",
             "cool_suppression_fit.json": "dd86fc8146a4757236cfb8ca0054ab3ecc3676e66aa87365f5451c5aae031a52",
         },
     ),
@@ -466,8 +466,8 @@ DIGEST_CASES = [
         ["optimize"],
         {"strategy": {"n_pulses": 2}},
         {
-            "optimize_sequence.json": "5cbb922a31bfb64a4329e655d57c7aa4e78441a98acefa8b74937c9dc128e533",
-            "optimize_trace.csv": "25d9a15201394d22fee0671105e4392262524f6a5638df93d30080599142a537",
+            "optimize_sequence.json": "db6e3c975796d51ad4556be7c16476f6daae568d9433f5aa858490eb7f5cde69",
+            "optimize_trace.csv": "e92b2872570ab5f85ba55f99b926adce4306c5a3d66288cc4616dac0b7876fad",
         },
     ),
 ]
@@ -886,6 +886,23 @@ class TestErrorPaths:
         assert main(["table1", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "config error: table1 would allocate an array of about 1.102e+4 MiB, "
+            "over the 256 MiB budget\n"
+        )
+        assert not out.exists()
+
+    def test_inverse_hessian_is_sized(self, tmp_path, monkeypatch, capsys):
+        # 6000 two-level pulses: the optimizer's dense inverse Hessian is
+        # 274.7 MiB, while its pulse tables take 67.8 MiB
+        def never(*args, **kwargs):
+            raise AssertionError("optimize_global ran")
+
+        monkeypatch.setattr(cli, "optimize_global", never)
+        payload = {"scheme": "two_level", "strategy": {"n_pulses": 6000}}
+        assert cli._largest_array_bytes("optimize", RunConfig.from_dict(payload)) > 2**28
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: optimize would allocate an array of about 274.7 MiB, "
             "over the 256 MiB budget\n"
         )
         assert not out.exists()

@@ -75,7 +75,7 @@ NELDER_MEAD_F7_TRACE = (
 # its final objective on F8, nbar 15.87, 15 pulses
 NELDER_MEAD_F8_FINAL = 0.0005485482927587203
 
-# scipy's L-BFGS-B on the same objective, which the numpy L-BFGS replaced:
+# scipy's L-BFGS-B on the same objective, which the numpy search replaced:
 # (scheme, nbar, pulses) -> (<n> at every pulse count, total evaluations)
 LBFGSB_RUNS = {
     ("F7", 6.08, 10): (
@@ -126,7 +126,7 @@ LBFGSB_RUNS = {
     ),
 }
 
-# optimize_global's evaluations, each pulse count's L-BFGS started from the
+# optimize_global's evaluations, each pulse count's BFGS search started from the
 # exact Hessian diagonal; the tests allow 10% more, since last-bit changes
 # of the pulse tables have moved these counts by up to 8%
 EVALS = {
@@ -230,7 +230,7 @@ def band_loop_mean_and_gradient(times, evolver, p0):
 
 # the optimizer internals as imported: global_run's cache holds runs made with these
 OPTIMIZER_INTERNALS = {
-    name: getattr(cooling, name) for name in ("_lbfgs", "_two_loop", "_mean_and_gradient")
+    name: getattr(cooling, name) for name in ("_bfgs", "_direction", "_mean_and_gradient")
 }
 
 
@@ -359,7 +359,7 @@ class TestSharedGridScan:
     def test_table1_f7_kernel_calls(self, monkeypatch):
         # two kernels: one 240-point grid for all nine nbar cells,
         # _GRID_COLUMNS pulse times per chunk, and one for every cell's
-        # L-BFGS, one pulse time per table; both compute only the window's
+        # BFGS search, one pulse time per table; both compute only the window's
         # rows and the pulse reach above them
         nbars = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0]
         cfg = RunConfig.from_dict({"table1": {"schemes": ["F7"], "nbars": nbars}})
@@ -613,23 +613,23 @@ class TestOptimizeGlobal:
         # the x where it formed its last direction d: the full step x + d
         # it skipped would have lowered log <n> by at most 1e-13 relative
         directions, skipped = [], []
-        real_lbfgs, real_two_loop = cooling._lbfgs, cooling._two_loop
+        real_bfgs, real_direction = cooling._bfgs, cooling._direction
 
-        def recording_two_loop(g, *args):
-            d = real_two_loop(g, *args)
+        def recording_direction(H, g):
+            d = real_direction(H, g)
             directions.append((g.copy(), d.copy()))
             return d
 
-        def recording_lbfgs(fun, x0, lower, h0=None):
+        def recording_bfgs(fun, x0, lower, h0=None):
             directions.clear()
-            x, f, n_evals, converged = real_lbfgs(fun, x0, lower, h0)
+            x, f, n_evals, converged = real_bfgs(fun, x0, lower, h0)
             if converged and directions and np.array_equal(directions[-1][0], fun(x)[1]):
                 f_step = fun(np.maximum(x + directions[-1][1], lower))[0]
                 skipped.append((f - f_step) / max(abs(f), 1.0))
             return x, f, n_evals, converged
 
-        monkeypatch.setattr(cooling, "_two_loop", recording_two_loop)
-        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        monkeypatch.setattr(cooling, "_direction", recording_direction)
+        monkeypatch.setattr(cooling, "_bfgs", recording_bfgs)
         scheme, nbar, n_pulses = case
         chain = CHAINS[scheme]
         seq = optimize_global(chain, TRAP, cli_thermal(nbar, chain), n_pulses)
@@ -687,14 +687,14 @@ class TestOptimizeGlobal:
 
     @staticmethod
     def recorded_run(monkeypatch, chain, init, n_pulses, penalty=0.0):
-        """optimize_global with every L-BFGS start and optimum, and every
+        """optimize_global with every BFGS search's start and optimum, and every
         kernel evaluation, recorded; penalty is added to <n> at each
         (k-1)-optimum's prepended start for k >= 3."""
         searches, evaluated = [], []
-        real_lbfgs, real_mean = cooling._lbfgs, cooling._mean_and_gradient
+        real_bfgs, real_mean = cooling._bfgs, cooling._mean_and_gradient
 
-        def recording_lbfgs(fun, x0, *args, **kwargs):
-            x, f, n_evals, converged = real_lbfgs(fun, x0, *args, **kwargs)
+        def recording_bfgs(fun, x0, *args, **kwargs):
+            x, f, n_evals, converged = real_bfgs(fun, x0, *args, **kwargs)
             searches.append((np.array(x0), x.copy(), n_evals))
             return x, f, n_evals, converged
 
@@ -706,7 +706,7 @@ class TestOptimizeGlobal:
             evaluated.append((times.copy(), f))
             return f, *derivatives
 
-        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        monkeypatch.setattr(cooling, "_bfgs", recording_bfgs)
         monkeypatch.setattr(cooling, "_mean_and_gradient", recording_mean)
         trace = []
         seq = optimize_global(chain, TRAP, init, n_pulses, trace=trace)
@@ -725,7 +725,7 @@ class TestOptimizeGlobal:
         # k > 1 starts from the (k-1)-optimum with its first time repeated
         # in front when that start's true <n> is no higher, otherwise with
         # its last time repeated at the end; the kept start's evaluation
-        # is the search's first, so every k's evaluations are its L-BFGS's
+        # is the search's first, so every k's evaluations are its search's
         # plus the probe of a rejected start
         probes = {times.tobytes(): f for times, f in evaluated}
         fallbacks = []
@@ -740,17 +740,17 @@ class TestOptimizeGlobal:
         assert seq.times == tuple(searches[-1][1])
 
     def test_each_start_hands_its_hessian_diagonal_to_the_search(self, monkeypatch):
-        # the k = 1 seed, then each kept prepended start: L-BFGS gets the
+        # the k = 1 seed, then each kept prepended start: the search gets the
         # diagonal of the Hessian of log <n> at its start
         init = cli_thermal(6.08, F7)
         ev = cached_evolver(F7, TRAP, init.n_max)
-        starts, real_lbfgs = [], cooling._lbfgs
+        starts, real_bfgs = [], cooling._bfgs
 
-        def recording_lbfgs(fun, x0, lower, h0=None):
+        def recording_bfgs(fun, x0, lower, h0=None):
             starts.append((x0.copy(), h0))
-            return real_lbfgs(fun, x0, lower, h0)
+            return real_bfgs(fun, x0, lower, h0)
 
-        monkeypatch.setattr(cooling, "_lbfgs", recording_lbfgs)
+        monkeypatch.setattr(cooling, "_bfgs", recording_bfgs)
         optimize_global(F7, TRAP, init, 4)
         assert [len(x0) for x0, _ in starts] == [1, 2, 3, 4]
         for x0, h0 in starts:
@@ -778,10 +778,10 @@ def rosenbrock(x):
     return f, g
 
 
-class TestLbfgs:
+class TestBfgs:
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0] * 5], ids=["2-D", "10-D"])
     def test_rosenbrock_reaches_its_minimum(self, x0):
-        x, f, n_evals, converged = cooling._lbfgs(rosenbrock, np.array(x0), -np.inf)
+        x, f, n_evals, converged = cooling._bfgs(rosenbrock, np.array(x0), -np.inf)
         assert converged
         assert f == rosenbrock(x)[0]
         np.testing.assert_allclose(x, 1.0, rtol=0, atol=1e-7)
@@ -794,7 +794,7 @@ class TestLbfgs:
             seen.append(float(t[0]))
             return float(t[0]), np.ones(1)
 
-        x, _, _, converged = cooling._lbfgs(linear, np.array([1.0]), 1e-6)
+        x, _, _, converged = cooling._bfgs(linear, np.array([1.0]), 1e-6)
         assert min(seen) >= 1e-6
         assert x[0] == pytest.approx(1e-6, rel=1e-9)
         assert converged
@@ -808,7 +808,7 @@ class TestLbfgs:
             seen.append(float(t.min()))
             return float(t[0] + (t[1] - 1.0) ** 2), np.array([1.0, 2.0 * (t[1] - 1.0)])
 
-        _, _, _, converged = cooling._lbfgs(corner, np.array([1e-6, 3.0]), 1e-6)
+        _, _, _, converged = cooling._bfgs(corner, np.array([1e-6, 3.0]), 1e-6)
         assert min(seen) >= 1e-6
         assert not converged
 
@@ -821,35 +821,37 @@ class TestLbfgs:
         def quadratic(x):
             return float(0.5 * a @ (x - c) ** 2), a * (x - c)
 
-        x, f, n_evals, converged = cooling._lbfgs(quadratic, np.zeros(3), -np.inf, h0=a)
+        x, f, n_evals, converged = cooling._bfgs(quadratic, np.zeros(3), -np.inf, h0=a)
         assert converged and n_evals == 2
         np.testing.assert_allclose(x, c, rtol=0, atol=1e-15)
         # the scalar scaling needs more
-        assert cooling._lbfgs(quadratic, np.zeros(3), -np.inf)[2] > 2
+        assert cooling._bfgs(quadratic, np.zeros(3), -np.inf)[2] > 2
 
-    @pytest.mark.parametrize("n_pairs", [1, 3, 10])
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["scalar", "h0"])
-    def test_two_loop_matches_the_pairwise_recursion(self, n_pairs, diagonal):
-        # Liu & Nocedal's loops, one inner product with d per pair and loop
-        rng = np.random.default_rng(n_pairs)
-        a = rng.normal(size=(12, 12))
-        hessian = a @ a.T + 12 * np.eye(12)
-        s = rng.normal(size=(n_pairs, 12))
-        y = s @ hessian
-        g = rng.normal(size=12)
-        h0 = rng.uniform(1.0, 5.0, size=12) if diagonal else None
-        rhos = [1.0 / float(si @ yi) for si, yi in zip(s, y)]
-        d, alphas = -g, []
-        for si, yi, rho in zip(s[::-1], y[::-1], rhos[::-1]):
-            alphas.append(rho * (si @ d))
-            d = d - alphas[-1] * yi
-        d = d / h0 if diagonal else d * float(s[-1] @ y[-1]) / float(y[-1] @ y[-1])
-        for si, yi, rho, alpha in zip(s, y, rhos, alphas[::-1]):
-            d = d + (alpha - rho * (yi @ d)) * si
-        cross = [[float(s[i] @ y[j]) for j in range(i + 1, n_pairs)] for i in range(n_pairs)]
-        np.testing.assert_allclose(
-            cooling._two_loop(g, s, y, rhos, cross, h0), d, rtol=1e-13, atol=1e-15
-        )
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [-1.2, 1.0] * 5], ids=["2-D", "10-D"])
+    def test_update_is_symmetric_and_secant(self, monkeypatch, x0):
+        # each accepted pair (s, y) leaves H symmetric with H y = s
+        evaluated, directions, real_direction = {}, [], cooling._direction
+
+        def recorded(x):
+            f, g = rosenbrock(x)
+            evaluated[g.tobytes()] = x.copy()
+            return f, g
+
+        def recording_direction(H, g):
+            directions.append((evaluated[g.tobytes()], g.copy(), None if H is None else H.copy()))
+            return real_direction(H, g)
+
+        monkeypatch.setattr(cooling, "_direction", recording_direction)
+        assert cooling._bfgs(recorded, np.array(x0), -np.inf)[3]
+        updates = 0
+        for (x, g, H), (x_new, g_new, H_new) in zip(directions, directions[1:]):
+            if H_new is None or H is not None and np.array_equal(H_new, H):
+                continue
+            updates += 1
+            s, y = x_new - x, g_new - g
+            np.testing.assert_allclose(H_new, H_new.T, rtol=0, atol=1e-15 * np.abs(H_new).max())
+            np.testing.assert_allclose(H_new @ y, s, rtol=0, atol=1e-12 * np.abs(s).max())
+        assert updates >= len(directions) // 2
 
     @pytest.mark.parametrize(
         "h0",
@@ -864,7 +866,7 @@ class TestLbfgs:
                 seen.append(x.copy())
                 return rosenbrock(x)
 
-            x, f, n_evals, converged = cooling._lbfgs(recorded, np.array([-1.2, 1.0]), -np.inf, h0)
+            x, f, n_evals, converged = cooling._bfgs(recorded, np.array([-1.2, 1.0]), -np.inf, h0)
             return x, f, n_evals, converged, np.array(seen)
 
         with_h0, without = search(np.array(h0)), search(None)
