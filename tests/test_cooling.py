@@ -853,6 +853,50 @@ class TestBfgs:
             np.testing.assert_allclose(H_new @ y, s, rtol=0, atol=1e-12 * np.abs(s).max())
         assert updates >= len(directions) // 2
 
+    @pytest.mark.parametrize("n_pairs", [1, 3, 10])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["scalar", "h0"])
+    def test_dense_update_matches_the_two_loop_recursion(self, monkeypatch, n_pairs, diagonal):
+        # after n accepted pairs, -H g is Liu & Nocedal's two-loop direction
+        # over all n pairs from the same start H0: diag(h0)^-1, or the first
+        # pair's (s.y / y.y) I
+        rng = np.random.default_rng(n_pairs)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        hessian = (q * np.geomspace(1.0, 1e3, 12)) @ q.T
+        c = rng.normal(size=12)
+        h0 = np.diag(hessian).copy() if diagonal else None
+        evaluated, directions, real_direction = {}, [], cooling._direction
+
+        def quadratic(x):
+            g = hessian @ (x - c)
+            evaluated[g.tobytes()] = x.copy()
+            return float(0.5 * (x - c) @ g), g
+
+        def recording_direction(H, g):
+            directions.append((evaluated[g.tobytes()], g.copy(), None if H is None else H.copy()))
+            return real_direction(H, g)
+
+        monkeypatch.setattr(cooling, "_direction", recording_direction)
+        assert cooling._bfgs(quadratic, np.zeros(12), -np.inf, h0)[3]
+        s, y = [], []
+        for (x, g, H), (x_new, g_new, H_new) in zip(directions, directions[1:]):
+            if H_new is not None and (H is None or not np.array_equal(H_new, H)):
+                s.append(x_new - x)
+                y.append(g_new - g)
+            if len(s) == n_pairs:
+                break
+        assert len(s) == n_pairs
+        rhos = [1.0 / float(si @ yi) for si, yi in zip(s, y)]
+        d, alphas = -g_new, []
+        for si, yi, rho in zip(s[::-1], y[::-1], rhos[::-1]):
+            alphas.append(rho * (si @ d))
+            d = d - alphas[-1] * yi
+        d = d / h0 if diagonal else d * float(s[0] @ y[0]) / float(y[0] @ y[0])
+        for si, yi, rho, alpha in zip(s, y, rhos, alphas[::-1]):
+            d = d + (alpha - rho * (yi @ d)) * si
+        np.testing.assert_allclose(
+            real_direction(H_new, g_new), d, rtol=0, atol=1e-13 * np.abs(d).max()
+        )
+
     @pytest.mark.parametrize(
         "h0",
         [[1.0, 0.0], [1.0, -2.0], [np.nan, 1.0], [np.inf, 1.0]],
